@@ -8,12 +8,8 @@ logarithm reporting.
 from .arith import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
-    DensePoly,
-    FFElement,
     FiniteField,
     ext_field,
-    field_elements,
-    find_irreducible,
 )
 from .asymptotics import (
     ConvergenceReport,
@@ -42,6 +38,7 @@ from .curves import (
 from .groups import GroupSpec, builtin_group, group_order, mass_ratio
 from .mass import (
     MassValue,
+    RouteMismatchError,
     hn_ss_mass,
     mass_bun,
     mass_gl_component,

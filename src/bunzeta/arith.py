@@ -1,4 +1,4 @@
-"""Exact arithmetic foundations: rationals, finite fields, dense polynomials.
+"""Exact arithmetic foundations: rationals, finite fields, polynomials.
 
 Everything here is exact.  Rational values are ``fractions.Fraction``
 (always in lowest terms, positive denominator).  Finite fields are built
@@ -8,7 +8,8 @@ identically across runs.  Elements are encoded as integers in
 ``[0, order)`` (little-endian digits over the base field), which keeps
 enumeration order canonical and the counting kernels fast; small fields
 additionally build discrete-log tables so multiplication is a table
-lookup.
+lookup.  Polynomials over a field are little-endian tuples or lists of
+element codes, handled by the ``_pc_*`` helpers.
 """
 
 from __future__ import annotations
@@ -114,87 +115,6 @@ def is_prime_power(n: int) -> bool:
     return len(ps) == 1
 
 
-class FFElement:
-    """An element of a :class:`FiniteField`, supporting the usual operators."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: "FiniteField", code: int):
-        self.field = field
-        self.code = code
-
-    def _coerce(self, other):
-        if isinstance(other, FFElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other.code
-        if isinstance(other, int):
-            return self.field.embed_int(other)
-        return None
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FFElement(self.field, self.field.add_c(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FFElement(self.field, self.field.sub_c(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FFElement(self.field, self.field.sub_c(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FFElement(self.field, self.field.mul_c(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FFElement(self.field, self.field.mul_c(self.code, self.field.inv_c(c)))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return FFElement(self.field, self.field.mul_c(c, self.field.inv_c(self.code)))
-
-    def __pow__(self, e: int):
-        return FFElement(self.field, self.field.pow_c(self.code, e))
-
-    def __neg__(self):
-        return FFElement(self.field, self.field.neg_c(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FFElement):
-            return self.field is other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.field.embed_int(other)
-        return NotImplemented
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __repr__(self):
-        return f"ff({self.code} in GF({self.field.order}))"
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers over element *codes* of a base field
 # ---------------------------------------------------------------------------
@@ -221,6 +141,11 @@ def _pc_sub(B, a, b):
     for i, c in enumerate(b):
         out[i] = B.sub_c(out[i], c)
     return _pc_trim(out)
+
+
+def _pc_deriv(B, a):
+    """Formal derivative of a code polynomial over B."""
+    return _pc_trim([B.mul_c(c, B.embed_int(k)) for k, c in enumerate(a)][1:])
 
 
 def _pc_mul(B, a, b):
@@ -342,8 +267,7 @@ class FiniteField:
         modulus: codes of the (monic) defining polynomial over ``base``,
             little-endian; ``(0, 1)`` (i.e. x) for prime fields.
 
-    Elements are plain integer codes; :meth:`element` wraps them.
-    Prime-subfield constants embed as the codes 0..p-1 at every level of
+    Elements are plain integer codes.  Prime-subfield constants embed as the codes 0..p-1 at every level of
     a tower, so base-field codes are literally extension-field codes.
     """
 
@@ -455,22 +379,6 @@ class FiniteField:
         """Code of the prime-subfield constant n mod p."""
         return n % self.char
 
-    def element(self, code: int) -> FFElement:
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for GF({self.order})")
-        return FFElement(self, code)
-
-    @property
-    def zero(self) -> FFElement:
-        return FFElement(self, 0)
-
-    @property
-    def one(self) -> FFElement:
-        return FFElement(self, 1)
-
-    def __iter__(self):
-        return (FFElement(self, c) for c in range(self.order))
-
     def __repr__(self):
         return f"GF({self.order})"
 
@@ -574,12 +482,7 @@ class FiniteField:
     # -- tables ---------------------------------------------------------------
 
     def build_tables(self) -> None:
-        """Build exp/log tables (only for orders <= 2^16).
-
-        Idempotent: concurrent callers can at worst build identical tables
-        twice; the final whole-list assignments are atomic under the GIL,
-        so readers never observe partial tables.
-        """
+        """Build exp/log tables (only for orders <= 2^16); idempotent."""
         if self._exp is not None or self._tables_impossible:
             return
         n = self.order - 1
@@ -592,7 +495,9 @@ class FiniteField:
             exp[k + n] = c
             log[c] = k
             c = self._raw_mul(c, g)
-        assert c == 1, "generator order mismatch"
+        if c != 1:
+            raise ArithmeticError(
+                f"GF({self.order}): generator {g} does not have order {n}")
         self._exp = exp
         self._log = log
 
@@ -632,7 +537,9 @@ class FiniteField:
         for _ in range(self.degree - 1):
             t = self.pow_c(t, p)
             acc = self.add_c(acc, t)
-        assert acc < p, "trace did not land in the prime field"
+        if acc >= p:
+            raise ArithmeticError(
+                f"GF({self.order}): trace of {a} is {acc}, not in the prime field")
         return acc
 
     def is_square_c(self, a: int) -> bool:
@@ -661,130 +568,3 @@ class FiniteField:
 def ext_field(p: int, m: int) -> FiniteField:
     """F_(p^m) with the canonical (lex-smallest) modulus over F_p."""
     return FiniteField.of_order(p, m)
-
-
-def field_elements(field: FiniteField, budget: int = DEFAULT_ENUM_BUDGET):
-    """Yield every element of the field exactly once, in code order."""
-    if field.order > budget:
-        raise BudgetExceededError(field.order, budget, "field enumeration")
-    return iter(field)
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials
-# ---------------------------------------------------------------------------
-
-
-class DensePoly:
-    """Dense univariate polynomial; coefficients indexed by degree.
-
-    Coefficients may be anything with ring operators (Fraction, int,
-    FFElement); trailing zeros are stripped so the leading coefficient of
-    a nonzero polynomial is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return DensePoly(out)
-
-    def __neg__(self):
-        return DensePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return DensePoly([])
-        out = [None] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                t = ai * bj
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        return DensePoly(out)
-
-    def __call__(self, x):
-        if not self.coeffs:
-            return x * 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "DensePoly":
-        return DensePoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def coefficient(self, k: int):
-        """Coefficient of degree k; integer 0 if beyond the stored degree."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __eq__(self, other):
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "poly(0)"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(f"{c!r}")
-            elif k == 1:
-                parts.append(f"{c!r}*x")
-            else:
-                parts.append(f"{c!r}*x^{k}")
-        return "poly(" + " + ".join(parts) + ")"
-
-
-def poly_over(field: FiniteField, int_coeffs) -> DensePoly:
-    """DensePoly over ``field`` from integer coefficients (constant first)."""
-    return DensePoly([field.element(field.embed_int(c)) for c in int_coeffs])
-
-
-def find_irreducible(p: int, m: int) -> DensePoly:
-    """The canonical monic degree-m irreducible over F_p.
-
-    Canonical means: smallest coefficient vector (constant term first,
-    entries taken as integers) in lexicographic order.
-    """
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    base = FiniteField.prime(p)
-    codes = _lex_smallest_irreducible_codes(base, m)
-    return DensePoly([base.element(c) for c in codes])

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
     DEFAULT_ENUM_BUDGET,
@@ -40,7 +40,13 @@ from .arith import (
 )
 from .curves import CurveModel, PointCounts, count_series, genus_of
 from .groups import GroupSpec, builtin_group, mass_ratio
-from .mass import compositions, hn_ss_mass, mass_bun, zagier_ss_mass
+from .mass import (
+    RouteMismatchError,
+    compositions,
+    hn_ss_mass,
+    mass_bun,
+    zagier_ss_mass,
+)
 from .zeta import (
     DegreeSpectrum,
     ZetaData,
@@ -234,21 +240,11 @@ def _sqrt_lower(n: int) -> Fraction:
     return lo
 
 
-class RhsResult(tuple):
+class RhsResult(NamedTuple):
     """(value, tail) pair of binary64 numbers."""
 
-    __slots__ = ()
-
-    def __new__(cls, value: float, tail: float):
-        return super().__new__(cls, (value, tail))
-
-    @property
-    def value(self) -> float:
-        return self[0]
-
-    @property
-    def tail(self) -> float:
-        return self[1]
+    value: float
+    tail: float
 
 
 def tv_sum_term(tv: TVData, trunc: int) -> float:
@@ -282,21 +278,11 @@ def rhs_group(tv: TVData, spec: GroupSpec, trunc: int) -> RhsResult:
     return RhsResult(value, tail)
 
 
-class GeneralResult(tuple):
+class GeneralResult(NamedTuple):
     """(value, weight_envelope_ok) pair."""
 
-    __slots__ = ()
-
-    def __new__(cls, value: float, envelope_ok: bool):
-        return super().__new__(cls, (value, envelope_ok))
-
-    @property
-    def value(self) -> float:
-        return self[0]
-
-    @property
-    def envelope_ok(self) -> bool:
-        return self[1]
+    value: float
+    envelope_ok: bool
 
 
 def rhs_general(groups, q: int, d_bound: int) -> GeneralResult:
@@ -530,7 +516,11 @@ def convergence_report(family, spec: GroupSpec, trunc: int,
                "gap": abs(lhs - rhs.value)}
         if gl_rank is not None:
             ss = zagier_ss_mass(gl_rank, 0, z)
-            assert ss.value == hn_ss_mass(gl_rank, 0, z).value
+            hn = hn_ss_mass(gl_rank, 0, z)
+            if ss.value != hn.value:
+                raise RouteMismatchError(
+                    f"family member {i} (g = {z.g}): M^ss({gl_rank}, 0) is "
+                    f"{ss.value} by Zagier but {hn.value} by HN")
             if ss.value > 0:
                 ss_lhs = log_q_fraction(ss.value, q) / z.g
                 row["ss_lhs"] = ss_lhs

@@ -3,7 +3,7 @@
 One JSON config file drives all subcommands; each subcommand reads the
 sections it needs.  Exact rationals are serialized as ``"p/q"`` strings
 and binary64 logs with 17 significant digits, so reports re-parse without
-precision loss and are byte-identical across runs and worker counts.
+precision loss and are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .arith import DEFAULT_ENUM_BUDGET, FiniteField, format_rational
 from .asymptotics import (
@@ -35,9 +34,11 @@ from .curves import (
 from .groups import GroupSpec, group_spec_from_json
 from .mass import hn_ss_mass, mass_bun, zagier_ss_mass
 from .zeta import (
+    InconsistentCountsError,
     class_number,
     degree_spectrum,
     quasi_residue,
+    regenerate_counts,
     special_value,
     zeta_from_counts,
 )
@@ -135,19 +136,9 @@ def _run_config(cfg: dict, args) -> dict:
         else int(cfg.get("trunc", DEFAULT_TRUNC)),
         "budget": args.budget if args.budget is not None
         else int(cfg.get("budget", DEFAULT_ENUM_BUDGET)),
-        "jobs": max(1, args.jobs),
         "format": args.format or out_cfg.get("format", "json"),
         "out": args.out or out_cfg.get("path"),
     }
-
-
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, optionally on a thread pool."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +158,13 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
             m_top = max(trunc, g)
             counts = count_series(model, m_top, budget)
             z = zeta_from_counts(model.q, g, counts.counts[:g])
+            # enumerated counts beyond g are cross-checks of P(T)
+            regen = regenerate_counts(z, trunc)
+            for m in range(g + 1, trunc + 1):
+                if counts.n(m) != regen[m - 1]:
+                    raise InconsistentCountsError(
+                        f"{model.name}: enumerated N_{m} = {counts.n(m)} but "
+                        f"P(T) regenerates {regen[m - 1]}")
             spec = degree_spectrum(counts)
             return {
                 "name": model.name,
@@ -185,7 +183,7 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
         except Exception as e:
             raise ConfigError(f"curves[{model.name}]: {e}") from e
 
-    rows = _pmap(one, curves, run["jobs"])
+    rows = [one(model) for model in curves]
     return {"schema": SCHEMA_VERSION, "command": "zeta", "trunc": trunc,
             "curves": rows}
 
@@ -236,7 +234,7 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
                 f"curves[{model.name}] x groups[{spec.name}]: {e}") from e
 
     pairs = [(c, s) for c in curves for s in groups]
-    rows = _pmap(one, pairs, run["jobs"])
+    rows = [one(pair) for pair in pairs]
     return {"schema": SCHEMA_VERSION, "command": "mass", "masses": rows}
 
 
@@ -382,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default from config, else json)")
         p.add_argument("--trunc", type=int, help="series truncation depth M")
         p.add_argument("--budget", type=int, help="enumeration budget")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent tasks")
     return ap
 
 

@@ -5,16 +5,16 @@ points at infinity of the smooth projective model:
 
 * the projective line (``N_m = q^m + 1``),
 * hyperelliptic models ``y^2 + h(x) y = f(x)`` with ``deg f in {2g+1, 2g+2}``
-  (one ramified point at infinity for odd ``deg f``; for even ``deg f`` the
-  number of points at infinity over F_(q^m) is the number of roots of
-  ``z^2 + h_(g+1) z = f_(2g+2)`` there),
+  and ``deg h <= g+1`` (the points at infinity over F_(q^m) are the roots
+  of ``z^2 + h_(g+1) z = f_(2g+2)`` there, with ``f_(2g+2) = 0`` for odd
+  ``deg f``),
 * smooth plane models given by a homogeneous form, counted directly on
   projective points.
 
-Counting is exhaustive.  Smoothness is verified by bounded exhaustive
-search over extension fields rather than symbolic elimination; the bound
-is configurable.  All counts are deterministic and independent of how the
-affine domain is chunked.
+Counting is exhaustive and deterministic.  Hyperelliptic models get an
+exact smoothness certificate, a gcd of polynomials on the affine chart and
+the same criterion on the chart at infinity; plane curves get a bounded
+exhaustive scan over extension fields, with a configurable bound.
 """
 
 from __future__ import annotations
@@ -24,9 +24,12 @@ from dataclasses import dataclass
 from .arith import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
-    DensePoly,
     FiniteField,
-    poly_over,
+    _pc_add,
+    _pc_deriv,
+    _pc_gcd,
+    _pc_mul,
+    _pc_trim,
 )
 
 # Plane smoothness default: extensions scanned by the Jacobian criterion.
@@ -80,6 +83,10 @@ class PointCounts:
         return len(self.counts)
 
 
+def _coeff(cs, k: int) -> int:
+    return cs[k] if k < len(cs) else 0
+
+
 def _eval_codes(E: FiniteField, cs, x: int) -> int:
     acc = 0
     for c in reversed(cs):
@@ -96,7 +103,7 @@ class CurveModel:
     def __init__(self, base: FiniteField, name: str | None = None):
         self.base = base
         self.name = name or f"{self.kind}/GF({base.order})"
-        self._validated_to = 0  # smoothness verified over extensions <= this
+        self._smooth = False  # set once validate() has passed
         self._count_cache: dict[int, int] = {}  # counts are immutable facts
 
     @property
@@ -114,11 +121,8 @@ class CurveModel:
     def genus(self) -> int:
         raise NotImplementedError
 
-    def _smoothness_bound(self) -> int:
-        raise NotImplementedError
-
-    def _scan_singular(self, m: int, budget: int):
-        """Return a witness of a singular point over F_(q^m), or None."""
+    def _check_smooth(self, budget: int) -> None:
+        """Raise SingularModelError with a witness if the model is singular."""
         raise NotImplementedError
 
     def _check_budget(self, m: int, budget: int) -> None:
@@ -129,17 +133,11 @@ class CurveModel:
 
     # public API -----------------------------------------------------------
 
-    def validate(self, budget: int = DEFAULT_ENUM_BUDGET,
-                 bound: int | None = None) -> None:
-        """Verify smoothness exhaustively over extensions up to ``bound``."""
-        bound = self._smoothness_bound() if bound is None else bound
-        if self._validated_to >= bound:
-            return
-        for m in range(self._validated_to + 1, bound + 1):
-            witness = self._scan_singular(m, budget)
-            if witness is not None:
-                raise SingularModelError(self.name, witness)
-            self._validated_to = m
+    def validate(self, budget: int = DEFAULT_ENUM_BUDGET) -> None:
+        """Verify smoothness (raises SingularModelError with a witness)."""
+        if not self._smooth:
+            self._check_smooth(budget)
+            self._smooth = True
 
     def count_points(self, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
         self.validate(budget)
@@ -160,105 +158,97 @@ class ProjectiveLine(CurveModel):
     def genus(self) -> int:
         return 0
 
-    def _smoothness_bound(self) -> int:
-        return 0
-
-    def _scan_singular(self, m, budget):
-        return None
+    def _check_smooth(self, budget: int) -> None:
+        pass
 
     def _count(self, m: int, budget: int) -> int:
         return self.q ** m + 1
 
 
 class HyperellipticCurve(CurveModel):
-    """y^2 + h(x) y = f(x) over the base field, deg f in {2g+1, 2g+2}."""
+    """y^2 + h(x) y = f(x) over the base field, deg f in {2g+1, 2g+2}.
+
+    ``h`` and ``f`` are little-endian tuples of base-field codes.
+    """
 
     kind = "hyperelliptic"
 
-    def __init__(self, base: FiniteField, h: DensePoly, f: DensePoly,
-                 name: str | None = None):
+    def __init__(self, base: FiniteField, h, f, name: str | None = None):
         super().__init__(base, name)
-        self.h = h
-        self.f = f
-        if f.is_zero() or f.degree < 3:
-            raise ValueError(f"{self.name}: deg f must be >= 3 (got {f.degree})")
-        g = (f.degree - 1) // 2
-        if h.degree > g + 1:
+        self.h = tuple(_pc_trim(h))
+        self.f = tuple(_pc_trim(f))
+        if len(self.f) < 4:
             raise ValueError(
-                f"{self.name}: deg h = {h.degree} exceeds g+1 = {g + 1}")
-        if base.char == 2 and h.is_zero():
+                f"{self.name}: deg f must be >= 3 (got {len(self.f) - 1})")
+        g = self.genus()
+        if len(self.h) > g + 2:
+            raise ValueError(
+                f"{self.name}: deg h = {len(self.h) - 1} exceeds g+1 = {g + 1}")
+        if base.char == 2 and not self.h:
             raise SingularModelError(
                 self.name, None,
                 f"{self.name}: h = 0 in characteristic 2 is inseparable, never smooth")
-        self._h_codes = tuple(c.code for c in h.coeffs)
-        self._f_codes = tuple(c.code for c in f.coeffs)
 
     @classmethod
     def from_ints(cls, base: FiniteField, h_coeffs, f_coeffs,
                   name: str | None = None) -> "HyperellipticCurve":
-        return cls(base, poly_over(base, h_coeffs), poly_over(base, f_coeffs),
-                   name=name)
+        return cls(base, [base.embed_int(c) for c in h_coeffs],
+                   [base.embed_int(c) for c in f_coeffs], name=name)
 
     def genus(self) -> int:
-        return (self.f.degree - 1) // 2
+        return (len(self.f) - 2) // 2
 
-    def _smoothness_bound(self) -> int:
-        return 2 * self.genus() + 2
+    def _check_smooth(self, budget: int) -> None:
+        """Exact certificate on both charts.
 
-    def _infinity_coeffs(self) -> tuple[int, int]:
-        """(h_(g+1), f_(2g+2)) codes for the model at infinity."""
-        g = self.genus()
-        h_inf = self.h.coefficient(g + 1)
-        h_code = h_inf.code if not isinstance(h_inf, int) else 0
-        f_inf = self.f.coefficient(2 * g + 2)
-        f_code = f_inf.code if not isinstance(f_inf, int) else 0
-        return h_code, f_code
-
-    def _scan_singular(self, m: int, budget: int):
-        E = self.extension(m)
-        if E.order > budget:
-            raise BudgetExceededError(E.order, budget,
-                                      f"smoothness scan for {self.name}")
-        h_cs, f_cs = self._h_codes, self._f_codes
-        hp = tuple(c.code for c in self.h.derivative().coeffs)
-        fp = tuple(c.code for c in self.f.derivative().coeffs)
-        if E.char == 2:
-            if self.h.degree == 0:
-                return None  # F_y = h is a nonzero constant: no critical points
-            half = None
+        A singular affine point has y = -h(x)/2 and F(x) = F'(x) = 0 with
+        F = h^2 + 4f in odd characteristic, and h(x) = 0 with
+        f'(x)^2 + h'(x)^2 f(x) = 0 in characteristic 2; G is the gcd of the
+        two polynomials.  The chart at infinity (x = 1/u, y = v/u^(g+1))
+        is the reversed model, and the same criterion at u = 0 reads off
+        the top coefficients.
+        """
+        B, h, f, g = self.base, self.h, self.f, self.genus()
+        h_top, f_top = _coeff(h, g + 1), _coeff(f, 2 * g + 2)
+        if B.char == 2:
+            hp, fp = _pc_deriv(B, h), _pc_deriv(B, f)
+            G = _pc_gcd(B, h, _pc_add(B, _pc_mul(B, fp, fp),
+                                      _pc_mul(B, _pc_mul(B, hp, hp), f)))
+            h_g, f_next = _coeff(h, g), _coeff(f, 2 * g + 1)
+            at_infinity = h_top == 0 and B.mul_c(f_next, f_next) == \
+                B.mul_c(B.mul_c(h_g, h_g), f_top)
         else:
-            half = E.inv_c(E.embed_int(2))
-        for x in range(E.order):
-            a = _eval_codes(E, h_cs, x)
-            if E.char == 2:
-                if a != 0:
-                    continue
-                # unique y with y^2 = f(x)
-                y = E.pow_c(_eval_codes(E, f_cs, x), E.order // 2)
-                fx = E.add_c(E.mul_c(_eval_codes(E, hp, x), y),
-                             _eval_codes(E, fp, x))
-                if fx == 0:
-                    return (m, x, y)
-            else:
-                y = E.neg_c(E.mul_c(a, half))  # zero of F_y = 2y + h(x)
-                fval = E.sub_c(E.add_c(E.mul_c(y, y), E.mul_c(a, y)),
-                               _eval_codes(E, f_cs, x))
-                if fval != 0:
-                    continue
-                fx = E.sub_c(E.mul_c(_eval_codes(E, hp, x), y),
-                             _eval_codes(E, fp, x))
-                if fx == 0:
-                    return (m, x, y)
-        return None
+            F = _pc_add(B, _pc_mul(B, h, h), _pc_mul(B, [B.embed_int(4)], f))
+            G = _pc_gcd(B, F, _pc_deriv(B, F))
+            at_infinity = len(F) <= 2 * g + 1
+        if len(G) != 1:  # G = 0 makes every x a root
+            raise SingularModelError(self.name, self._affine_witness(G, budget))
+        if at_infinity:
+            witness = (1, "infinity", self._singular_y(B, h_top, f_top))
+            raise SingularModelError(
+                self.name, witness,
+                f"{self.name} is singular at infinity; witness {witness}, "
+                f"with v = y/x^{g + 1} in place of y")
 
-    def _affine_count_range(self, E: FiniteField, lo: int, hi: int) -> int:
-        """Affine solutions with x-code in [lo, hi); chunking-invariant."""
-        h_cs, f_cs = self._h_codes, self._f_codes
-        total = 0
-        for x in range(lo, hi):
-            total += E.quadratic_root_count(_eval_codes(E, h_cs, x),
-                                            _eval_codes(E, f_cs, x))
-        return total
+    def _affine_witness(self, G, budget: int):
+        """First root x of G in code order over the smallest F_(q^m) that
+        has one, with its singular y."""
+        for m in range(1, max(len(G) - 1, 1) + 1):
+            E = self.extension(m)
+            if E.order > budget:
+                raise BudgetExceededError(E.order, budget,
+                                          f"smoothness witness for {self.name}")
+            for x in range(E.order):
+                if _eval_codes(E, G, x) == 0:
+                    return (m, x, self._singular_y(E, _eval_codes(E, self.h, x),
+                                                   _eval_codes(E, self.f, x)))
+
+    @staticmethod
+    def _singular_y(E: FiniteField, hx: int, fx: int) -> int:
+        """The only y at which a singular point over x can lie."""
+        if E.char == 2:
+            return E.pow_c(fx, E.order // 2)  # y^2 = f(x) where h(x) = 0
+        return E.neg_c(E.mul_c(hx, E.inv_c(E.embed_int(2))))
 
     def _check_budget(self, m: int, budget: int) -> None:
         if self.q ** m > budget:
@@ -266,17 +256,20 @@ class HyperellipticCurve(CurveModel):
                                       f"point count for {self.name}")
 
     def _count(self, m: int, budget: int) -> int:
+        """Affine solutions, plus the roots of z^2 + h_(g+1) z = f_(2g+2)
+        at infinity (f_(2g+2) = 0 when deg f is odd)."""
         E = self.extension(m)
         if E.order > budget:
             raise BudgetExceededError(E.order, budget,
                                       f"point count for {self.name}")
-        n = self._affine_count_range(E, 0, E.order)
-        if self.f.degree % 2 == 1:
-            n += 1
-        else:
-            h_inf, f_inf = self._infinity_coeffs()
-            n += E.quadratic_root_count(h_inf, f_inf)
-        return n
+        h_cs, f_cs = self.h, self.f
+        n = 0
+        for x in range(E.order):
+            n += E.quadratic_root_count(_eval_codes(E, h_cs, x),
+                                        _eval_codes(E, f_cs, x))
+        g = self.genus()
+        return n + E.quadratic_root_count(_coeff(h_cs, g + 1),
+                                          _coeff(f_cs, 2 * g + 2))
 
 
 class PlaneCurve(CurveModel):
@@ -300,6 +293,7 @@ class PlaneCurve(CurveModel):
         if not self.monomials:
             raise ValueError(f"{self.name}: the zero form does not define a curve")
         self.smoothness_bound = smoothness_bound
+        self._validated_to = 0  # smoothness verified over extensions <= this
         self._partials = [self._derive(axis) for axis in range(3)]
 
     @classmethod
@@ -326,8 +320,13 @@ class PlaneCurve(CurveModel):
     def genus(self) -> int:
         return (self.degree - 1) * (self.degree - 2) // 2
 
-    def _smoothness_bound(self) -> int:
-        return self.smoothness_bound
+    def _check_smooth(self, budget: int) -> None:
+        """Bounded scan over extensions up to ``smoothness_bound``."""
+        for m in range(self._validated_to + 1, self.smoothness_bound + 1):
+            witness = self._scan_singular(m, budget)
+            if witness is not None:
+                raise SingularModelError(self.name, witness)
+            self._validated_to = m
 
     def _eval_form(self, E: FiniteField, monos: dict, px, py, pz) -> int:
         acc = 0

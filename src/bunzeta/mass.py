@@ -27,9 +27,7 @@ independent routes compute the semistable mass M^ss(n, d):
   the two routes can be compared for exact rational equality.
 
 Both routes memoize over (zeta data, n_i, d_i mod n_i); masses are
-invariant under d -> d + n (twisting by a degree-1 line bundle).  Cache
-writes are idempotent insertions of immutable values, so concurrent
-readers under the GIL are safe.
+invariant under d -> d + n (twisting by a degree-1 line bundle).
 """
 
 from __future__ import annotations
@@ -40,6 +38,10 @@ from fractions import Fraction
 
 from .groups import GroupSpec, builtin_group
 from .zeta import ZetaData, quasi_residue, special_value
+
+
+class RouteMismatchError(ArithmeticError):
+    """The Zagier and HN routes gave different semistable masses."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,9 @@ def _hn_strata_sum(n: int, d: int, z: ZetaData) -> Fraction:
         geom = Fraction(1)
         for l in range(k - 1):
             ratio_exp = n * partial[l] * (n - partial[l])
-            assert ratio_exp > 0, "non-contracting stratum family"
+            if ratio_exp <= 0:
+                raise ArithmeticError(
+                    f"non-contracting stratum family for composition {comp}")
             geom /= 1 - Fraction(1, q ** ratio_exp)
         for t0 in itertools.product(*(range(1, p + 1) for p in periods)):
             dvec = _degree_vector(comp, partial, d, t0)
@@ -178,7 +182,10 @@ def _hn_strata_sum(n: int, d: int, z: ZetaData) -> Fraction:
             expo = Fraction((g - 1) * cross)
             for l in range(k - 1):
                 expo -= gap_weight[l] * t0[l]
-            assert expo.denominator == 1, "stratum exponent must be integral"
+            if expo.denominator != 1:
+                raise ArithmeticError(
+                    f"non-integral stratum exponent {expo} for composition "
+                    f"{comp}, degrees {dvec}")
             term = Fraction(q) ** expo.numerator * geom
             for part, deg in zip(comp, dvec):
                 term *= _hn_value(part, deg % part, z)
@@ -203,5 +210,6 @@ def _degree_vector(comp, partial, d: int, t0) -> tuple | None:
         if d_i.denominator != 1:
             return None
         degs.append(d_i.numerator)
-    assert sum(degs) == d
+    if sum(degs) != d:
+        raise ArithmeticError(f"degree vector {degs} does not sum to {d}")
     return tuple(degs)

@@ -36,7 +36,8 @@ def _series_mul(a, b, order):
 
 def _series_exp(s, order):
     """exp of a series with zero constant term, to the given order."""
-    assert not s[0]
+    if s[0]:
+        raise ValueError("exp needs a series with zero constant term")
     e = [Fraction(0)] * (order + 1)
     e[0] = Fraction(1)
     for k in range(1, order + 1):
@@ -49,7 +50,8 @@ def _series_exp(s, order):
 
 def _series_log(z, order):
     """log of a series with constant term 1, to the given order."""
-    assert z[0] == 1
+    if z[0] != 1:
+        raise ValueError("log needs a series with constant term 1")
     lg = [Fraction(0)] * (order + 1)
     for k in range(1, order + 1):
         acc = z[k] if k < len(z) else Fraction(0)

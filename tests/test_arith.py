@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from bunzeta.arith import (
     BudgetExceededError,
-    DensePoly,
     FiniteField,
+    _pc_add,
+    _pc_deriv,
+    _pc_mul,
+    _pc_sub,
+    _pc_trim,
     ext_field,
-    field_elements,
-    find_irreducible,
     moebius,
-    poly_over,
 )
+from bunzeta.curves import HyperellipticCurve, _eval_codes, count_points
 
 
 # ---------------------------------------------------------------------------
@@ -47,15 +49,14 @@ def brute_is_irreducible(p, coeffs):
 
 
 def test_find_irreducible_pinned():
-    assert [c.code for c in find_irreducible(2, 1).coeffs] == [0, 1]        # x
-    assert [c.code for c in find_irreducible(2, 2).coeffs] == [1, 1, 1]     # x^2+x+1
-    assert [c.code for c in find_irreducible(3, 2).coeffs] == [1, 0, 1]     # x^2+1
+    assert ext_field(2, 1).modulus == (0, 1)        # x
+    assert ext_field(2, 2).modulus == (1, 1, 1)     # x^2+x+1
+    assert ext_field(3, 2).modulus == (1, 0, 1)     # x^2+1
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
 def test_find_irreducible_vs_trial_division(p, m):
-    poly = find_irreducible(p, m)
-    codes = [c.code for c in poly.coeffs]
+    codes = list(ext_field(p, m).modulus)
     assert codes[-1] == 1
     assert brute_is_irreducible(p, codes)
     # minimality: every lexicographically smaller monic vector is reducible
@@ -68,7 +69,7 @@ def test_find_irreducible_vs_trial_division(p, m):
 
 def test_find_irreducible_rejects_degree_zero():
     with pytest.raises(ValueError):
-        find_irreducible(2, 0)
+        ext_field(2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +78,31 @@ def test_find_irreducible_rejects_degree_zero():
 
 
 def test_field_elements_f2():
-    assert [e.code for e in field_elements(ext_field(2, 1))] == [0, 1]
+    F2 = ext_field(2, 1)
+    assert [[F2.mul_c(a, b) for b in range(2)] for a in range(2)] == \
+        [[0, 0], [0, 1]]
+    assert [[F2.add_c(a, b) for b in range(2)] for a in range(2)] == \
+        [[0, 1], [1, 0]]
 
 
 def test_field_elements_f4_frobenius():
     F4 = ext_field(2, 2)
-    els = list(field_elements(F4))
-    assert len({e.code for e in els}) == 4
-    assert all(e ** 4 == e for e in els)
+    for e in range(4):
+        sq = F4.mul_c(e, e)
+        assert F4.mul_c(sq, sq) == e
 
 
 def test_f9_has_four_nonzero_squares():
     F9 = ext_field(3, 2)
-    squares = {(e * e).code for e in F9 if e.code}
+    squares = {F9.mul_c(e, e) for e in range(1, 9)}
     assert len(squares) == 4
 
 
 def test_field_elements_budget():
-    F = ext_field(2, 20)
+    # a count over F_(2^20) enumerates the field; the budget stops it first
+    E1 = HyperellipticCurve.from_ints(ext_field(2, 1), [1], [0, 0, 0, 1])
     with pytest.raises(BudgetExceededError) as exc:
-        list(field_elements(F, budget=1 << 10))
+        count_points(E1, 20, budget=1 << 10)
     assert exc.value.size == 1 << 20
 
 
@@ -181,49 +187,48 @@ def test_rational_normalization(x):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials
+# polynomials over element codes
 # ---------------------------------------------------------------------------
 
 
 def test_dense_poly_normalizes_leading_zeroes():
-    p = DensePoly([Fraction(1), Fraction(0), Fraction(0)])
-    assert p.degree == 0
-    assert DensePoly([]).is_zero()
-    assert DensePoly([0, 0]).degree == -1
+    F3 = ext_field(3, 1)
+    assert _pc_trim([1, 0, 0]) == [1]
+    assert _pc_trim([]) == [] and _pc_trim([0, 0]) == []
+    assert _pc_add(F3, [0, 0, 1], [0, 0, 2]) == []  # x^2 - x^2 = 0
 
 
-small_polys = st.lists(
-    st.fractions(min_value=Fraction(-50), max_value=Fraction(50)),
-    min_size=0, max_size=6)
+F9_polys = st.lists(st.integers(min_value=0, max_value=8), max_size=6)
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_polys, small_polys,
-       st.fractions(min_value=Fraction(-9), max_value=Fraction(9)))
+@given(F9_polys, F9_polys, st.integers(min_value=0, max_value=8))
 def test_poly_evaluation_is_ring_homomorphism(a, b, x):
-    pa, pb = DensePoly(a), DensePoly(b)
-    assert (pa + pb)(x) == pa(x) + pb(x)
-    assert (pa * pb)(x) == pa(x) * pb(x)
-    assert (-pa)(x) == -pa(x)
+    F = ext_field(3, 2)
+
+    def ev(cs):
+        return _eval_codes(F, cs, x)
+
+    assert ev(_pc_add(F, a, b)) == F.add_c(ev(a), ev(b))
+    assert ev(_pc_mul(F, a, b)) == F.mul_c(ev(a), ev(b))
+    assert ev(_pc_sub(F, [], a)) == F.neg_c(ev(a))
 
 
 def test_poly_evaluation_over_field_elements():
     F9 = ext_field(3, 2)
-    pa = poly_over(F9, [1, 2, 0, 1])
-    pb = poly_over(F9, [2, 2])
-    for code in range(9):
-        x = F9.element(code)
-        assert (pa * pb)(x) == pa(x) * pb(x)
-        assert (pa + pb)(x) == pa(x) + pb(x)
+    pa, pb = [1, 2, 0, 1], [2, 2]
+    for x in range(9):
+        ea, eb = _eval_codes(F9, pa, x), _eval_codes(F9, pb, x)
+        assert _eval_codes(F9, _pc_mul(F9, pa, pb), x) == F9.mul_c(ea, eb)
+        assert _eval_codes(F9, _pc_add(F9, pa, pb), x) == F9.add_c(ea, eb)
 
 
 def test_poly_derivative():
-    p = DensePoly([Fraction(5), Fraction(3), Fraction(0), Fraction(2)])
-    assert p.derivative().coeffs == (Fraction(3), Fraction(0), Fraction(6))
+    F7 = ext_field(7, 1)
+    assert _pc_deriv(F7, [5, 3, 0, 2]) == [3, 0, 6]
     # derivative kills p-th powers in characteristic p
     F2 = ext_field(2, 1)
-    sq = poly_over(F2, [1, 0, 1])  # 1 + x^2
-    assert sq.derivative().is_zero()
+    assert _pc_deriv(F2, [1, 0, 1]) == []  # 1 + x^2
 
 
 def test_moebius_small_values():

@@ -345,3 +345,19 @@ def test_log_q_fraction_handles_huge_values():
     assert abs(log_q_fraction(big, 2) - (4000 + math.log2(3))) < 1e-9
     with pytest.raises(ValueError):
         log_q_fraction(Fraction(0), 2)
+
+
+def test_convergence_report_raises_on_route_mismatch(curve_catalog,
+                                                     monkeypatch):
+    from bunzeta import asymptotics
+    from bunzeta.mass import MassValue, RouteMismatchError
+
+    hn = asymptotics.hn_ss_mass
+
+    def skewed(n, d, z):
+        return MassValue(hn(n, d, z).value + 1, ((n, d), z))
+
+    monkeypatch.setattr(asymptotics, "hn_ss_mass", skewed)
+    with pytest.raises(RouteMismatchError, match="Zagier"):
+        convergence_report([curve_catalog["E1"], curve_catalog["C2"]],
+                           builtin_group("GL", 2), 4)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bunzeta.cli import main
+from bunzeta.curves import HyperellipticCurve
 
 BASE_CONFIG = {
     "schema": 1,
@@ -107,11 +108,11 @@ def test_asymptote_zero_densities_give_exact_dim(tmp_path):
     assert report["tv_bound"] == "0"
 
 
-def test_reports_byte_identical_across_runs_and_jobs(config_path, tmp_path):
+def test_reports_byte_identical_across_runs(config_path, tmp_path):
     outs = []
-    for i, jobs in enumerate(("1", "3", "1")):
+    for i in range(3):
         out = tmp_path / f"mass{i}.json"
-        assert run_cli(["mass", "--config", config_path, "--jobs", jobs,
+        assert run_cli(["mass", "--config", config_path,
                         "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
@@ -155,6 +156,33 @@ def test_singular_model_error_names_curve(tmp_path, capsys):
     assert run_cli(["zeta", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "nodal" in err
+
+
+@pytest.mark.parametrize("p,h,f", [(3, [0, 0, 1], [1, 0, 1, 0, 2]),
+                                   (2, [1], [0, 0, 0, 0, 1])],
+                         ids=["conic", "genus-0"])
+def test_degenerate_at_infinity_names_curve(tmp_path, capsys, p, h, f):
+    cfg = dict(BASE_CONFIG)
+    cfg["curves"] = [{"name": "degen", "kind": "hyperelliptic", "p": p,
+                      "h": h, "f": f}]
+    path = tmp_path / "degen.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "degen" in err and "infinity" in err
+
+
+def test_enumerated_counts_cross_checked(config_path, monkeypatch, capsys):
+    count = HyperellipticCurve._count
+
+    def off_by_one(model, m, budget):
+        n = count(model, m, budget)
+        return n + 1 if model.name == "C2" and m == model.genus() + 1 else n
+
+    monkeypatch.setattr(HyperellipticCurve, "_count", off_by_one)
+    assert run_cli(["zeta", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert "C2" in err and "N_3" in err
 
 
 def test_budget_error_names_curve(config_path, tmp_path, capsys):

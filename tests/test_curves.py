@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bunzeta.arith import BudgetExceededError, FiniteField
+from bunzeta.arith import BudgetExceededError, FiniteField, ext_field
 from bunzeta.curves import (
     HyperellipticCurve,
     PlaneCurve,
@@ -14,28 +14,101 @@ from bunzeta.curves import (
     count_series,
     genus_of,
 )
+from bunzeta.zeta import regenerate_counts, zeta_from_counts
+
+
+def _ev(E, cs, x):
+    acc = 0
+    for c in reversed(cs):
+        acc = E.add_c(E.mul_c(acc, x), c)
+    return acc
 
 
 def brute_affine_solutions(model, m):
     """Oracle: enumerate all (x, y) pairs in F_(q^m)^2 directly."""
     E = FiniteField.extension(model.base, m) if m > 1 else model.base
-    h = [c.code for c in model.h.coeffs]
-    f = [c.code for c in model.f.coeffs]
-
-    def ev(cs, x):
-        acc = 0
-        for c in reversed(cs):
-            acc = E.add_c(E.mul_c(acc, x), c)
-        return acc
-
     n = 0
     for x in range(E.order):
-        hx, fx = ev(h, x), ev(f, x)
+        hx, fx = _ev(E, model.h, x), _ev(E, model.f, x)
         for y in range(E.order):
             lhs = E.add_c(E.mul_c(y, y), E.mul_c(hx, y))
             if lhs == fx:
                 n += 1
     return n
+
+
+def scan_singular(E, h, f, xs):
+    """Reference oracle (the former production scan): the first (x, y) with
+    x in ``xs`` at which y^2 + h(x) y = f(x) is singular over E, or None."""
+
+    def deriv(cs):
+        return [E.mul_c(c, E.embed_int(k)) for k, c in enumerate(cs)][1:]
+
+    hp, fp = deriv(h), deriv(f)
+    half = None if E.char == 2 else E.inv_c(E.embed_int(2))
+    for x in xs:
+        a = _ev(E, h, x)
+        if E.char == 2:
+            if a != 0:
+                continue
+            # unique y with y^2 = f(x)
+            y = E.pow_c(_ev(E, f, x), E.order // 2)
+            fx = E.add_c(E.mul_c(_ev(E, hp, x), y), _ev(E, fp, x))
+            if fx == 0:
+                return (x, y)
+        else:
+            y = E.neg_c(E.mul_c(a, half))  # zero of F_y = 2y + h(x)
+            fval = E.sub_c(E.add_c(E.mul_c(y, y), E.mul_c(a, y)), _ev(E, f, x))
+            if fval != 0:
+                continue
+            fx = E.sub_c(E.mul_c(_ev(E, hp, x), y), _ev(E, fp, x))
+            if fx == 0:
+                return (x, y)
+    return None
+
+
+def scan_verdict(model):
+    """Oracle witness in the form SingularModelError carries, or None.
+
+    The affine chart is scanned over F_(q^m), m <= g+1, which is complete:
+    a singular x is a repeated root of a polynomial of degree <= 2g+2.
+    The chart at infinity is the reversed model at u = 0.
+    """
+    g, h, f = model.genus(), model.h, model.f
+    for m in range(1, g + 2):
+        E = FiniteField.extension(model.base, m) if m > 1 else model.base
+        w = scan_singular(E, h, f, range(E.order))
+        if w is not None:
+            return (m,) + w
+    rev_h = [h[k] if k < len(h) else 0 for k in range(g + 1, -1, -1)]
+    rev_f = [f[k] if k < len(f) else 0 for k in range(2 * g + 2, -1, -1)]
+    w = scan_singular(model.base, rev_h, rev_f, [0])
+    return None if w is None else (1, "infinity", w[1])
+
+
+def certificate_verdict(model):
+    try:
+        model.validate()
+    except SingularModelError as e:
+        return e.witness
+    return None
+
+
+def random_models(seed, n):
+    """Models over F_2, F_3, F_5 with g in {1, 2}, deg f in {2g+1, 2g+2}
+    and deg h <= g+1 (h != 0 in characteristic 2)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        p, g = rng.choice((2, 3, 5)), rng.choice((1, 2))
+        deg_f = rng.choice((2 * g + 1, 2 * g + 2))
+        deg_h = rng.randrange(0 if p == 2 else -1, g + 2)
+        f = [rng.randrange(p) for _ in range(deg_f)] + [rng.randrange(1, p)]
+        h = [rng.randrange(p) for _ in range(deg_h)] + [rng.randrange(1, p)] \
+            if deg_h >= 0 else []
+        out.append(HyperellipticCurve.from_ints(
+            ext_field(p, 1), h, f, name=f"p={p} h={h} f={f}"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +158,7 @@ def test_count_series_weil_window(curve_catalog):
 @pytest.mark.parametrize("key", ["E1", "C2", "C3", "E3"])
 def test_hyperelliptic_counts_match_pair_enumeration(curve_catalog, key):
     model = curve_catalog[key]
-    assert model.f.degree % 2 == 1  # catalog models: one point at infinity
+    assert len(model.f) % 2 == 0  # odd deg f: one point at infinity
     for m in (1, 2):
         assert count_points(model, m) == brute_affine_solutions(model, m) + 1
 
@@ -121,11 +194,12 @@ def test_even_degree_infinity_rules(F2, F3):
     assert count_points(c_inert, 1) == brute_affine_solutions(c_inert, 1)
     # odd characteristic with h_(g+1) != 0: z^2 + z = f_6 over F_3 has
     # discriminant 1 + f_6, giving 0 roots for f_6 = 1 and 1 for f_6 = 2
+    # (f_5 != 0 keeps deg(h^2 + 4f) = 2g+1, so the model stays smooth)
     c_h0 = HyperellipticCurve.from_ints(
         F3, [0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1], name="inf0-h")
     assert count_points(c_h0, 1) == brute_affine_solutions(c_h0, 1)
     c_h1 = HyperellipticCurve.from_ints(
-        F3, [0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 2], name="inf1-h")
+        F3, [0, 0, 0, 1], [0, 1, 0, 0, 0, 1, 2], name="inf1-h")
     assert count_points(c_h1, 1) == brute_affine_solutions(c_h1, 1) + 1
 
 
@@ -154,6 +228,75 @@ def test_cusp_rejected(F3):
     assert exc.value.witness == (1, 0, 0)
 
 
+@pytest.mark.parametrize("p,h,f", [(3, [0, 0, 1], [1, 0, 1, 0, 2]),
+                                   (2, [1], [0, 0, 0, 0, 1])],
+                         ids=["conic", "genus-0"])
+def test_degenerate_at_infinity_rejected(p, h, f):
+    # deg(h^2 + 4f) = 2 <= 2g, and y^2 + y = x^4 with h_2 = f_3 = h_1 = 0
+    model = HyperellipticCurve.from_ints(ext_field(p, 1), h, f, name="degen")
+    with pytest.raises(SingularModelError) as exc:
+        genus_of(model)
+    assert exc.value.witness == (1, "infinity", 1)
+    assert "degen" in str(exc.value) and "infinity" in str(exc.value)
+
+
+def test_odd_degree_f_with_top_h_has_two_points_at_infinity(F2):
+    # y^2 + (x^2 + 1) y = x^3 + 1: z^2 + z = 0 at infinity has 2 roots
+    model = HyperellipticCurve.from_ints(F2, [1, 0, 1], [1, 0, 0, 1],
+                                         name="odd-f-top-h")
+    counts = [count_points(model, m) for m in range(1, 5)]
+    assert counts == regenerate_counts(zeta_from_counts(2, 1, counts[:1]), 4)
+    assert counts[0] == brute_affine_solutions(model, 1) + 2
+
+
+def test_low_degree_discriminant_stays_accepted(F3):
+    # deg(h^2 + 4f) = 3 = 2g+1 although h_2^2 + 4 f_4 = 0: smooth at
+    # infinity, with one rational point there
+    model = HyperellipticCurve.from_ints(F3, [0, 0, 1], [0, 1, 0, 1, 2],
+                                         name="F-deg-3")
+    counts = count_series(model, 4).counts
+    assert counts == (4, 16, 28, 64)
+    assert list(counts) == regenerate_counts(
+        zeta_from_counts(3, 1, counts[:1]), 4)
+
+
+def test_validate_builds_no_extension_field(F2, F3, monkeypatch):
+    models = [HyperellipticCurve.from_ints(F2, [1], [0] * 7 + [1]),
+              HyperellipticCurve.from_ints(F2, [0, 0, 1], [0, 1, 0, 0, 0, 0, 1]),
+              HyperellipticCurve.from_ints(F3, [0, 0, 1], [0, 1, 0, 1, 2])]
+
+    def no_extension(cls, *args, **kw):
+        raise AssertionError("validate() constructed an extension field")
+
+    monkeypatch.setattr(FiniteField, "extension", classmethod(no_extension))
+    for model in models:
+        model.validate()
+
+
+def test_certificate_agrees_with_scan_oracle():
+    verdicts = [(scan_verdict(model), certificate_verdict(model))
+                for model in random_models(2024, 600)]
+    assert all(oracle == cert for oracle, cert in verdicts), next(
+        v for v in verdicts if v[0] != v[1])
+    # the sample exercises both charts and both outcomes
+    assert any(o is None for o, _ in verdicts)
+    assert any(o is not None and o[1] == "infinity" for o, _ in verdicts)
+    assert any(o is not None and o[1] != "infinity" for o, _ in verdicts)
+
+
+def test_accepted_models_are_self_consistent():
+    accepted = 0
+    for model in random_models(2024, 600):
+        if certificate_verdict(model) is not None:
+            continue
+        accepted += 1
+        g = model.genus()
+        counts = [count_points(model, m) for m in range(1, 2 * g + 3)]
+        z = zeta_from_counts(model.q, g, counts[:g])
+        assert counts == regenerate_counts(z, 2 * g + 2), model.name
+    assert accepted >= 300
+
+
 def test_singular_plane_curve_rejected(F2):
     triangle = PlaneCurve.from_list(F2, [(1, 1, 1, 1)], 3, name="xyz")
     with pytest.raises(SingularModelError) as exc:
@@ -172,7 +315,7 @@ def test_inhomogeneous_plane_form_rejected(F2):
 
 
 # ---------------------------------------------------------------------------
-# invariants: Weil bound, chunk invariance, budget
+# invariants: Weil bound, budget
 # ---------------------------------------------------------------------------
 
 
@@ -190,19 +333,6 @@ def test_weil_bound_on_catalog(curve_catalog):
         for m, n_m in enumerate(pc.counts, start=1):
             dev = n_m - model.q ** m - 1
             assert dev * dev <= 4 * g * g * model.q ** m
-
-
-def test_affine_count_chunk_invariance(curve_catalog):
-    model = curve_catalog["C2"]
-    E = model.extension(3)
-    total = model._affine_count_range(E, 0, E.order)
-    rng = random.Random(5)
-    for _ in range(5):
-        cuts = sorted(rng.sample(range(1, E.order), 4))
-        edges = [0] + cuts + [E.order]
-        parts = [model._affine_count_range(E, lo, hi)
-                 for lo, hi in zip(edges, edges[1:])]
-        assert sum(parts) == total
 
 
 def test_budget_exceeded(curve_catalog):
