@@ -247,7 +247,7 @@ def _lex_smallest_irreducible_codes(B, m: int):
         f = list(lower) + [1]
         if _pc_is_irreducible(B, f):
             return tuple(f)
-    raise AssertionError("no irreducible polynomial found (impossible)")
+    raise ArithmeticError("no irreducible polynomial found (impossible)")
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ class FiniteField:
         for cand in range(2, self.order):
             if all(self._raw_pow(cand, n // p) != 1 for p in ps):
                 return cand
-        raise AssertionError("no generator found (impossible)")
+        raise ArithmeticError("no generator found (impossible)")
 
     # -- derived operations -----------------------------------------------------
 

@@ -177,7 +177,7 @@ def tv_bound(tv: TVData) -> Fraction:
         lo, hi = sqrt_enclosure(tv.q ** m)
         root_lower = lo
         if root_lower <= 1:
-            raise AssertionError("q^(m/2) enclosure degenerate")
+            raise ArithmeticError("q^(m/2) enclosure degenerate")
         total += Fraction(m) * b / (root_lower - 1)
     return total
 

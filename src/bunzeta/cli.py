@@ -91,11 +91,8 @@ def build_curve(entry: dict) -> CurveModel:
             return HyperellipticCurve.from_ints(
                 base, entry.get("h", []), entry["f"], name=name)
         if kind == "plane":
-            kw = {}
-            if "smoothness_bound" in entry:
-                kw["smoothness_bound"] = int(entry["smoothness_bound"])
             return PlaneCurve.from_list(
-                base, entry["monomials"], int(entry["degree"]), name=name, **kw)
+                base, entry["monomials"], int(entry["degree"]), name=name)
         raise ConfigError(f"curves[{name}]: unknown kind {kind!r}")
     except ConfigError:
         raise

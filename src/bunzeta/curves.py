@@ -1,4 +1,4 @@
-"""Explicit curve models over finite fields and exhaustive point counting.
+"""Explicit curve models over finite fields and exact point counting.
 
 Three kinds of models are supported, each with a bit-exact rule for the
 points at infinity of the smooth projective model:
@@ -8,13 +8,17 @@ points at infinity of the smooth projective model:
   and ``deg h <= g+1`` (the points at infinity over F_(q^m) are the roots
   of ``z^2 + h_(g+1) z = f_(2g+2)`` there, with ``f_(2g+2) = 0`` for odd
   ``deg f``),
-* smooth plane models given by a homogeneous form, counted directly on
-  projective points.
+* smooth plane models given by a homogeneous form F(x, y, z) of degree d.
 
-Counting is exhaustive and deterministic.  Hyperelliptic models get an
-exact smoothness certificate, a gcd of polynomials on the affine chart and
-the same criterion on the chart at infinity; plane curves get a bounded
-exhaustive scan over extension fields, with a configurable bound.
+Counting is deterministic.  Hyperelliptic models get an exact smoothness
+certificate, a gcd of polynomials on the affine chart and the same
+criterion on the chart at infinity.  Plane models are counted and
+certified on univariate slices of F and its partials, F(x, Y, 1) for each
+x in F_(q^m) and F(X, 1, 0): a slice P has deg gcd(P, Y^Q - Y) roots in
+F_Q, and a common root of the four slices is a singular point.  Slices for
+m <= D = d(d-1)/2 are a complete certificate: a reduced curve has <= D
+singular points (genus formula plus Bezout), so each Frobenius orbit of
+them has <= D; a non-reduced one is singular at a point of degree <= d/2.
 """
 
 from __future__ import annotations
@@ -29,13 +33,10 @@ from .arith import (
     _pc_deriv,
     _pc_gcd,
     _pc_mul,
+    _pc_powmod,
+    _pc_sub,
     _pc_trim,
 )
-
-# Plane smoothness default: extensions scanned by the Jacobian criterion.
-DEFAULT_PLANE_SMOOTHNESS_BOUND = 4
-
-_TABLE_BUILD_MAX = 1 << 16
 
 
 class SingularModelError(ValueError):
@@ -94,6 +95,31 @@ def _eval_codes(E: FiniteField, cs, x: int) -> int:
     return acc
 
 
+def _first_root_in(E: FiniteField, cs):
+    """The first root in E of a code polynomial, in code order, or None."""
+    return next((x for x in range(E.order) if _eval_codes(E, cs, x) == 0), None)
+
+
+def _root_count(E: FiniteField, cs) -> int:
+    """Distinct roots of P in E = F_Q: deg gcd(P, Y^Q - Y), or Q for P = 0."""
+    if len(cs) <= 2:
+        return len(cs) - 1 if cs else E.order
+    inv = E.inv_c(cs[-1])
+    monic = [E.mul_c(c, inv) for c in cs]
+    frob = _pc_sub(E, _pc_powmod(E, [0, 1], E.order, monic), [0, 1])
+    return len(_pc_gcd(E, monic, frob)) - 1
+
+
+def _common_factor(B: FiniteField, polys):
+    """gcd of code polynomials over B, up to a unit; stops at a constant."""
+    G = []
+    for P in polys:
+        G = _pc_gcd(B, G, P)
+        if len(G) == 1:
+            break
+    return G
+
+
 class CurveModel:
     """Base class for curve models; subclasses implement the counting rules."""
 
@@ -111,10 +137,23 @@ class CurveModel:
         return self.base.order
 
     def extension(self, m: int) -> FiniteField:
-        E = FiniteField.extension(self.base, m) if m > 1 else self.base
-        if E.order <= _TABLE_BUILD_MAX:
-            E.build_tables()
+        E = FiniteField.extension(self.base, m)
+        E.build_tables()  # a no-op above the table limit
         return E
+
+    def _certificate_field(self, m: int, budget: int) -> FiniteField:
+        if self.q ** m > budget:
+            raise BudgetExceededError(self.q ** m, budget,
+                                      f"smoothness certificate for {self.name}")
+        return self.extension(m)
+
+    def _first_root(self, G, budget: int) -> tuple[int, int]:
+        """(m, x): the first root x of G in code order over the smallest
+        F_(q^m) that has one (m <= deg G; every x is a root of G = 0)."""
+        for m in range(1, max(len(G) - 1, 1) + 1):
+            x = _first_root_in(self._certificate_field(m, budget), G)
+            if x is not None:
+                return m, x
 
     # subclass hooks -------------------------------------------------------
 
@@ -123,7 +162,6 @@ class CurveModel:
 
     def _check_smooth(self, budget: int) -> None:
         """Raise SingularModelError with a witness if the model is singular."""
-        raise NotImplementedError
 
     def _check_budget(self, m: int, budget: int) -> None:
         pass
@@ -157,9 +195,6 @@ class ProjectiveLine(CurveModel):
 
     def genus(self) -> int:
         return 0
-
-    def _check_smooth(self, budget: int) -> None:
-        pass
 
     def _count(self, m: int, budget: int) -> int:
         return self.q ** m + 1
@@ -231,17 +266,11 @@ class HyperellipticCurve(CurveModel):
                 f"with v = y/x^{g + 1} in place of y")
 
     def _affine_witness(self, G, budget: int):
-        """First root x of G in code order over the smallest F_(q^m) that
-        has one, with its singular y."""
-        for m in range(1, max(len(G) - 1, 1) + 1):
-            E = self.extension(m)
-            if E.order > budget:
-                raise BudgetExceededError(E.order, budget,
-                                          f"smoothness witness for {self.name}")
-            for x in range(E.order):
-                if _eval_codes(E, G, x) == 0:
-                    return (m, x, self._singular_y(E, _eval_codes(E, self.h, x),
-                                                   _eval_codes(E, self.f, x)))
+        """The first root (m, x) of G, with its singular y."""
+        m, x = self._first_root(G, budget)
+        E = self.extension(m)
+        return (m, x, self._singular_y(E, _eval_codes(E, self.h, x),
+                                       _eval_codes(E, self.f, x)))
 
     @staticmethod
     def _singular_y(E: FiniteField, hx: int, fx: int) -> int:
@@ -259,9 +288,6 @@ class HyperellipticCurve(CurveModel):
         """Affine solutions, plus the roots of z^2 + h_(g+1) z = f_(2g+2)
         at infinity (f_(2g+2) = 0 when deg f is odd)."""
         E = self.extension(m)
-        if E.order > budget:
-            raise BudgetExceededError(E.order, budget,
-                                      f"point count for {self.name}")
         h_cs, f_cs = self.h, self.f
         n = 0
         for x in range(E.order):
@@ -273,86 +299,77 @@ class HyperellipticCurve(CurveModel):
 
 
 class PlaneCurve(CurveModel):
-    """Smooth plane model: homogeneous form F(x, y, z) of the given degree."""
+    """Smooth plane model: homogeneous form F(x, y, z) of the given degree,
+    validated and counted on its slices (see the module docstring)."""
 
     kind = "plane"
 
     def __init__(self, base: FiniteField, monomials: dict, degree: int,
-                 name: str | None = None,
-                 smoothness_bound: int = DEFAULT_PLANE_SMOOTHNESS_BOUND):
+                 name: str | None = None):
         super().__init__(base, name)
+        if degree < 1:
+            raise ValueError(f"{self.name}: degree must be >= 1 (got {degree})")
         self.degree = degree
         self.monomials = {}
         for (i, j, k), c in monomials.items():
-            code = c.code if hasattr(c, "code") else base.embed_int(c)
-            if i + j + k != degree:
+            if min(i, j, k) < 0 or i + j + k != degree:
                 raise ValueError(
-                    f"{self.name}: monomial x^{i} y^{j} z^{k} is not of degree {degree}")
+                    f"{self.name}: x^{i} y^{j} z^{k} is not a monomial of degree {degree}")
+            code = base.embed_int(c)
             if code:
                 self.monomials[(i, j, k)] = code
         if not self.monomials:
             raise ValueError(f"{self.name}: the zero form does not define a curve")
-        self.smoothness_bound = smoothness_bound
-        self._validated_to = 0  # smoothness verified over extensions <= this
-        self._partials = [self._derive(axis) for axis in range(3)]
+        # F, F_y, F_x, F_z with their degrees; F_y comes first because its
+        # slice at z = 1 is the derivative of F's, the likeliest coprime pair
+        forms = [(degree, self.monomials)] + \
+            [(degree - 1, self._derive(axis)) for axis in (1, 0, 2)]
+        # at z = 1: the coefficient of Y^j, a polynomial in x, for each j
+        self._columns = [[_pc_trim([form.get((i, j, e - i - j), 0)
+                                    for i in range(e - j + 1)])
+                          for j in range(e + 1)] for e, form in forms]
+        # at z = 0: the polynomial F(X, 1, 0), and the value at (1:0:0)
+        self._line = [_pc_trim([form.get((i, e - i, 0), 0) for i in range(e + 1)])
+                      for e, form in forms]
+        self._corner = [form.get((e, 0, 0), 0) for e, form in forms]
 
     @classmethod
     def from_list(cls, base: FiniteField, entries, degree: int,
-                  name: str | None = None, **kw) -> "PlaneCurve":
-        monos = {(i, j, k): c for i, j, k, c in entries}
-        return cls(base, monos, degree, name=name, **kw)
+                  name: str | None = None) -> "PlaneCurve":
+        return cls(base, {(i, j, k): c for i, j, k, c in entries}, degree, name=name)
 
     def _derive(self, axis: int) -> dict:
-        out = {}
+        """The partial derivative along x, y or z (axis 0, 1, 2)."""
         B = self.base
-        for expo, c in self.monomials.items():
-            e = expo[axis]
-            if e == 0:
-                continue
-            coeff = B.mul_c(c, B.embed_int(e))
-            if coeff == 0:
-                continue
-            new = list(expo)
-            new[axis] -= 1
-            out[tuple(new)] = B.add_c(out.get(tuple(new), 0), coeff)
-        return out
+        return {tuple(v - (a == axis) for a, v in enumerate(expo)):
+                B.mul_c(c, B.embed_int(expo[axis]))
+                for expo, c in self.monomials.items() if expo[axis]}
 
     def genus(self) -> int:
         return (self.degree - 1) * (self.degree - 2) // 2
 
+    @staticmethod
+    def _slice(E: FiniteField, columns, x: int):
+        """A form at (x, Y, 1), as a code polynomial in Y over E."""
+        return _pc_trim([_eval_codes(E, c, x) for c in columns])
+
     def _check_smooth(self, budget: int) -> None:
-        """Bounded scan over extensions up to ``smoothness_bound``."""
-        for m in range(self._validated_to + 1, self.smoothness_bound + 1):
-            witness = self._scan_singular(m, budget)
-            if witness is not None:
-                raise SingularModelError(self.name, witness)
-            self._validated_to = m
-
-    def _eval_form(self, E: FiniteField, monos: dict, px, py, pz) -> int:
-        acc = 0
-        for (i, j, k), c in monos.items():
-            acc = E.add_c(acc, E.mul_c(E.mul_c(c, px[i]), E.mul_c(py[j], pz[k])))
-        return acc
-
-    def _powers(self, E: FiniteField, v: int):
-        out = [1]
-        for _ in range(self.degree):
-            out.append(E.mul_c(out[-1], v))
-        return out
-
-    def _projective_points(self, E: FiniteField):
-        one = self._powers(E, 1)
-        for x in range(E.order):
-            px = self._powers(E, x)
-            for y in range(E.order):
-                yield px, self._powers(E, y), one, (x, y, 1)
-        zero = self._powers(E, 0)
-        for x in range(E.order):
-            yield self._powers(E, x), one, zero, (x, 1, 0)
-        yield one, zero, zero, (1, 0, 0)
-
-    def _domain_size(self, E: FiniteField) -> int:
-        return E.order ** 2 + E.order + 1
+        """On z = 0, one gcd over the base field decides every (X:1:0), and
+        (1:0:0) is looked at directly; on z = 1, x runs over F_(q^m), m <= D."""
+        G = _common_factor(self.base, self._line)
+        if len(G) != 1:  # G = 0: every point of z = 0 is singular
+            raise SingularModelError(self.name,
+                                     self._first_root(G, budget) + (1, 0))
+        if not any(self._corner):
+            raise SingularModelError(self.name, (1, 1, 0, 0))
+        d = self.degree
+        for m in range(1, d * (d - 1) // 2 + 1):
+            E = self._certificate_field(m, budget)
+            for x in range(E.order):
+                G = _common_factor(E, (self._slice(E, columns, x)
+                                       for columns in self._columns))
+                if len(G) != 1 and (y := _first_root_in(E, G)) is not None:
+                    raise SingularModelError(self.name, (m, x, y, 1))
 
     def _check_budget(self, m: int, budget: int) -> None:
         size = self.q ** (2 * m) + self.q ** m + 1
@@ -360,28 +377,13 @@ class PlaneCurve(CurveModel):
             raise BudgetExceededError(size, budget,
                                       f"point count for {self.name}")
 
-    def _scan_singular(self, m: int, budget: int):
-        E = self.extension(m)
-        if self._domain_size(E) > budget:
-            raise BudgetExceededError(self._domain_size(E), budget,
-                                      f"smoothness scan for {self.name}")
-        for px, py, pz, pt in self._projective_points(E):
-            if self._eval_form(E, self.monomials, px, py, pz) != 0:
-                continue
-            if all(self._eval_form(E, d, px, py, pz) == 0 for d in self._partials):
-                return (m,) + pt
-        return None
-
     def _count(self, m: int, budget: int) -> int:
+        """Roots of F(x, Y, 1) for every x, roots of F(X, 1, 0), and the
+        point (1:0:0) when x^d has coefficient 0."""
         E = self.extension(m)
-        if self._domain_size(E) > budget:
-            raise BudgetExceededError(self._domain_size(E), budget,
-                                      f"point count for {self.name}")
-        n = 0
-        for px, py, pz, _ in self._projective_points(E):
-            if self._eval_form(E, self.monomials, px, py, pz) == 0:
-                n += 1
-        return n
+        F = self._columns[0]
+        n = sum(_root_count(E, self._slice(E, F, x)) for x in range(E.order))
+        return n + _root_count(E, self._line[0]) + (self._corner[0] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def genus_of(model: CurveModel, budget: int = DEFAULT_ENUM_BUDGET) -> int:
 
 def count_points(model: CurveModel, m: int,
                  budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """#X(F_(q^m)) of the smooth projective model, by exhaustive enumeration."""
+    """#X(F_(q^m)) of the smooth projective model."""
     return model.count_points(m, budget)
 
 

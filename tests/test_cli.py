@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bunzeta.cli import main
+from bunzeta.cli import ConfigError, build_curve, main
 from bunzeta.curves import HyperellipticCurve
 
 BASE_CONFIG = {
@@ -156,6 +156,48 @@ def test_singular_model_error_names_curve(tmp_path, capsys):
     assert run_cli(["zeta", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "nodal" in err
+
+
+def test_plane_smoothness_bound_key_is_ignored(tmp_path):
+    # the Klein entry of older configs still carries the key the former
+    # bounded scan read; unknown keys are ignored
+    cfg = {"schema": 1, "trunc": 8, "curves": [
+        {"name": "klein-quartic", "kind": "plane", "p": 2, "degree": 4,
+         "monomials": [[3, 1, 0, 1], [0, 3, 1, 1], [1, 0, 3, 1]],
+         "smoothness_bound": 9}]}
+    path = tmp_path / "klein.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "klein_out.json"
+    assert run_cli(["zeta", "--config", str(path), "--out", str(out)]) == 0
+    counts = json.loads(out.read_text())["curves"][0]["counts"]
+    assert counts == [3, 5, 24, 17, 33, 38, 129, 257]
+
+
+def test_singular_plane_quintic_names_curve(tmp_path, capsys):
+    # singular only at five conjugate points of degree 5; a bounded scan
+    # to degree 4 accepted it and the zeta step hit the Weil bound at N_5
+    cfg = {"schema": 1, "trunc": 6, "curves": [
+        {"name": "norm-quintic", "kind": "plane", "p": 2, "degree": 5,
+         "monomials": [[0, 0, 5, 1], [0, 3, 2, 1], [0, 5, 0, 1],
+                       [1, 1, 3, 1], [1, 3, 1, 1], [2, 1, 2, 1],
+                       [3, 0, 2, 1], [3, 2, 0, 1], [5, 0, 0, 1]]}]}
+    path = tmp_path / "quintic.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "norm-quintic" in err and "singular" in err
+
+
+@pytest.mark.parametrize("degree,monomials", [(0, [[0, 0, 0, 1]]),
+                                              (-1, [[0, 0, -1, 1]]),
+                                              (2, [[3, -1, 0, 1]])],
+                         ids=["degree-0", "degree-negative",
+                              "negative-exponent"])
+def test_bad_plane_form_names_curve(degree, monomials):
+    entry = {"name": "bad-form", "kind": "plane", "p": 2, "degree": degree,
+             "monomials": monomials}
+    with pytest.raises(ConfigError, match="bad-form"):
+        build_curve(entry)
 
 
 @pytest.mark.parametrize("p,h,f", [(3, [0, 0, 1], [1, 0, 1, 0, 2]),

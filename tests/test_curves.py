@@ -111,6 +111,112 @@ def random_models(seed, n):
     return out
 
 
+def tabled_field(base, m):
+    E = FiniteField.extension(base, m)
+    E.build_tables()
+    return E
+
+
+def powers(E, v, d):
+    out = [1]
+    for _ in range(d):
+        out.append(E.mul_c(out[-1], v))
+    return out
+
+
+def form_value(E, monos, pw):
+    """A form {(i, j, k): code} at a point given by the power lists of its
+    three coordinates."""
+    acc = 0
+    for (i, j, k), c in monos.items():
+        acc = E.add_c(acc, E.mul_c(E.mul_c(c, pw[0][i]),
+                                   E.mul_c(pw[1][j], pw[2][k])))
+    return acc
+
+
+def form_and_partials(E, monos):
+    out = [dict(monos), {}, {}, {}]
+    for expo, c in monos.items():
+        for axis, e in enumerate(expo):
+            if e:
+                low = tuple(v - (a == axis) for a, v in enumerate(expo))
+                out[axis + 1][low] = E.add_c(out[axis + 1].get(low, 0),
+                                             E.mul_c(c, E.embed_int(e)))
+    return out
+
+
+def projective_points(E, d):
+    """(point, power lists) for (x:y:1), then (x:1:0), then (1:0:0), in
+    code order."""
+    pw = [powers(E, v, d) for v in range(E.order)]
+    for x in range(E.order):
+        for y in range(E.order):
+            yield (x, y, 1), (pw[x], pw[y], pw[1])
+    for x in range(E.order):
+        yield (x, 1, 0), (pw[x], pw[1], pw[0])
+    yield (1, 0, 0), (pw[1], pw[0], pw[0])
+
+
+def plane_singular_at(model, E, pt):
+    pw = [powers(E, v, model.degree) for v in pt]
+    return all(form_value(E, form, pw) == 0
+               for form in form_and_partials(E, model.monomials))
+
+
+def plane_scan_verdict(model, bound):
+    """Oracle (the former production scan): the first singular (m, x, y, z)
+    over F_(q^m), m <= bound, or None."""
+    for m in range(1, bound + 1):
+        E = tabled_field(model.base, m)
+        forms = form_and_partials(E, model.monomials)
+        for pt, pw in projective_points(E, model.degree):
+            if all(form_value(E, form, pw) == 0 for form in forms):
+                return (m,) + pt
+    return None
+
+
+def plane_enumerated_count(model, m):
+    """Oracle (the former production count): zeros of F on P^2(F_(q^m))."""
+    E = tabled_field(model.base, m)
+    return sum(form_value(E, model.monomials, pw) == 0
+               for _, pw in projective_points(E, model.degree))
+
+
+def random_plane_models(seed, n):
+    """Forms over F_2 and F_3 of degree 1..3, each monomial present with
+    probability 1/2 and a random nonzero coefficient."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        p, d = rng.choice((2, 3)), rng.choice((1, 2, 3))
+        entries = [(i, j, d - i - j, rng.randrange(1, p))
+                   for i in range(d + 1) for j in range(d + 1 - i)
+                   if rng.random() < 0.5]
+        if entries:
+            out.append(PlaneCurve.from_list(ext_field(p, 1), entries, d,
+                                            name=f"p={p} {entries}"))
+    return out
+
+
+def random_quartics(seed, n):
+    rng = random.Random(seed)
+    return [PlaneCurve.from_list(
+        ext_field(2, 1), [(i, j, 4 - i - j, 1) for i in range(5)
+                          for j in range(5 - i) if rng.random() < 0.5],
+        4, name=f"quartic-{k}") for k in range(n)]
+
+
+KLEIN = [(3, 1, 0, 1), (0, 3, 1, 1), (1, 0, 3, 1)]
+# the norm of x + a y + a^2 z, a in F_32 \ F_2: its only singular points
+# are five conjugate points of degree 5
+NORM_QUINTIC = [(0, 0, 5, 1), (0, 3, 2, 1), (0, 5, 0, 1), (1, 1, 3, 1),
+                (1, 3, 1, 1), (2, 1, 2, 1), (3, 0, 2, 1), (3, 2, 0, 1),
+                (5, 0, 0, 1)]
+# the norm of a line over F_8: three conjugate singular points of degree 3
+NORM_CUBIC = [(3, 0, 0, 1), (2, 1, 0, 1), (2, 0, 1, 1), (1, 1, 1, 1),
+              (0, 3, 0, 1), (0, 2, 1, 1), (0, 0, 3, 1)]
+
+
 # ---------------------------------------------------------------------------
 # genus
 # ---------------------------------------------------------------------------
@@ -314,6 +420,21 @@ def test_inhomogeneous_plane_form_rejected(F2):
         PlaneCurve.from_list(F2, [(1, 0, 0, 1)], 4)
 
 
+@pytest.mark.parametrize("entries,d,m", [(NORM_QUINTIC, 5, 5),
+                                         (NORM_CUBIC, 3, 3)],
+                         ids=["quintic", "cubic"])
+def test_norm_of_a_line_rejected_at_its_degree(F2, entries, d, m):
+    # every singular point has degree m = d, so a bound below m misses it
+    # (the former bound-4 scan accepted the quintic as genus 6)
+    model = PlaneCurve.from_list(F2, entries, d, name="norm")
+    with pytest.raises(SingularModelError) as exc:
+        genus_of(model)
+    w = exc.value.witness
+    assert w[0] == m and w[3] == 1
+    assert plane_singular_at(model, FiniteField.extension(F2, m), w[1:])
+    assert plane_scan_verdict(model, m - 1) is None
+
+
 # ---------------------------------------------------------------------------
 # invariants: Weil bound, budget
 # ---------------------------------------------------------------------------
@@ -362,11 +483,49 @@ def test_curve_over_extension_base_field(curve_catalog):
     assert count_points(e4, 1) == brute_affine_solutions(e4, 1) + 1
 
 
-def test_klein_smoothness_certificate_is_complete(F2):
-    # the singular subscheme of a plane quartic has degree at most
-    # (d-1)^2 = 9 when finite, so scanning extensions up to degree 9 is a
-    # complete smoothness certificate, not a spot check
-    K = PlaneCurve.from_list(F2, [(3, 1, 0, 1), (0, 3, 1, 1), (1, 0, 3, 1)],
-                             4, name="klein-cert", smoothness_bound=9)
-    K.validate()
-    assert K._validated_to == 9
+def test_klein_smoothness_certificate_is_complete(F2, monkeypatch):
+    # slices at x in F_(2^m), m <= d(d-1)/2 = 6, certify a plane quartic
+    degrees = []
+    extension = FiniteField.extension.__func__
+
+    def recorded(cls, base, m, modulus=None):
+        degrees.append(m)
+        return extension(cls, base, m, modulus)
+
+    monkeypatch.setattr(FiniteField, "extension", classmethod(recorded))
+    PlaneCurve.from_list(F2, KLEIN, 4, name="klein-cert").validate()
+    assert max(degrees) == 6
+
+
+def test_plane_certificate_budget_names_model(F2):
+    model = PlaneCurve.from_list(F2, KLEIN, 4, name="klein-budget")
+    with pytest.raises(BudgetExceededError, match="smoothness certificate "
+                                                  "for klein-budget"):
+        model.validate(budget=32)
+
+
+def test_plane_certificate_agrees_with_scan_oracle():
+    # the scan runs to the Bezout bound (d-1)^2 >= d(d-1)/2
+    models = random_plane_models(2026, 320) + random_quartics(2026, 4)
+    singular = 0
+    for model in models:
+        d = model.degree
+        oracle = plane_scan_verdict(model, (d - 1) ** 2)
+        cert = certificate_verdict(model)
+        assert (oracle is None) == (cert is None), (model.name, oracle, cert)
+        if cert is None:
+            for m in (1, 2, 3):
+                assert count_points(model, m) == \
+                    plane_enumerated_count(model, m), (model.name, m)
+        else:
+            singular += 1
+            E = FiniteField.extension(model.base, cert[0])
+            assert plane_singular_at(model, E, cert[1:]), (model.name, cert)
+    # the sample exercises both outcomes
+    assert 0 < singular < len(models)
+
+
+def test_klein_counts_match_enumeration(curve_catalog):
+    klein = curve_catalog["klein"]
+    assert [count_points(klein, m) for m in range(1, 9)] == \
+        [plane_enumerated_count(klein, m) for m in range(1, 9)]
