@@ -19,8 +19,8 @@ from fractions import Fraction
 
 DEFAULT_ENUM_BUDGET = 1 << 26
 
-# Fields up to this order get exp/log (and Zech) tables; beyond it they
-# fall back to polynomial arithmetic.
+# Fields up to this order get exp/log tables for multiplication; beyond it
+# they fall back to polynomial arithmetic.  Addition has no table.
 _TABLE_MAX_ORDER = 1 << 16
 
 
@@ -494,28 +494,12 @@ class FiniteField:
             exp[k] = c
             exp[k + n] = c
             log[c] = k
-            c = self._raw_mul(c, g)
+            c = self.mul_c(c, g)
         if c != 1:
             raise ArithmeticError(
                 f"GF({self.order}): generator {g} does not have order {n}")
         self._exp = exp
         self._log = log
-
-    def _raw_mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        if self.base is None:
-            return (a * b) % self.order
-        return self._poly_mul_c(a, b)
-
-    def _raw_pow(self, a, e):
-        result = 1
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return result
 
     def _find_generator(self) -> int:
         n = self.order - 1
@@ -523,7 +507,7 @@ class FiniteField:
             return 1
         ps = _prime_factors(n)
         for cand in range(2, self.order):
-            if all(self._raw_pow(cand, n // p) != 1 for p in ps):
+            if all(self.pow_c(cand, n // p) != 1 for p in ps):
                 return cand
         raise ArithmeticError("no generator found (impossible)")
 

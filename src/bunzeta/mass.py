@@ -16,22 +16,29 @@ independent routes compute the semistable mass M^ss(n, d):
 
 * :func:`hn_ss_mass` solves the slope-stratification identity
   ``total = sum over strata of prod M^ss(n_i, d_i) q^(-sum chi_ij)`` with
-  ``chi_ij = n_i n_j (1 - g) + (d_i n_j - d_j n_i)`` directly.  The
-  infinitely many degree vectors of each stratum shape are summed
-  *exactly*: parametrized by the slope gaps t_l = d_l n_(l+1) - d_(l+1) n_l
-  >= 1, the exponent is linear in t with positive rational coefficients
-  a_l = s_l (n - s_l) / (n_l n_(l+1)), and on each residue class of the
-  period lattice (period n n_l n_(l+1) in coordinate l) the factors
-  M^ss(n_i, d_i mod n_i) are constant, leaving a product of geometric
-  series with ratio q^(-n s_l (n - s_l)).  No truncation is involved, so
-  the two routes can be compared for exact rational equality.
+  ``chi_ij = n_i n_j (1 - g) + (d_i n_j - d_j n_i)`` directly, summing the
+  infinitely many strata of each composition (n_1..n_k) exactly.  Write
+  d_i = n_i c_i + r_i with 0 <= r_i < n_i, u_l = c_l - c_(l+1) and
+  s_i = n_1 + ... + n_i.  M^ss(n_i, d_i) depends only on r_i; the slopes
+  fall strictly iff u_l >= e_l = [r_(l+1) n_l >= r_l n_(l+1)]; the
+  exponent -sum chi_ij is the integer
 
-Both routes memoize over (zeta data, n_i, d_i mod n_i); masses are
-invariant under d -> d + n (twisting by a degree-1 line bundle).
+      (g-1) cross - sum_i r_i (n - s_i - s_(i-1)) - sum_l s_l (n - s_l) u_l
+
+  with cross = sum_(i<j) n_i n_j; and sum d_i = d is the congruence
+  sum r_i + sum s_l u_l = d (mod n), which fixes c_k.  Each residue class
+  of u_l mod n is a geometric series with ratio q^(-n s_l (n - s_l)), so a
+  transfer over the parts with state (r_i, running residue mod n) visits
+  every stratum once, and one pass gives all d at once.  No truncation is
+  involved, so the two routes can be compared for exact rational equality.
+
+The GL_n totals and the HN masses are memoized per (n, zeta data); masses
+are invariant under d -> d + n (twisting by a degree-1 line bundle).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,9 +86,7 @@ def mass_bun(spec: GroupSpec, z: ZetaData) -> MassValue:
     return MassValue(val, (spec, z))
 
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def mass_gl_component(n: int, z: ZetaData) -> MassValue:
     """Mass of one connected component of the GL_n moduli stack (tau = 1).
 
@@ -90,12 +95,7 @@ def mass_gl_component(n: int, z: ZetaData) -> MassValue:
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    key = (z, n)
-    val = _GL_CACHE.get(key)
-    if val is None:
-        val = mass_bun(builtin_group("GL", n), z).value
-        _GL_CACHE[key] = val
-    return MassValue(val, ((n, None), z))
+    return MassValue(mass_bun(builtin_group("GL", n), z).value, ((n, None), z))
 
 
 def zagier_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
@@ -109,24 +109,22 @@ def zagier_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
         k = len(comp)
         partial = list(itertools.accumulate(comp))
         cross = sum(comp[i] * comp[j] for i in range(k) for j in range(i + 1, k))
-        expo = Fraction((g - 1) * cross)
+        num = 0  # n times the fractional part of the q-exponent
         denom = Fraction(1)
         for l in range(k - 1):
             pair = comp[l] + comp[l + 1]
-            expo += pair * Fraction((partial[l] * d) % n, n)
+            num += pair * ((partial[l] * d) % n)
             denom *= 1 - Fraction(q) ** pair
-        if expo.denominator != 1:
+        if num % n:
             raise ArithmeticError(
-                f"non-integral q-exponent {expo} for composition {comp}; "
-                "the composition sum does not define a rational number here")
-        term = Fraction(q) ** expo.numerator / denom
+                f"non-integral q-exponent {(g - 1) * cross} + {num}/{n} for "
+                f"composition {comp}; the composition sum does not define a "
+                "rational number here")
+        term = Fraction(q) ** ((g - 1) * cross + num // n) / denom
         for part in comp:
             term *= mass_gl_component(part, z).value
         total += term
     return MassValue(total, ((n, d), z))
-
-
-_HN_CACHE: dict = {}
 
 
 def hn_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
@@ -134,82 +132,66 @@ def hn_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
     solving the slope-stratification identity (exact; no truncation)."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    val = _hn_value(n, d % n, z)
-    return MassValue(val, ((n, d), z))
+    return MassValue(_hn_masses(n, z)[d % n], ((n, d), z))
 
 
-def _hn_value(n: int, d: int, z: ZetaData) -> Fraction:
-    key = (z, n, d % n)
-    cached = _HN_CACHE.get(key)
-    if cached is not None:
-        return cached
+@functools.cache
+def _hn_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
+    """(M^ss(n, 0), ..., M^ss(n, n - 1)) from the stratification identity."""
+    total = mass_gl_component(n, z).value
     if n == 1:
-        val = mass_gl_component(1, z).value
-    else:
-        val = mass_gl_component(n, z).value - _hn_strata_sum(n, d, z)
-        if not 0 <= val <= mass_gl_component(n, z).value:
+        return (total,)
+    out = tuple(total - strata for strata in _hn_strata_sums(n, z))
+    for d, val in enumerate(out):
+        if not 0 <= val <= total:
             raise ArithmeticError(
                 f"stratification identity produced M^ss({n},{d}) = {val} "
                 f"outside [0, total]")
-    _HN_CACHE[key] = val
-    return val
+    return out
 
 
-def _hn_strata_sum(n: int, d: int, z: ZetaData) -> Fraction:
-    """Mass of all proper slope strata of the (n, d) component."""
-    q, g = z.q, z.g
-    total = Fraction(0)
+def _hn_strata_sums(n: int, z: ZetaData) -> list[Fraction]:
+    """Mass of all proper slope strata of the degree-d component, for each
+    d in 0..n-1.
+
+    A transfer over the parts of each composition: the state after part i
+    is (r_i, sum_(j <= i) r_j + sum_(l < i) s_l u_l mod n), and part i + 1
+    multiplies in its r-factor and the residue classes of u_i.  The final
+    residue is d.
+    """
+    qf = Fraction(z.q)
+    sums = [Fraction(0)] * n
     for comp in compositions(n, min_parts=2):
-        k = len(comp)
-        partial = list(itertools.accumulate(comp))  # s_1..s_k
-        cross = sum(comp[i] * comp[j] for i in range(k) for j in range(i + 1, k))
-        # slope gaps t_l = d_l n_(l+1) - d_(l+1) n_l >= 1, l = 1..k-1
-        gap_weight = [Fraction(partial[l] * (n - partial[l]),
-                               comp[l] * comp[l + 1]) for l in range(k - 1)]
-        periods = [n * comp[l] * comp[l + 1] for l in range(k - 1)]
-        # geometric factor of each residue class: ratio q^(-a_l * P_l)
-        geom = Fraction(1)
-        for l in range(k - 1):
-            ratio_exp = n * partial[l] * (n - partial[l])
-            if ratio_exp <= 0:
-                raise ArithmeticError(
-                    f"non-contracting stratum family for composition {comp}")
-            geom /= 1 - Fraction(1, q ** ratio_exp)
-        for t0 in itertools.product(*(range(1, p + 1) for p in periods)):
-            dvec = _degree_vector(comp, partial, d, t0)
-            if dvec is None:
-                continue
-            expo = Fraction((g - 1) * cross)
-            for l in range(k - 1):
-                expo -= gap_weight[l] * t0[l]
-            if expo.denominator != 1:
-                raise ArithmeticError(
-                    f"non-integral stratum exponent {expo} for composition "
-                    f"{comp}, degrees {dvec}")
-            term = Fraction(q) ** expo.numerator * geom
-            for part, deg in zip(comp, dvec):
-                term *= _hn_value(part, deg % part, z)
-            total += term
-    return total
+        s = [0, *itertools.accumulate(comp)]  # s[i] = n_1 + ... + n_i
+        cross = (n * n - sum(part * part for part in comp)) // 2
+        weight = qf ** ((z.g - 1) * cross)
+        states = {(r, r): _part_factor(comp[0], r, n - s[1], z)
+                  for r in range(comp[0])}
+        for i in range(1, len(comp)):
+            w = s[i] * (n - s[i])
+            weight /= 1 - qf ** (-n * w)
+            # classes[e][rho]: sum of q^(-w u) over e <= u < e + n with
+            # s_i u = rho (mod n); times the factor just put into weight it
+            # is the sum over all u >= e in that class
+            classes = [[Fraction(0)] * n for _ in range(2)]
+            for e in (0, 1):
+                for u in range(e, e + n):
+                    classes[e][s[i] * u % n] += qf ** (-w * u)
+            nxt: dict = {}
+            for (r_prev, t), acc in states.items():
+                for r in range(comp[i]):
+                    e = int(r * comp[i - 1] >= r_prev * comp[i])
+                    f = acc * _part_factor(comp[i], r, n - s[i + 1] - s[i], z)
+                    for rho, c in enumerate(classes[e]):
+                        if c:
+                            key = (r, (t + r + rho) % n)
+                            nxt[key] = nxt.get(key, 0) + f * c
+            states = nxt
+        for (_, t), acc in states.items():
+            sums[t] += weight * acc
+    return sums
 
 
-def _degree_vector(comp, partial, d: int, t0) -> tuple | None:
-    """Degrees (d_1..d_k) for gap values t0, or None if not integral."""
-    k = len(comp)
-    n = partial[-1]
-    shift = Fraction(0)  # sum_l t_l s_l / (n_l n_(l+1))
-    for l in range(k - 1):
-        shift += Fraction(t0[l] * partial[l], comp[l] * comp[l + 1])
-    mu_last = (d - shift) / n
-    degs = []
-    tails = [Fraction(0)] * k  # tails[i] = sum_(l >= i) t_l / (n_l n_(l+1))
-    for l in range(k - 2, -1, -1):
-        tails[l] = tails[l + 1] + Fraction(t0[l], comp[l] * comp[l + 1])
-    for i in range(k):
-        d_i = comp[i] * (mu_last + tails[i])
-        if d_i.denominator != 1:
-            return None
-        degs.append(d_i.numerator)
-    if sum(degs) != d:
-        raise ArithmeticError(f"degree vector {degs} does not sum to {d}")
-    return tuple(degs)
+def _part_factor(n_i: int, r: int, coeff: int, z: ZetaData) -> Fraction:
+    """M^ss(n_i, r) q^(-r coeff): the r-dependent factor of one part."""
+    return _hn_masses(n_i, z)[r] * Fraction(z.q) ** (-r * coeff)

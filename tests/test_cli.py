@@ -200,6 +200,56 @@ def test_bad_plane_form_names_curve(degree, monomials):
         build_curve(entry)
 
 
+KLEIN_MONOMIALS = [[3, 1, 0, 1], [0, 3, 1, 1], [1, 0, 3, 1]]
+
+
+@pytest.mark.parametrize("key,entry", [
+    ("f", {"kind": "hyperelliptic", "p": 2, "h": [1], "f": [0, 0, 0, 1.0]}),
+    ("h", {"kind": "hyperelliptic", "p": 2, "h": [True], "f": [0, 0, 0, 1]}),
+    ("p", {"kind": "hyperelliptic", "p": 2.9, "h": [1], "f": [0, 0, 0, 1]}),
+    ("e", {"kind": "projective-line", "p": 2, "e": "2"}),
+    ("degree", {"kind": "plane", "p": 2, "degree": 4.5,
+                "monomials": KLEIN_MONOMIALS}),
+    ("monomials", {"kind": "plane", "p": 3, "degree": 4,
+                   "monomials": [[3, 1, 0, 1.0], [0, 3, 1, 1]]}),
+], ids=["float-coefficient", "bool-coefficient", "float-p", "string-e",
+        "float-degree", "float-monomial"])
+def test_non_integer_curve_field_names_curve(key, entry):
+    with pytest.raises(ConfigError, match=rf"curves\[bad-int\]\.{key}: "
+                                          "expected an integer"):
+        build_curve({"name": "bad-int", **entry})
+
+
+@pytest.mark.parametrize("key,value", [("trunc", 4.5), ("trunc", True),
+                                       ("budget", "1024")])
+def test_non_integer_run_field_rejected(tmp_path, capsys, key, value):
+    cfg = dict(BASE_CONFIG, **{key: value})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    assert f"{key}: expected an integer" in capsys.readouterr().err
+
+
+def test_mass_route_mismatch_fails(config_path, monkeypatch, capsys):
+    from bunzeta import cli
+    from bunzeta.mass import MassValue, RouteMismatchError
+
+    hn = cli.hn_ss_mass
+
+    def skewed(n, d, z):
+        return MassValue(hn(n, d, z).value + (d == 1), ((n, d), z))
+
+    monkeypatch.setattr(cli, "hn_ss_mass", skewed)
+    run = {"trunc": 4, "budget": 1 << 20, "format": "json", "out": None}
+    with pytest.raises(RouteMismatchError,
+                       match=r"curves\[P1/F2\] x groups\[GL2\]: "
+                             r"M\^ss\(2, 1\) is 0 by Zagier but 1 by HN"):
+        cli.cmd_mass(BASE_CONFIG, run)
+    assert run_cli(["mass", "--config", config_path]) == 1
+    err = capsys.readouterr()
+    assert "Zagier" in err.err and err.out == ""
+
+
 @pytest.mark.parametrize("p,h,f", [(3, [0, 0, 1], [1, 0, 1, 0, 2]),
                                    (2, [1], [0, 0, 0, 0, 1])],
                          ids=["conic", "genus-0"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from bunzeta import mass
 from bunzeta.groups import builtin_group, group_order
 from bunzeta.mass import (
     MassValue,
@@ -116,8 +117,8 @@ def test_semistable_matches_split_bundle_oracle(zeta_catalog):
 
 
 def test_zagier_equals_hn_exactly(zeta_catalog):
-    for z in zeta_catalog.values():
-        for n in range(1, 5):
+    for key, z in zeta_catalog.items():
+        for n in range(1, 9 if key == "E1" else 8):
             total = mass_gl_component(n, z).value
             for d in range(n):
                 a = zagier_ss_mass(n, d, z).value
@@ -143,7 +144,7 @@ def test_zagier_equals_hn_on_random_curves(q, raw1, raw2):
         z = zeta_from_counts(q, 2, [n1, n2])
     except Exception:
         assume(False)
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         for d in range(n):
             assert zagier_ss_mass(n, d, z).value == hn_ss_mass(n, d, z).value
 
@@ -172,15 +173,26 @@ def test_coprime_type_on_elliptic_curves_counts_stable_bundles():
             assert zagier_ss_mass(n, d, z).value == Fraction(h, q - 1)
 
 
-def test_rank5_trivial_component_on_p1(zeta_catalog):
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_trivial_component_on_p1(zeta_catalog, n):
     # on the projective line only O(a)^n is semistable: mass 1/|GL_n(F_q)|
-    # in degree 0 and 0 in degrees prime to n
+    # in degree 0 and 0 in degrees not divisible by n
     zp2 = zeta_catalog["P1/F2"]
-    assert hn_ss_mass(5, 0, zp2).value == \
-        Fraction(1, group_order(builtin_group("GL", 5), 2))
-    for d in range(1, 5):
-        assert hn_ss_mass(5, d, zp2).value == 0
-        assert zagier_ss_mass(5, d, zp2).value == 0
+    assert hn_ss_mass(n, 0, zp2).value == \
+        Fraction(1, group_order(builtin_group("GL", n), 2))
+    for d in range(1, n):
+        assert hn_ss_mass(n, d, zp2).value == 0
+        assert zagier_ss_mass(n, d, zp2).value == 0
+
+
+def test_hn_rejects_mass_outside_total(zeta_catalog, monkeypatch):
+    z = zeta_catalog["E1"]
+    total = mass_gl_component(2, z).value
+    monkeypatch.setattr(mass, "_hn_strata_sums",
+                        lambda n, z: [2 * total] * n)
+    mass._hn_masses.cache_clear()  # a failed call caches nothing
+    with pytest.raises(ArithmeticError, match="outside"):
+        hn_ss_mass(2, 0, z)
 
 
 def test_tamagawa_scaling(zeta_catalog):
