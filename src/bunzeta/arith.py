@@ -6,21 +6,30 @@ as towers over their prime field with a deterministic, lexicographically
 smallest irreducible modulus, so the same field is reconstructed
 identically across runs.  Elements are encoded as integers in
 ``[0, order)`` (little-endian digits over the base field), which keeps
-enumeration order canonical and the counting kernels fast; small fields
-additionally build discrete-log tables so multiplication is a table
-lookup.  Polynomials over a field are little-endian tuples or lists of
-element codes, handled by the ``_pc_*`` helpers.
+enumeration order canonical and the counting kernels fast.  Small fields
+additionally build discrete-log tables, stored as ``array`` objects: with
+a generator g, ``exp[k] = g^k`` and ``log[g^k] = k`` make multiplication
+a table lookup, and in odd-characteristic extension fields the Zech
+logarithm ``g^k + 1 = g^zech[k]`` (``-1`` where ``g^k = -1``) makes
+addition one too: ``g^i + g^j = g^i (1 + g^(j-i)) = g^(i + zech[j-i])``
+(K. Huber, IEEE Trans. IT 36, 1990).  Without tables, extension-field
+addition works digit by digit.  Polynomials over a field are
+little-endian tuples or lists of element codes, handled by the ``_pc_*``
+helpers.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from fractions import Fraction
 
 DEFAULT_ENUM_BUDGET = 1 << 26
 
-# Fields up to this order get exp/log tables for multiplication; beyond it
-# they fall back to polynomial arithmetic.  Addition has no table.
+# Fields up to this order get exp/log tables for multiplication, and a Zech
+# table for addition in odd-characteristic extensions, about four 4-byte
+# array entries per element in all; beyond it they fall back to polynomial
+# multiplication and digit-wise addition.
 _TABLE_MAX_ORDER = 1 << 16
 
 
@@ -42,6 +51,13 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, str):
         return Fraction(s.strip())
     raise ValueError(f"cannot parse rational from {s!r}")
+
+
+def parse_integer(value, where: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def format_rational(x: Fraction) -> str:
@@ -283,6 +299,7 @@ class FiniteField:
         self._extensions: dict[int, "FiniteField"] = {}
         self._exp = None  # generator powers, doubled, for table multiplication
         self._log = None
+        self._zech = None  # Zech logarithms, for table addition in odd char
         self._tables_impossible = _order > _TABLE_MAX_ORDER
         if _base is not None:
             # x^(rel_degree + k) mod modulus, as code rows, for reduction
@@ -389,6 +406,15 @@ class FiniteField:
             return a ^ b
         if self.base is None:
             return (a + b) % self.order
+        if self._zech is not None:
+            if a == 0:
+                return b
+            if b == 0:
+                return a
+            la = self._log[a]
+            # a difference in (-n, n) indexes from the end: g^(-k) = g^(n-k)
+            k = self._zech[self._log[b] - la]
+            return 0 if k < 0 else self._exp[la + k]
         B = self.base
         q = B.order
         out = 0
@@ -405,6 +431,9 @@ class FiniteField:
             return a
         if self.base is None:
             return (-a) % self.order
+        if self._zech is not None:
+            # -1 = g^(n/2)
+            return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
         B = self.base
         q = B.order
         out = 0
@@ -482,13 +511,14 @@ class FiniteField:
     # -- tables ---------------------------------------------------------------
 
     def build_tables(self) -> None:
-        """Build exp/log tables (only for orders <= 2^16); idempotent."""
+        """Build exp/log tables, and Zech tables in odd-characteristic
+        extensions (only for orders <= 2^16); idempotent."""
         if self._exp is not None or self._tables_impossible:
             return
         n = self.order - 1
         g = self._find_generator()
-        exp = [0] * (2 * n)
-        log = [0] * self.order
+        exp = array("I", [0]) * (2 * n)
+        log = array("I", [0]) * self.order
         c = 1
         for k in range(n):
             exp[k] = c
@@ -498,6 +528,17 @@ class FiniteField:
         if c != 1:
             raise ArithmeticError(
                 f"GF({self.order}): generator {g} does not have order {n}")
+        if self.char != 2 and self.base is not None:
+            # the lowest base-p digit of a code is its prime-field component
+            # at every level of a tower, so c + 1 only changes that digit
+            p = self.char
+            zech = array("i", [-1]) * n
+            for k in range(n):
+                c = exp[k]
+                c1 = c - c % p + (c % p + 1) % p
+                if c1:
+                    zech[k] = log[c1]
+            self._zech = zech
         self._exp = exp
         self._log = log
 

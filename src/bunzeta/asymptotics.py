@@ -36,6 +36,7 @@ from .arith import (
     DEFAULT_ENUM_BUDGET,
     format_rational,
     is_prime_power,
+    parse_integer,
     parse_rational,
 )
 from .curves import CurveModel, PointCounts, count_series, genus_of
@@ -137,8 +138,9 @@ class TVData:
                      if parse_rational(b) != 0)
         gs = None
         if groups is not None:
-            gs = tuple((int(e["deg"]), parse_rational(e["gamma"]),
-                        parse_rational(e["L"])) for e in groups)
+            gs = tuple((parse_integer(e["deg"], f"groups[{i}].deg"),
+                        parse_rational(e["gamma"]), parse_rational(e["L"]))
+                       for i, e in enumerate(groups))
         return cls(q=q, beta=beta, groups=gs)
 
     def beta_at(self, m: int) -> Fraction:

@@ -14,7 +14,12 @@ import io
 import json
 import sys
 
-from .arith import DEFAULT_ENUM_BUDGET, FiniteField, format_rational
+from .arith import (
+    DEFAULT_ENUM_BUDGET,
+    FiniteField,
+    format_rational,
+    parse_integer,
+)
 from .asymptotics import (
     TVData,
     convergence_report,
@@ -77,10 +82,11 @@ def load_config(path: str) -> dict:
 
 
 def _integer(value, where: str) -> int:
-    """``value`` if it is a JSON integer (not a bool, float or string)."""
-    if type(value) is not int:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
+    """``value`` if it is a JSON integer, else a ConfigError naming ``where``."""
+    try:
+        return parse_integer(value, where)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def build_curve(entry: dict) -> CurveModel:
@@ -133,8 +139,9 @@ def build_tv(cfg: dict) -> TVData | None:
     entry = cfg.get("tv")
     if entry is None:
         return None
+    q = _integer(entry.get("q"), "tv.q")
     try:
-        return TVData.from_map(int(entry["q"]), entry.get("beta", {}),
+        return TVData.from_map(q, entry.get("beta", {}),
                                entry.get("groups"))
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"tv: {e}") from e
@@ -286,7 +293,7 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
         report["tv_feasible"] = bound <= 1
         report["groups"] = entries
         if tv.groups:
-            d_bound = int((cfg.get("tv") or {}).get("d_bound", 1))
+            d_bound = _integer(cfg["tv"].get("d_bound", 1), "tv.d_bound")
             general = rhs_general(tv.groups, tv.q, d_bound)
             report["general"] = {"value": _f17(general.value),
                                  "weight_envelope_ok": general.envelope_ok,

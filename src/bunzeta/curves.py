@@ -19,6 +19,15 @@ F_Q, and a common root of the four slices is a singular point.  Slices for
 m <= D = d(d-1)/2 are a complete certificate: a reduced curve has <= D
 singular points (genus formula plus Bezout), so each Frobenius orbit of
 them has <= D; a non-reduced one is singular at a point of degree <= d/2.
+
+Every per-x kernel (the hyperelliptic count, the plane count and the
+plane certificate) visits one x per orbit of the Frobenius x -> x^q on
+F_(q^m), the first in code order, and weights it by the orbit size.  This
+is exact: h, f and the plane columns have coefficients in F_q, so the
+data at x^q is the Frobenius image of the data at x, and Frobenius, an
+automorphism of F_(q^m), preserves root counts and common roots.  The
+certificate's witness does not move either: the first singular x in code
+order is the first element of its orbit.
 """
 
 from __future__ import annotations
@@ -93,6 +102,21 @@ def _eval_codes(E: FiniteField, cs, x: int) -> int:
     for c in reversed(cs):
         acc = E.add_c(E.mul_c(acc, x), c)
     return acc
+
+
+def _frobenius_orbits(E: FiniteField, q: int):
+    """(x, orbit size) for the first x in code order of each orbit of
+    x -> x^q on E."""
+    seen = bytearray(E.order)
+    for x in range(E.order):
+        if seen[x]:
+            continue
+        size, y = 0, x
+        while not seen[y]:
+            seen[y] = 1
+            size += 1
+            y = E.pow_c(y, q)
+        yield x, size
 
 
 def _first_root_in(E: FiniteField, cs):
@@ -290,9 +314,9 @@ class HyperellipticCurve(CurveModel):
         E = self.extension(m)
         h_cs, f_cs = self.h, self.f
         n = 0
-        for x in range(E.order):
-            n += E.quadratic_root_count(_eval_codes(E, h_cs, x),
-                                        _eval_codes(E, f_cs, x))
+        for x, size in _frobenius_orbits(E, self.q):
+            n += size * E.quadratic_root_count(_eval_codes(E, h_cs, x),
+                                               _eval_codes(E, f_cs, x))
         g = self.genus()
         return n + E.quadratic_root_count(_coeff(h_cs, g + 1),
                                           _coeff(f_cs, 2 * g + 2))
@@ -355,7 +379,8 @@ class PlaneCurve(CurveModel):
 
     def _check_smooth(self, budget: int) -> None:
         """On z = 0, one gcd over the base field decides every (X:1:0), and
-        (1:0:0) is looked at directly; on z = 1, x runs over F_(q^m), m <= D."""
+        (1:0:0) is looked at directly; on z = 1, x runs over one element of
+        each Frobenius orbit of F_(q^m), m <= D."""
         G = _common_factor(self.base, self._line)
         if len(G) != 1:  # G = 0: every point of z = 0 is singular
             raise SingularModelError(self.name,
@@ -365,7 +390,7 @@ class PlaneCurve(CurveModel):
         d = self.degree
         for m in range(1, d * (d - 1) // 2 + 1):
             E = self._certificate_field(m, budget)
-            for x in range(E.order):
+            for x, _ in _frobenius_orbits(E, self.q):
                 G = _common_factor(E, (self._slice(E, columns, x)
                                        for columns in self._columns))
                 if len(G) != 1 and (y := _first_root_in(E, G)) is not None:
@@ -382,7 +407,8 @@ class PlaneCurve(CurveModel):
         point (1:0:0) when x^d has coefficient 0."""
         E = self.extension(m)
         F = self._columns[0]
-        n = sum(_root_count(E, self._slice(E, F, x)) for x in range(E.order))
+        n = sum(size * _root_count(E, self._slice(E, F, x))
+                for x, size in _frobenius_orbits(E, self.q))
         return n + _root_count(E, self._line[0]) + (self._corner[0] == 0)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational, parse_rational
+from .arith import format_rational, parse_integer, parse_rational
 
 FAMILIES = ("GL", "SL", "Sp", "SO-odd", "SO-even", "Gm")
 
@@ -131,11 +131,11 @@ def group_spec_from_json(obj: dict) -> GroupSpec:
     ``{"name", "dim", "degrees", "tamagawa"}`` spec.
     """
     if "family" in obj:
-        return builtin_group(obj["family"], int(obj["n"]),
+        return builtin_group(obj["family"], parse_integer(obj["n"], "n"),
                              obj.get("tamagawa"))
     return GroupSpec(
         name=str(obj["name"]),
-        dim=int(obj["dim"]),
-        degrees=tuple(int(d) for d in obj["degrees"]),
+        dim=parse_integer(obj["dim"], "dim"),
+        degrees=tuple(parse_integer(d, "degrees") for d in obj["degrees"]),
         tamagawa=parse_rational(obj.get("tamagawa", 1)),
     )

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,56 @@ def test_relative_tower_is_a_field():
         for b in range(9):
             assert F9.mul_c(a, b) == F81.mul_c(a, b)
             assert F9.add_c(a, b) == F81.add_c(a, b)
+
+
+def digit_walk_copy(F):
+    """Oracle: F with the same moduli down the tower and no tables, so
+    extension-field addition walks base-field digits."""
+    if F.base is None:
+        return F
+    return FiniteField.extension(digit_walk_copy(F.base), F.rel_degree,
+                                 modulus=F.modulus)
+
+
+def raise_digit_walk(monkeypatch, F):
+    """Make every base-field addition raise, so a digit walk fails."""
+    def walked(*args):
+        raise AssertionError(f"{F} walked base-field digits")
+
+    for op in ("add_c", "neg_c", "sub_c"):
+        monkeypatch.setattr(F.base, op, walked)
+
+
+@pytest.mark.parametrize("p,m,over", [(3, 2, 1), (3, 3, 1), (5, 2, 1),
+                                      (7, 2, 1), (3, 2, 2)],
+                         ids=["F9", "F27", "F25", "F49", "F81/F9"])
+def test_zech_addition_matches_digit_walk(p, m, over, monkeypatch):
+    F = FiniteField.extension(ext_field(p, over), m)
+    oracle = digit_walk_copy(F)
+    assert oracle._exp is None
+    pairs = list(itertools.product(range(F.order), repeat=2))
+    expected = ([oracle.add_c(a, b) for a, b in pairs],
+                [oracle.sub_c(a, b) for a, b in pairs],
+                [oracle.neg_c(a) for a in range(F.order)])
+    F.build_tables()
+    raise_digit_walk(monkeypatch, F)
+    assert ([F.add_c(a, b) for a, b in pairs],
+            [F.sub_c(a, b) for a, b in pairs],
+            [F.neg_c(a) for a in range(F.order)]) == expected
+
+
+def test_zech_addition_sampled_in_f3_9(monkeypatch):
+    F = ext_field(3, 9)
+    oracle = digit_walk_copy(F)
+    rng = random.Random(9)
+    pairs = [(rng.randrange(F.order), rng.randrange(F.order))
+             for _ in range(10 ** 4)]
+    expected = [(oracle.add_c(a, b), oracle.sub_c(a, b), oracle.neg_c(a))
+                for a, b in pairs]
+    F.build_tables()
+    raise_digit_walk(monkeypatch, F)
+    assert [(F.add_c(a, b), F.sub_c(a, b), F.neg_c(a))
+            for a, b in pairs] == expected
 
 
 def test_explicit_modulus_validation():

@@ -230,6 +230,34 @@ def test_non_integer_run_field_rejected(tmp_path, capsys, key, value):
     assert f"{key}: expected an integer" in capsys.readouterr().err
 
 
+TV_GENERAL = {"q": 4, "beta": {"1": "1"},
+              "groups": [{"deg": 1, "gamma": "1", "L": "3/4"}], "d_bound": 2}
+
+
+@pytest.mark.parametrize("groups,tv,where", [
+    ([{"family": "GL", "n": 2.5}], None, "groups[0]: n"),
+    ([{"family": "Gm", "n": 1}, {"family": "GL", "n": True}], None,
+     "groups[1]: n"),
+    ([{"name": "G2", "dim": 14.0, "degrees": [2, 6]}], None, "groups[0]: dim"),
+    ([{"name": "G2", "dim": 14, "degrees": [2, "6"]}], None,
+     "groups[0]: degrees"),
+    (None, dict(TV_GENERAL, q=4.7), "tv.q"),
+    (None, dict(TV_GENERAL, q="4"), "tv.q"),
+    (None, dict(TV_GENERAL, groups=[{"deg": 1.5, "gamma": "1", "L": "3/4"}]),
+     "tv: groups[0].deg"),
+    (None, dict(TV_GENERAL, d_bound=1.9), "tv.d_bound"),
+], ids=["float-n", "bool-n", "float-dim", "string-degree", "float-q",
+        "string-q", "float-deg", "float-d_bound"])
+def test_non_integer_group_or_tv_field_rejected(tmp_path, capsys, groups, tv,
+                                                where):
+    cfg = {"schema": 1, "groups": groups or [{"family": "Gm", "n": 1}],
+           "tv": tv or TV_GENERAL}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["asymptote", "--config", str(path)]) == 1
+    assert f"{where}: expected an integer" in capsys.readouterr().err
+
+
 def test_mass_route_mismatch_fails(config_path, monkeypatch, capsys):
     from bunzeta import cli
     from bunzeta.mass import MassValue, RouteMismatchError

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from bunzeta import curves
 from bunzeta.arith import BudgetExceededError, FiniteField, ext_field
 from bunzeta.curves import (
     HyperellipticCurve,
@@ -10,6 +12,7 @@ from bunzeta.curves import (
     ProjectiveLine,
     SingularModelError,
     WeilViolationError,
+    _frobenius_orbits,
     count_points,
     count_series,
     genus_of,
@@ -265,8 +268,57 @@ def test_count_series_weil_window(curve_catalog):
 def test_hyperelliptic_counts_match_pair_enumeration(curve_catalog, key):
     model = curve_catalog[key]
     assert len(model.f) % 2 == 0  # odd deg f: one point at infinity
+    for m in (1, 2, 3):
+        assert count_points(model, m) == brute_affine_solutions(model, m) + 1
+
+
+def frobenius_orbit_count(q, m):
+    """Burnside: the average number of x in F_(q^m) fixed by x -> x^(q^k)."""
+    return sum(q ** math.gcd(k, m) for k in range(m)) // m
+
+
+@pytest.mark.parametrize("p,m,over", [(3, 6, 1), (2, 8, 1), (2, 2, 2)],
+                         ids=["F3^6", "F2^8", "F16/F4"])
+def test_frobenius_orbits_partition_the_field(p, m, over):
+    B = ext_field(p, over)
+    E = tabled_field(B, m)
+    q = B.order
+    orbits = list(_frobenius_orbits(E, q))
+    assert sum(size for _, size in orbits) == E.order
+    assert all(m % size == 0 for _, size in orbits)
+    assert len(orbits) == frobenius_orbit_count(q, m)
+    seen = set()
+    for x, size in orbits:
+        conjugates = {E.pow_c(x, q ** k) for k in range(m)}
+        assert len(conjugates) == size and min(conjugates) == x
+        assert not conjugates & seen
+        seen |= conjugates
+
+
+@pytest.mark.parametrize("h,f", [([], [1, 1, 0, 0, 0, 1]),
+                                 ([0, 1], [2, 0, 0, 0, 0, 1])],
+                         ids=["h=0", "h=x"])
+def test_orbit_counts_match_pair_enumeration_over_f5(h, f):
+    model = HyperellipticCurve.from_ints(ext_field(5, 1), h, f, name="g2/F5")
+    assert genus_of(model) == 2
     for m in (1, 2):
         assert count_points(model, m) == brute_affine_solutions(model, m) + 1
+
+
+def test_count_evaluates_once_per_frobenius_orbit(F3, monkeypatch):
+    # h and f are evaluated at one x per orbit, never at every x
+    model = HyperellipticCurve.from_ints(F3, [], [0, 1, 0, 0, 0, 1])
+    model.validate()
+    calls = []
+    evaluate = curves._eval_codes
+
+    def counted(E, cs, x):
+        calls.append(x)
+        return evaluate(E, cs, x)
+
+    monkeypatch.setattr(curves, "_eval_codes", counted)
+    model._count(6, 1 << 20)
+    assert len(calls) == 2 * frobenius_orbit_count(3, 6) == 260
 
 
 def test_klein_quartic_counts(curve_catalog):
