@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from bunzeta.cli import ConfigError, build_curve, main
-from bunzeta.curves import HyperellipticCurve
+from bunzeta.curves import CurveModel, HyperellipticCurve
+from bunzeta.zeta import ZetaData, regenerate_counts
 
 BASE_CONFIG = {
     "schema": 1,
@@ -303,13 +304,50 @@ def test_enumerated_counts_cross_checked(config_path, monkeypatch, capsys):
     assert run_cli(["zeta", "--config", config_path]) == 1
     err = capsys.readouterr().err
     assert "C2" in err and "N_3" in err
+    # the model once, then the stage and the quantity
+    assert "curves[C2]: guard count N_3 = " in err and err.count("C2") == 1
+
+
+@pytest.mark.parametrize("trunc, top", [
+    (1, {"P1/F2": 1, "E1": 1, "C2": 2}),
+    (2, {"P1/F2": 1, "E1": 2, "C2": 2}),
+    (4, {"P1/F2": 1, "E1": 2, "C2": 3}),
+])
+def test_zeta_enumerates_only_to_the_guard(config_path, monkeypatch, trunc,
+                                           top):
+    # N_1..N_g fix P(T); N_(g+1) is counted only as the guard of trunc > g
+    seen = {}
+    count_points = CurveModel.count_points
+
+    def record(model, m, budget):
+        seen.setdefault(model.name, set()).add(m)
+        return count_points(model, m, budget)
+
+    monkeypatch.setattr(CurveModel, "count_points", record)
+    assert run_cli(["zeta", "--config", config_path, "--trunc",
+                    str(trunc)]) == 0
+    assert seen == {name: set(range(1, k + 1)) for name, k in top.items()}
 
 
 def test_budget_error_names_curve(config_path, tmp_path, capsys):
-    assert run_cli(["zeta", "--config", config_path, "--trunc", "40",
-                    "--budget", "1024"]) == 1
+    # E1's guard count N_2 enumerates F_4, over a budget of 3
+    assert run_cli(["zeta", "--config", config_path, "--budget", "3"]) == 1
     err = capsys.readouterr().err
     assert "budget" in err and "E1" in err
+
+
+def test_counts_beyond_the_guard_come_from_p(config_path, tmp_path):
+    # trunc 40 enumerates no field past the guard, so a budget of 1024 holds
+    out = tmp_path / "zeta.json"
+    assert run_cli(["zeta", "--config", config_path, "--trunc", "40",
+                    "--budget", "1024", "--out", str(out)]) == 0
+    curves = json.loads(out.read_text())["curves"]
+    assert [c["name"] for c in curves] == ["P1/F2", "E1", "C2"]
+    for cur in curves:
+        z = ZetaData(q=cur["q"], g=cur["g"],
+                     a=tuple(int(a) for a in cur["zeta"]["a"]))
+        assert cur["counts"] == regenerate_counts(z, 40), cur["name"]
+        assert len(cur["spectrum"]) == 40
 
 
 def test_tight_budget_mass_still_completes(tmp_path):

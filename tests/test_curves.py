@@ -569,6 +569,12 @@ def test_plane_certificate_agrees_with_scan_oracle():
             for m in (1, 2, 3):
                 assert count_points(model, m) == \
                     plane_enumerated_count(model, m), (model.name, m)
+            # `zeta` enumerates only to N_(g+1); the kernel beyond that is
+            # held to the counts P(T) regenerates, to N_(2g+2)
+            g = model.genus()
+            counts = [count_points(model, m) for m in range(1, 2 * g + 3)]
+            z = zeta_from_counts(model.q, g, counts[:g])
+            assert counts == regenerate_counts(z, 2 * g + 2), model.name
         else:
             singular += 1
             E = FiniteField.extension(model.base, cert[0])
