@@ -12,10 +12,12 @@ a generator g, ``exp[k] = g^k`` and ``log[g^k] = k`` make multiplication
 a table lookup, and in odd-characteristic extension fields the Zech
 logarithm ``g^k + 1 = g^zech[k]`` (``-1`` where ``g^k = -1``) makes
 addition one too: ``g^i + g^j = g^i (1 + g^(j-i)) = g^(i + zech[j-i])``
-(K. Huber, IEEE Trans. IT 36, 1990).  Without tables, extension-field
-addition works digit by digit.  Polynomials over a field are
+(K. Huber, IEEE Trans. IT 36, 1990).  Polynomials over a field are
 little-endian tuples or lists of element codes, handled by the ``_pc_*``
-helpers.
+helpers; they are the only polynomial code here.  Without tables an
+extension element is decoded to its digit polynomial over the base field,
+and addition, negation and multiplication (reduced modulo the defining
+polynomial) run on the ``_pc_*`` helpers.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ DEFAULT_ENUM_BUDGET = 1 << 26
 
 # Fields up to this order get exp/log tables for multiplication, and a Zech
 # table for addition in odd-characteristic extensions, about four 4-byte
-# array entries per element in all; beyond it they fall back to polynomial
-# multiplication and digit-wise addition.
+# array entries per element in all; beyond it they fall back to the ``_pc_*``
+# helpers on digit polynomials over the base field.
 _TABLE_MAX_ORDER = 1 << 16
 
 
@@ -179,16 +181,18 @@ def _pc_mul(B, a, b):
 
 
 def _pc_mod(B, a, mod):
-    """Remainder of a modulo a monic polynomial (codes, little-endian)."""
+    """Remainder of a modulo a nonzero polynomial (codes, little-endian)."""
     a = list(a)
     dm = len(mod) - 1
+    inv = B.inv_c(mod[-1])
     for k in range(len(a) - 1, dm - 1, -1):
         c = a[k]
         if c == 0:
             continue
-        a[k] = 0
-        for i in range(dm):
-            a[k - dm + i] = B.sub_c(a[k - dm + i], B.mul_c(c, mod[i]))
+        c = B.mul_c(c, inv)
+        for i, mi in enumerate(mod[:dm]):
+            if mi:
+                a[k - dm + i] = B.sub_c(a[k - dm + i], B.mul_c(c, mi))
     return _pc_trim(a[:dm])
 
 
@@ -208,21 +212,9 @@ def _pc_powmod(B, a, e: int, mod):
 
 
 def _pc_gcd(B, a, b):
-    a, b = list(a), list(b)
+    """gcd of code polynomials over B, up to a unit."""
     while b:
-        # reduce a mod b (b need not be monic)
-        lead_inv = B.inv_c(b[-1])
-        r = list(a)
-        db = len(b) - 1
-        for k in range(len(r) - 1, db - 1, -1):
-            c = r[k]
-            if c == 0:
-                continue
-            factor = B.mul_c(c, lead_inv)
-            r[k] = 0
-            for i in range(db):
-                r[k - db + i] = B.sub_c(r[k - db + i], B.mul_c(factor, b[i]))
-        a, b = b, _pc_trim(r[:db]) if db else []
+        a, b = b, _pc_mod(B, a, b)
     return a
 
 
@@ -245,7 +237,7 @@ def _pc_is_irreducible(B, f) -> bool:
     for k in range(1, m + 1):
         power = _pc_powmod(B, power, Q, f)
         powers[k] = power
-    if _pc_trim(_pc_sub(B, powers[m], x)):
+    if _pc_sub(B, powers[m], x):
         return False
     for ell in _prime_factors(m):
         g = _pc_gcd(B, _pc_sub(B, powers[m // ell], x), f)
@@ -301,15 +293,6 @@ class FiniteField:
         self._log = None
         self._zech = None  # Zech logarithms, for table addition in odd char
         self._tables_impossible = _order > _TABLE_MAX_ORDER
-        if _base is not None:
-            # x^(rel_degree + k) mod modulus, as code rows, for reduction
-            self._red_rows = []
-            row = list(_modulus[:-1])
-            neg = [_base.neg_c(c) for c in row]
-            self._red_rows.append(tuple(neg))
-            for _ in range(_rel_degree - 2):
-                neg = self._shift_reduce(neg)
-                self._red_rows.append(tuple(neg))
 
     # -- construction -------------------------------------------------------
 
@@ -357,19 +340,6 @@ class FiniteField:
         base = cls.prime(p)
         return base if m == 1 else cls.extension(base, m)
 
-    def _shift_reduce(self, row):
-        # multiply the polynomial given by `row` by x, reduce mod modulus
-        B = self.base
-        m = self.rel_degree
-        out = [0] + list(row)
-        top = out[m]
-        out = out[:m]
-        if top != 0:
-            first = self._red_rows[0]
-            for i in range(m):
-                out[i] = B.add_c(out[i], B.mul_c(top, first[i]))
-        return out
-
     # -- element codes ------------------------------------------------------
 
     def decode(self, code: int):
@@ -388,7 +358,7 @@ class FiniteField:
             return digits[0]
         q = self.base.order
         code = 0
-        for d in reversed(list(digits)):
+        for d in reversed(digits):
             code = code * q + d
         return code
 
@@ -415,16 +385,7 @@ class FiniteField:
             # a difference in (-n, n) indexes from the end: g^(-k) = g^(n-k)
             k = self._zech[self._log[b] - la]
             return 0 if k < 0 else self._exp[la + k]
-        B = self.base
-        q = B.order
-        out = 0
-        mult = 1
-        while a or b:
-            out += B.add_c(a % q, b % q) * mult
-            a //= q
-            b //= q
-            mult *= q
-        return out
+        return self.encode(_pc_add(self.base, self.decode(a), self.decode(b)))
 
     def neg_c(self, a: int) -> int:
         if self.char == 2:
@@ -434,15 +395,7 @@ class FiniteField:
         if self._zech is not None:
             # -1 = g^(n/2)
             return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
-        B = self.base
-        q = B.order
-        out = 0
-        mult = 1
-        while a:
-            out += B.neg_c(a % q) * mult
-            a //= q
-            mult *= q
-        return out
+        return self.encode(_pc_sub(self.base, (), self.decode(a)))
 
     def sub_c(self, a: int, b: int) -> int:
         if self.char == 2:
@@ -458,30 +411,8 @@ class FiniteField:
             return self._exp[self._log[a] + self._log[b]]
         if self.base is None:
             return (a * b) % self.order
-        return self._poly_mul_c(a, b)
-
-    def _poly_mul_c(self, a: int, b: int) -> int:
-        B = self.base
-        m = self.rel_degree
-        da = self.decode(a)
-        db = self.decode(b)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(db):
-                if bj == 0:
-                    continue
-                prod[i + j] = B.add_c(prod[i + j], B.mul_c(ai, bj))
-        # reduce degrees m .. 2m-2 (rows hold x^(m+j) already reduced below m)
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            row = self._red_rows[k - m]
-            for i in range(m):
-                prod[i] = B.add_c(prod[i], B.mul_c(c, row[i]))
-        return self.encode(prod[:m])
+        return self.encode(_pc_mulmod(self.base, self.decode(a), self.decode(b),
+                                      self.modulus))
 
     def inv_c(self, a: int) -> int:
         if a == 0:

@@ -24,6 +24,7 @@ from .asymptotics import (
     TVData,
     convergence_report,
     dominance_check,
+    log_q_fraction,
     rhs_general,
     rhs_group,
     tv_bound,
@@ -48,7 +49,6 @@ from .zeta import (
     special_value,
     zeta_from_counts,
 )
-from .asymptotics import log_q_fraction
 
 SCHEMA_VERSION = 1
 DEFAULT_TRUNC = 8
@@ -282,7 +282,7 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
     trunc, budget = run["trunc"], run["budget"]
     # the family path only concerns positive-genus members; genus-0 curves
     # in a shared config are simply not part of this section
-    curves = [c for c in build_curves(cfg) if genus_of(c, run["budget"]) >= 1]
+    curves = [c for c in build_curves(cfg) if genus_of(c, budget) >= 1]
     if tv is None and len(curves) < 1:
         raise ConfigError("tv/curves: the asymptote command needs tv data "
                           "or a curve family of positive genus")

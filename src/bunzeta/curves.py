@@ -128,10 +128,8 @@ def _root_count(E: FiniteField, cs) -> int:
     """Distinct roots of P in E = F_Q: deg gcd(P, Y^Q - Y), or Q for P = 0."""
     if len(cs) <= 2:
         return len(cs) - 1 if cs else E.order
-    inv = E.inv_c(cs[-1])
-    monic = [E.mul_c(c, inv) for c in cs]
-    frob = _pc_sub(E, _pc_powmod(E, [0, 1], E.order, monic), [0, 1])
-    return len(_pc_gcd(E, monic, frob)) - 1
+    frob = _pc_sub(E, _pc_powmod(E, [0, 1], E.order, cs), [0, 1])
+    return len(_pc_gcd(E, cs, frob)) - 1
 
 
 def _common_factor(B: FiniteField, polys):

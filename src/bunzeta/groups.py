@@ -100,12 +100,8 @@ def builtin_group(family: str, n: int, tamagawa=None) -> GroupSpec:
 
 def group_order(spec: GroupSpec, q: int, r: int = 1) -> int:
     """|G(F_(q^r))| = Q^dim * prod_j (1 - Q^(-d_j)) with Q = q^r, exact."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
     Q = q ** r
-    val = Fraction(Q) ** spec.dim
-    for d in spec.degrees:
-        val *= 1 - Fraction(1, Q ** d)
+    val = mass_ratio(spec, q, r) * Q ** spec.dim
     if val.denominator != 1 or val <= 0:
         raise ValueError(
             f"{spec.name}: order {val} at q^r = {Q} is not a positive integer; "

@@ -147,7 +147,8 @@ def test_relative_tower_is_a_field():
 
 def digit_walk_copy(F):
     """Oracle: F with the same moduli down the tower and no tables, so
-    extension-field addition walks base-field digits."""
+    extension-field arithmetic runs on digit polynomials over the base
+    field (the ``_pc_*`` helpers)."""
     if F.base is None:
         return F
     return FiniteField.extension(digit_walk_copy(F.base), F.rel_degree,
@@ -155,7 +156,8 @@ def digit_walk_copy(F):
 
 
 def raise_digit_walk(monkeypatch, F):
-    """Make every base-field addition raise, so a digit walk fails."""
+    """Make every base-field addition raise, so arithmetic on F that
+    falls back to digit polynomials fails."""
     def walked(*args):
         raise AssertionError(f"{F} walked base-field digits")
 
@@ -179,6 +181,29 @@ def test_zech_addition_matches_digit_walk(p, m, over, monkeypatch):
     assert ([F.add_c(a, b) for a, b in pairs],
             [F.sub_c(a, b) for a, b in pairs],
             [F.neg_c(a) for a in range(F.order)]) == expected
+
+
+@pytest.mark.parametrize("p,m,over", [(2, 4, 1), (3, 3, 1), (2, 3, 2),
+                                      (3, 2, 2)],
+                         ids=["F16", "F27", "F64/F4", "F81/F9"])
+def test_table_less_arithmetic_matches_tables(p, m, over, monkeypatch):
+    F = FiniteField.extension(ext_field(p, over), m)
+    oracle = digit_walk_copy(F)
+    assert oracle._exp is None
+    elements = range(F.order)
+    pairs = list(itertools.product(elements, repeat=2))
+
+    def table(K):
+        return ([K.add_c(a, b) for a, b in pairs],
+                [K.sub_c(a, b) for a, b in pairs],
+                [K.mul_c(a, b) for a, b in pairs],
+                [K.neg_c(a) for a in elements],
+                [K.inv_c(a) for a in elements if a])
+
+    expected = table(oracle)
+    F.build_tables()
+    raise_digit_walk(monkeypatch, F)
+    assert table(F) == expected
 
 
 def test_zech_addition_sampled_in_f3_9(monkeypatch):
