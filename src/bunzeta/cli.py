@@ -42,6 +42,7 @@ from .groups import GroupSpec, group_spec_from_json
 from .mass import RouteMismatchError, hn_ss_mass, mass_bun, zagier_ss_mass
 from .zeta import (
     InconsistentCountsError,
+    ZetaData,
     class_number,
     degree_spectrum,
     quasi_residue,
@@ -122,8 +123,11 @@ def build_curve(entry: dict) -> CurveModel:
 
 
 def build_curves(cfg: dict) -> list[CurveModel]:
-    entries = cfg.get("curves") or []
-    return [build_curve(e) for e in entries]
+    curves = [build_curve(e) for e in cfg.get("curves") or []]
+    for i, model in enumerate(curves):
+        if any(c.name == model.name for c in curves[:i]):
+            raise ConfigError(f"curves[{model.name}]: duplicate name")
+    return curves
 
 
 def build_groups(cfg: dict) -> list[GroupSpec]:
@@ -226,13 +230,8 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
         raise ConfigError("groups: the mass command needs at least one group")
     budget = run["budget"]
 
-    def one(pair) -> dict:
-        model, spec = pair
+    def one(model: CurveModel, spec: GroupSpec, z: ZetaData) -> dict:
         try:
-            g = genus_of(model, budget)
-            counts = count_series(model, g, budget) if g else None
-            z = zeta_from_counts(model.q, g,
-                                 counts.counts[:g] if counts else [])
             total = mass_bun(spec, z)
             row = {
                 "curve": model.name,
@@ -269,8 +268,16 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
             raise ConfigError(
                 f"curves[{model.name}] x groups[{spec.name}]: {e}") from e
 
-    pairs = [(c, s) for c in curves for s in groups]
-    rows = [one(pair) for pair in pairs]
+    rows = []
+    for model in curves:  # one zeta per curve, shared by its groups
+        try:
+            g = genus_of(model, budget)
+            counts = count_series(model, g, budget) if g else None
+            z = zeta_from_counts(model.q, g,
+                                 counts.counts[:g] if counts else [])
+        except Exception as e:
+            raise ConfigError(f"curves[{model.name}]: {e}") from e
+        rows.extend(one(model, spec, z) for spec in groups)
     return {"schema": SCHEMA_VERSION, "command": "mass", "masses": rows}
 
 

@@ -26,20 +26,24 @@ independent routes compute the semistable mass M^ss(n, d):
       (g-1) cross - sum_i r_i (n - s_i - s_(i-1)) - sum_l s_l (n - s_l) u_l
 
   with cross = sum_(i<j) n_i n_j; and sum d_i = d is the congruence
-  sum r_i + sum s_l u_l = d (mod n), which fixes c_k.  Each residue class
-  of u_l mod n is a geometric series with ratio q^(-n s_l (n - s_l)), so a
-  transfer over the parts with state (r_i, running residue mod n) visits
-  every stratum once, and one pass gives all d at once.  No truncation is
-  involved, so the two routes can be compared for exact rational equality.
+  sum r_i + sum s_l u_l = d (mod n), which fixes c_k.  With w_l =
+  s_l (n - s_l), the u_l >= e_l of one class mod n sum to V[rho] /
+  (q^(n w_l) - 1), V[rho] the integer sum of q^(w_l (n - u)) over
+  e_l <= u < e_l + n with s_l u = rho.  The residue tuples (r_1..r_k) are
+  summed as integers per pattern (e_1..e_(k-1)) and residue sum r_i mod n;
+  each pattern's vector is cyclically convolved over Z/n with its V's,
+  and each composition is put over one denominator.  One pass gives all d
+  and involves no truncation, so the routes compare exactly.
 
-The GL_n totals and the HN masses are memoized per (n, zeta data); masses
-are invariant under d -> d + n (twisting by a degree-1 line bundle).
+The GL_n totals and both routes' masses are memoized per (n, zeta data);
+masses are invariant under d -> d + n (twisting by a degree-1 line bundle).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,28 +107,42 @@ def zagier_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
     closed-form composition sum."""
     if n < 1:
         raise ValueError("rank must be >= 1")
+    return MassValue(_zagier_masses(n, z)[d % n], ((n, d), z))
+
+
+@functools.cache
+def _zagier_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
+    """(M^ss(n, 0), ..., M^ss(n, n - 1)) from the composition sum.
+
+    Each composition contributes prod M(n_i) q^((g-1) cross + num/n) /
+    prod (1 - q^(n_l + n_(l+1))); only num depends on d.  The terms of each
+    d are summed as integer numerators over one common denominator.
+    """
     q, g = z.q, z.g
-    total = Fraction(0)
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for comp in compositions(n):
-        k = len(comp)
         partial = list(itertools.accumulate(comp))
-        cross = sum(comp[i] * comp[j] for i in range(k) for j in range(i + 1, k))
-        num = 0  # n times the fractional part of the q-exponent
-        denom = Fraction(1)
-        for l in range(k - 1):
-            pair = comp[l] + comp[l + 1]
-            num += pair * ((partial[l] * d) % n)
-            denom *= 1 - Fraction(q) ** pair
-        if num % n:
-            raise ArithmeticError(
-                f"non-integral q-exponent {(g - 1) * cross} + {num}/{n} for "
-                f"composition {comp}; the composition sum does not define a "
-                "rational number here")
-        term = Fraction(q) ** ((g - 1) * cross + num // n) / denom
-        for part in comp:
-            term *= mass_gl_component(part, z).value
-        total += term
-    return MassValue(total, ((n, d), z))
+        cross = (n * n - sum(part * part for part in comp)) // 2
+        parts = math.prod(mass_gl_component(part, z).value for part in comp)
+        pairs = [a + b for a, b in zip(comp, comp[1:])]
+        den = parts.denominator * math.prod(1 - q ** pair for pair in pairs)
+        for d in range(n):
+            # n times the fractional part of the q-exponent
+            num = sum(pair * (partial[l] * d % n)
+                      for l, pair in enumerate(pairs))
+            if num % n:
+                raise ArithmeticError(
+                    f"non-integral q-exponent {(g - 1) * cross} + {num}/{n} "
+                    f"for composition {comp}; the composition sum does not "
+                    "define a rational number here")
+            e = (g - 1) * cross + num // n
+            terms[d].append((parts.numerator * q ** max(e, 0),
+                             den * q ** max(-e, 0)))
+    out = []
+    for ts in terms:
+        common = math.lcm(*(abs(den) for _, den in ts))
+        out.append(Fraction(sum(a * (common // den) for a, den in ts), common))
+    return tuple(out)
 
 
 def hn_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
@@ -154,44 +172,59 @@ def _hn_strata_sums(n: int, z: ZetaData) -> list[Fraction]:
     """Mass of all proper slope strata of the degree-d component, for each
     d in 0..n-1.
 
-    A transfer over the parts of each composition: the state after part i
-    is (r_i, sum_(j <= i) r_j + sum_(l < i) s_l u_l mod n), and part i + 1
-    multiplies in its r-factor and the residue classes of u_i.  The final
-    residue is d.
+    Per composition: the residue tuples (r_1..r_k) are summed as integers,
+    keyed by their pattern (e_1..e_(k-1)) and by sum r_i mod n; each
+    pattern's class vectors are convolved over Z/n once, and the whole
+    composition is put over one denominator.
     """
-    qf = Fraction(z.q)
+    q = z.q
+    # M^ss(m, r) = nums[m][r] / dens[m]: one denominator per rank m < n
+    nums, dens = {}, {}
+    for m in range(1, n):
+        vals = _hn_masses(m, z)
+        dens[m] = math.lcm(*(v.denominator for v in vals))
+        nums[m] = [v.numerator * (dens[m] // v.denominator) for v in vals]
     sums = [Fraction(0)] * n
     for comp in compositions(n, min_parts=2):
+        k = len(comp)
         s = [0, *itertools.accumulate(comp)]  # s[i] = n_1 + ... + n_i
         cross = (n * n - sum(part * part for part in comp)) // 2
-        weight = qf ** ((z.g - 1) * cross)
-        states = {(r, r): _part_factor(comp[0], r, n - s[1], z)
-                  for r in range(comp[0])}
-        for i in range(1, len(comp)):
-            w = s[i] * (n - s[i])
-            weight /= 1 - qf ** (-n * w)
-            # classes[e][rho]: sum of q^(-w u) over e <= u < e + n with
-            # s_i u = rho (mod n); times the factor just put into weight it
-            # is the sum over all u >= e in that class
-            classes = [[Fraction(0)] * n for _ in range(2)]
+        # part i's factor M^ss(n_i, r) q^(-r c_i), c_i = n - s_i - s_(i-1),
+        # times dens[n_i] q^top to an integer; keys skip the r with M^ss = 0
+        factors, shift = [], 0
+        for i, part in enumerate(comp):
+            c = n - s[i + 1] - s[i]
+            top = (part - 1) * max(c, 0)
+            shift += top
+            factors.append({r: v * q ** (top - r * c)
+                            for r, v in enumerate(nums[part]) if v})
+        # classes[l][e][rho] = sum_(u=e)^(e+n-1) [s_l u = rho] q^(w_l (n-u));
+        # over q^(n w_l) - 1 it sums q^(-w_l u) over all u >= e in class rho
+        ws = [s[l] * (n - s[l]) for l in range(1, k)]
+        classes = []
+        for l, w in enumerate(ws, start=1):
+            pair = ([0] * n, [0] * n)
             for e in (0, 1):
                 for u in range(e, e + n):
-                    classes[e][s[i] * u % n] += qf ** (-w * u)
-            nxt: dict = {}
-            for (r_prev, t), acc in states.items():
-                for r in range(comp[i]):
-                    e = int(r * comp[i - 1] >= r_prev * comp[i])
-                    f = acc * _part_factor(comp[i], r, n - s[i + 1] - s[i], z)
-                    for rho, c in enumerate(classes[e]):
-                        if c:
-                            key = (r, (t + r + rho) % n)
-                            nxt[key] = nxt.get(key, 0) + f * c
-            states = nxt
-        for (_, t), acc in states.items():
-            sums[t] += weight * acc
+                    pair[e][s[l] * u % n] += q ** (w * (n - u))
+            classes.append(pair)
+        acc: dict = {}  # pattern -> integer numerators by sum r_i mod n
+        for rs in itertools.product(*factors):
+            pattern = tuple(int(rs[l + 1] * comp[l] >= rs[l] * comp[l + 1])
+                            for l in range(k - 1))
+            acc.setdefault(pattern, [0] * n)[sum(rs) % n] += math.prod(
+                f[r] for f, r in zip(factors, rs))
+        total = [0] * n
+        for pattern, vec in acc.items():
+            for pair, e in zip(classes, pattern):
+                vec = [sum(vec[(rho - j) % n] * c
+                           for j, c in enumerate(pair[e]) if c)
+                       for rho in range(n)]
+            total = [a + b for a, b in zip(total, vec)]
+        power = (z.g - 1) * cross - shift
+        den = math.prod(dens[part] for part in comp) * math.prod(
+            q ** (n * w) - 1 for w in ws)
+        for d, a in enumerate(total):
+            sums[d] += Fraction(a * q ** max(power, 0),
+                                den * q ** max(-power, 0))
     return sums
-
-
-def _part_factor(n_i: int, r: int, coeff: int, z: ZetaData) -> Fraction:
-    """M^ss(n_i, r) q^(-r coeff): the r-dependent factor of one part."""
-    return _hn_masses(n_i, z)[r] * Fraction(z.q) ** (-r * coeff)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +328,42 @@ def test_zeta_enumerates_only_to_the_guard(config_path, monkeypatch, trunc,
     assert run_cli(["zeta", "--config", config_path, "--trunc",
                     str(trunc)]) == 0
     assert seen == {name: set(range(1, k + 1)) for name, k in top.items()}
+
+
+def test_mass_builds_one_zeta_per_curve(monkeypatch):
+    # the family config pairs 6 curves with 7 groups: 6 zetas, not 42
+    from bunzeta import cli
+
+    family = Path(__file__).resolve().parents[1] / "bench" / "workloads" \
+        / "family.json"
+    calls = {"count_series": 0, "zeta_from_counts": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    cfg = json.loads(family.read_text())
+    run = {"trunc": 4, "budget": 1 << 20, "format": "json", "out": None}
+    report = cli.cmd_mass(cfg, run)
+    assert len(report["masses"]) == 42
+    assert calls == {"count_series": 6, "zeta_from_counts": 6}
+
+
+def test_duplicate_curve_name_rejected(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG)
+    cfg["curves"] = [BASE_CONFIG["curves"][1],
+                     dict(BASE_CONFIG["curves"][2], name="E1")]
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("zeta", "mass", "asymptote"):
+        assert run_cli([command, "--config", str(path)]) == 1
+        assert "curves[E1]: duplicate name" in capsys.readouterr().err
 
 
 def test_budget_error_names_curve(config_path, tmp_path, capsys):

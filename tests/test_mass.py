@@ -1,3 +1,5 @@
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bunzeta import mass
+from bunzeta.arith import DEFAULT_ENUM_BUDGET
+from bunzeta.curves import HyperellipticCurve, count_series
 from bunzeta.groups import builtin_group, group_order
 from bunzeta.mass import (
     MassValue,
@@ -116,9 +120,102 @@ def test_semistable_matches_split_bundle_oracle(zeta_catalog):
             assert zagier_ss_mass(2, d, z).value == p1_rank2_semistable_mass(q, d)
 
 
+def _zagier_per_d(n, d, z):
+    """Oracle: Zagier's composition sum for one d, in Fraction arithmetic."""
+    q, g = z.q, z.g
+    total = Fraction(0)
+    for comp in compositions(n):
+        k = len(comp)
+        partial = list(itertools.accumulate(comp))
+        cross = sum(comp[i] * comp[j] for i in range(k) for j in range(i + 1, k))
+        num = 0  # n times the fractional part of the q-exponent
+        denom = Fraction(1)
+        for l in range(k - 1):
+            pair = comp[l] + comp[l + 1]
+            num += pair * ((partial[l] * d) % n)
+            denom *= 1 - Fraction(q) ** pair
+        assert num % n == 0
+        term = Fraction(q) ** ((g - 1) * cross + num // n) / denom
+        for part in comp:
+            term *= mass_gl_component(part, z).value
+        total += term
+    return total
+
+
+@functools.cache
+def _transfer_hn_masses(n, z):
+    """Oracle: M^ss(n, 0..n-1) by the residue-class transfer below."""
+    total = mass_gl_component(n, z).value
+    if n == 1:
+        return (total,)
+    return tuple(total - strata for strata in _transfer_strata_sums(n, z))
+
+
+def _transfer_strata_sums(n, z):
+    """Oracle: the stratum sums by a transfer over the parts of each
+    composition, in Fraction arithmetic.  The state after part i is
+    (r_i, sum_(j <= i) r_j + sum_(l < i) s_l u_l mod n); part i + 1
+    multiplies in its r-factor and the residue classes of u_i."""
+    qf = Fraction(z.q)
+    sums = [Fraction(0)] * n
+    for comp in compositions(n, min_parts=2):
+        s = [0, *itertools.accumulate(comp)]  # s[i] = n_1 + ... + n_i
+        cross = (n * n - sum(part * part for part in comp)) // 2
+        weight = qf ** ((z.g - 1) * cross)
+        states = {(r, r): _transfer_part_factor(comp[0], r, n - s[1], z)
+                  for r in range(comp[0])}
+        for i in range(1, len(comp)):
+            w = s[i] * (n - s[i])
+            weight /= 1 - qf ** (-n * w)
+            # classes[e][rho]: sum of q^(-w u) over e <= u < e + n with
+            # s_i u = rho (mod n); times the factor just put into weight it
+            # is the sum over all u >= e in that class
+            classes = [[Fraction(0)] * n for _ in range(2)]
+            for e in (0, 1):
+                for u in range(e, e + n):
+                    classes[e][s[i] * u % n] += qf ** (-w * u)
+            nxt: dict = {}
+            for (r_prev, t), acc in states.items():
+                for r in range(comp[i]):
+                    e = int(r * comp[i - 1] >= r_prev * comp[i])
+                    f = acc * _transfer_part_factor(
+                        comp[i], r, n - s[i + 1] - s[i], z)
+                    for rho, c in enumerate(classes[e]):
+                        if c:
+                            key = (r, (t + r + rho) % n)
+                            nxt[key] = nxt.get(key, 0) + f * c
+            states = nxt
+        for (_, t), acc in states.items():
+            sums[t] += weight * acc
+    return sums
+
+
+def _transfer_part_factor(n_i, r, coeff, z):
+    """M^ss(n_i, r) q^(-r coeff): the r-dependent factor of one part."""
+    return _transfer_hn_masses(n_i, z)[r] * Fraction(z.q) ** (-r * coeff)
+
+
+@pytest.fixture(scope="module")
+def genus6_zeta(F2):
+    # y^2 + y = x^13 over F_2, genus 6
+    model = HyperellipticCurve.from_ints(F2, [1], [0] * 13 + [1], name="C6")
+    counts = count_series(model, 6, DEFAULT_ENUM_BUDGET)
+    return zeta_from_counts(2, 6, counts.counts[:6])
+
+
+@pytest.mark.parametrize("key", ["P1/F2", "P1/F3", "E1", "C2", "C6"])
+def test_integer_routes_match_fraction_oracles(zeta_catalog, genus6_zeta,
+                                               key):
+    z = genus6_zeta if key == "C6" else zeta_catalog[key]
+    for n in range(1, 9):
+        assert mass._hn_masses(n, z) == _transfer_hn_masses(n, z), (key, n)
+        assert mass._zagier_masses(n, z) == tuple(
+            _zagier_per_d(n, d, z) for d in range(n)), (key, n)
+
+
 def test_zagier_equals_hn_exactly(zeta_catalog):
     for key, z in zeta_catalog.items():
-        for n in range(1, 9 if key == "E1" else 8):
+        for n in range(1, 11 if key == "E1" else 9):
             total = mass_gl_component(n, z).value
             for d in range(n):
                 a = zagier_ss_mass(n, d, z).value
@@ -144,7 +241,7 @@ def test_zagier_equals_hn_on_random_curves(q, raw1, raw2):
         z = zeta_from_counts(q, 2, [n1, n2])
     except Exception:
         assume(False)
-    for n in (2, 3, 4, 5):
+    for n in range(2, 8):
         for d in range(n):
             assert zagier_ss_mass(n, d, z).value == hn_ss_mass(n, d, z).value
 
