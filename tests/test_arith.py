@@ -11,6 +11,7 @@ from bunzeta.arith import (
     FiniteField,
     _pc_add,
     _pc_deriv,
+    _pc_is_irreducible,
     _pc_mul,
     _pc_sub,
     _pc_trim,
@@ -25,47 +26,74 @@ from bunzeta.curves import HyperellipticCurve, _eval_codes, count_points
 # ---------------------------------------------------------------------------
 
 
-def brute_is_irreducible(p, coeffs):
-    """Oracle: trial division by every lower-degree monic polynomial."""
-    m = len(coeffs) - 1
-
-    def polymul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-        return out
-
-    for d in range(1, m):
-        for lower in itertools.product(range(p), repeat=d):
-            divisor = list(lower) + [1]
-            for e in range(1, m - d + 1):
-                for lo2 in itertools.product(range(p), repeat=e):
-                    if e + d != m:
-                        continue
-                    other = list(lo2) + [1]
-                    if polymul(divisor, other) == list(coeffs):
-                        return False
+def trial_division_is_irreducible(B, f):
+    """Oracle: f (monic, degree m >= 1, codes over B) has no monic divisor
+    of degree 1..m/2, found by long division."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for lower in itertools.product(range(B.order), repeat=d):
+            rem = list(f)
+            for k in range(m, d - 1, -1):
+                c = rem[k]
+                for i, di in enumerate(lower):
+                    rem[k - d + i] = B.sub_c(rem[k - d + i], B.mul_c(c, di))
+            if not any(rem[:d]):
+                return False
     return True
+
+
+# the canonical (lex-smallest) moduli over F_p, little-endian coefficient
+# digits; they fix every field's codes, hence every reported witness
+CANONICAL_MODULI = {
+    2: {2: "111", 3: "1011", 4: "10011", 5: "100101", 6: "1000011",
+        7: "10000011", 8: "100011011", 9: "1000000011", 10: "10000001001",
+        11: "100000000101", 12: "1000000001001", 13: "10000000011011",
+        14: "100000000100001", 15: "1000000000000011",
+        16: "10000000000101011", 17: "100000000000001001",
+        18: "1000000000000001001", 19: "10000000000000100111",
+        20: "100000000000000001001"},
+    3: {2: "101", 3: "1021", 4: "10111", 5: "100021", 6: "1000111",
+        7: "10000121", 8: "100001101", 9: "1000002101", 10: "10000000201",
+        11: "100000000121", 12: "1000000010011"},
+    5: {2: "111", 3: "1011", 4: "10111", 5: "100041", 6: "1000111",
+        7: "10000011", 8: "100001101"},
+    7: {2: "101", 3: "1011", 4: "10011", 5: "100031", 6: "1000101",
+        7: "10000061"},
+}
 
 
 def test_find_irreducible_pinned():
     assert ext_field(2, 1).modulus == (0, 1)        # x
     assert ext_field(2, 2).modulus == (1, 1, 1)     # x^2+x+1
     assert ext_field(3, 2).modulus == (1, 0, 1)     # x^2+1
+    assert {p: {m: "".join(map(str, ext_field(p, m).modulus)) for m in row}
+            for p, row in CANONICAL_MODULI.items()} == CANONICAL_MODULI
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
 def test_find_irreducible_vs_trial_division(p, m):
+    B = ext_field(p, 1)
     codes = list(ext_field(p, m).modulus)
     assert codes[-1] == 1
-    assert brute_is_irreducible(p, codes)
+    assert trial_division_is_irreducible(B, codes)
     # minimality: every lexicographically smaller monic vector is reducible
     for lower in itertools.product(range(p), repeat=m):
         cand = list(lower) + [1]
         if cand == codes:
             break
-        assert not brute_is_irreducible(p, cand)
+        assert not trial_division_is_irreducible(B, cand)
+
+
+@pytest.mark.parametrize("base,top", [((2, 1), 10), ((3, 1), 6), ((5, 1), 4),
+                                      ((2, 2), 4)],
+                         ids=["F2", "F3", "F5", "F4"])
+def test_is_irreducible_matches_trial_division(base, top):
+    B = ext_field(*base)
+    for m in range(1, top + 1):
+        for lower in itertools.product(range(B.order), repeat=m):
+            f = list(lower) + [1]
+            assert _pc_is_irreducible(B, f) == \
+                trial_division_is_irreducible(B, f), (B, f)
 
 
 def test_find_irreducible_rejects_degree_zero():
@@ -148,9 +176,10 @@ def test_relative_tower_is_a_field():
 def digit_walk_copy(F):
     """Oracle: F with the same moduli down the tower and no tables, so
     extension-field arithmetic runs on digit polynomials over the base
-    field (the ``_pc_*`` helpers)."""
+    field (the ``_pc_*`` helpers), and prime-field arithmetic on integers."""
     if F.base is None:
-        return F
+        return FiniteField(_char=F.char, _order=F.order, _degree=1, _base=None,
+                           _rel_degree=1, _modulus=F.modulus)
     return FiniteField.extension(digit_walk_copy(F.base), F.rel_degree,
                                  modulus=F.modulus)
 
@@ -163,6 +192,42 @@ def raise_digit_walk(monkeypatch, F):
 
     for op in ("add_c", "neg_c", "sub_c"):
         monkeypatch.setattr(F.base, op, walked)
+
+
+def mul_c_walk_tables(F):
+    """Oracle: exp, log and zech of F by their definitions on a table-less
+    copy: g^k by one ``mul_c`` per power, zech[k] = log(g^k + 1) by ``add_c``
+    (only odd-characteristic extensions have a zech table)."""
+    K = digit_walk_copy(F)
+    n = F.order - 1
+    g = K._find_generator()
+    exp, log = [], [0] * F.order
+    c = 1
+    for k in range(n):
+        exp.append(c)
+        log[c] = k
+        c = K.mul_c(c, g)
+    assert c == 1
+    zech = None
+    if F.char != 2 and F.base is not None:
+        zech = [log[d] if (d := K.add_c(c, 1)) else -1 for c in exp]
+    return exp + exp, log, zech
+
+
+PRIME_BASE_UP_TO_2_12 = [(p, m) for p in (2, 3, 5, 7)
+                         for m in range(1, 13) if p ** m <= 1 << 12]
+
+
+@pytest.mark.parametrize("p,m,over", [(p, m, 1) for p, m in PRIME_BASE_UP_TO_2_12]
+                         + [(2, 3, 2), (2, 2, 3), (3, 2, 2), (3, 3, 2)],
+                         ids=[f"F{p}^{m}" for p, m in PRIME_BASE_UP_TO_2_12]
+                         + ["F64/F4", "F64/F8", "F81/F9", "F729/F9"])
+def test_tables_match_mul_c_walk(p, m, over):
+    F = FiniteField.extension(ext_field(p, over), m)
+    expected = mul_c_walk_tables(F)
+    F.build_tables()
+    zech = None if F._zech is None else list(F._zech)
+    assert (list(F._exp), list(F._log), zech) == expected
 
 
 @pytest.mark.parametrize("p,m,over", [(3, 2, 1), (3, 3, 1), (5, 2, 1),
@@ -206,18 +271,26 @@ def test_table_less_arithmetic_matches_tables(p, m, over, monkeypatch):
     assert table(F) == expected
 
 
-def test_zech_addition_sampled_in_f3_9(monkeypatch):
-    F = ext_field(3, 9)
+def check_zech_addition_sampled(F, monkeypatch, seed):
     oracle = digit_walk_copy(F)
-    rng = random.Random(9)
+    rng = random.Random(seed)
     pairs = [(rng.randrange(F.order), rng.randrange(F.order))
              for _ in range(10 ** 4)]
     expected = [(oracle.add_c(a, b), oracle.sub_c(a, b), oracle.neg_c(a))
                 for a, b in pairs]
     F.build_tables()
+    assert F._zech is not None
     raise_digit_walk(monkeypatch, F)
     assert [(F.add_c(a, b), F.sub_c(a, b), F.neg_c(a))
             for a, b in pairs] == expected
+
+
+def test_zech_addition_sampled_in_f3_9(monkeypatch):
+    check_zech_addition_sampled(ext_field(3, 9), monkeypatch, 9)
+
+
+def test_zech_addition_sampled_in_f3_11(monkeypatch):
+    check_zech_addition_sampled(ext_field(3, 11), monkeypatch, 11)
 
 
 def test_explicit_modulus_validation():

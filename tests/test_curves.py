@@ -264,6 +264,15 @@ def test_count_series_weil_window(curve_catalog):
     assert abs(pc.counts[1] - 5) <= 2 * 2  # 2g q^(m/2) = 4 at g=1, q=2, m=2
 
 
+def test_genus_10_counts_to_n11_match_zeta(F3):
+    # N_11 is counted in F_(3^11), 177147 elements, with tables
+    model = HyperellipticCurve.from_ints(F3, [], [1, 1] + [0] * 19 + [1])
+    counts = count_series(model, 11).counts
+    assert genus_of(model) == 10 and counts[10] == 175762
+    z = zeta_from_counts(3, 10, counts[:10])
+    assert list(counts) == regenerate_counts(z, 11)
+
+
 @pytest.mark.parametrize("key", ["E1", "C2", "C3", "E3"])
 def test_hyperelliptic_counts_match_pair_enumeration(curve_catalog, key):
     model = curve_catalog[key]
