@@ -33,28 +33,14 @@ from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
-    DEFAULT_ENUM_BUDGET,
     format_rational,
     is_prime_power,
     parse_integer,
     parse_rational,
 )
-from .curves import CurveModel, PointCounts, count_series, genus_of
 from .groups import GroupSpec, builtin_group, mass_ratio
-from .mass import (
-    RouteMismatchError,
-    compositions,
-    hn_ss_mass,
-    mass_bun,
-    zagier_ss_mass,
-)
-from .zeta import (
-    DegreeSpectrum,
-    ZetaData,
-    degree_spectrum,
-    regenerate_counts,
-    zeta_from_counts,
-)
+from .mass import RouteMismatchError, compositions, mass_bun, semistable_mass
+from .zeta import DegreeSpectrum, ZetaData, counts_and_spectrum
 
 _SQRT_BITS = 64
 # Reported tails get a tiny outward nudge, plus an absolute floor whenever
@@ -62,6 +48,9 @@ _SQRT_BITS = 64
 # noise on the value itself.
 _TAIL_SLACK = Fraction(1_000_000_001, 1_000_000_000)
 _TAIL_FLOOR = Fraction(1, 1 << 40)
+# largest GL rank with a dominance table (2^(n-1) compositions); both the
+# tv and the family sections leave the table out above it
+DOMINANCE_MAX_RANK = 6
 
 
 def sqrt_enclosure(n: int, bits: int = _SQRT_BITS) -> tuple[Fraction, Fraction]:
@@ -389,8 +378,9 @@ def dominance_check(tv: TVData, n: int, trunc: int) -> DominanceResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 6:
-        raise ValueError("composition table limited to n <= 6")
+    if n > DOMINANCE_MAX_RANK:
+        raise ValueError(
+            f"composition table limited to n <= {DOMINANCE_MAX_RANK}")
     values = {m: rhs_group(tv, builtin_group("GL", m), trunc).value
               for m in range(1, n + 1)}
     rows = []
@@ -464,71 +454,44 @@ class ConvergenceReport:
         }
 
 
-def convergence_report(family, spec: GroupSpec, trunc: int,
-                       budget: int | None = None) -> ConvergenceReport:
-    """Full pipeline: counts -> zeta -> spectra -> empirical densities ->
-    rhs with tail, per-member lhs and gaps, plus the dominance table for
-    GL-type groups (with the degree-0 semistable mass per member)."""
-    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
-    members = list(family)
-    if not members:
+def convergence_report(family: Sequence[ZetaData], spec: GroupSpec,
+                       trunc: int) -> ConvergenceReport:
+    """Zeta data -> spectra -> empirical densities -> rhs with tail,
+    per-member lhs and gaps, plus, for GL_n, the degree-0 semistable mass
+    per member and the dominance table (None for n > DOMINANCE_MAX_RANK)."""
+    zetas = list(family)
+    if not zetas:
         raise ValueError("empty family")
-    zetas: list[ZetaData] = []
-    spectra: list[DegreeSpectrum] = []
-    q = None
-    for item in members:
-        if isinstance(item, CurveModel):
-            g = genus_of(item, budget)
-            if g < 1:
-                raise ValueError(f"{item.name}: genus-0 member not allowed")
-            counts = count_series(item, g, budget)
-            z = zeta_from_counts(item.q, g, counts.counts)
-        elif isinstance(item, PointCounts):
-            g = item.g
-            if g < 1:
-                raise ValueError("genus-0 member not allowed")
-            if len(item) < g:
-                raise ValueError(f"need N_1..N_{g}, got {len(item)} counts")
-            z = zeta_from_counts(item.q, g, item.counts[:g])
-        else:
-            raise TypeError(f"family members must be curve models or point "
-                            f"counts, not {type(item).__name__}")
-        if q is None:
-            q = z.q
-        elif q != z.q:
-            raise ValueError("family members live over different base fields")
-        full = PointCounts(q=z.q, g=z.g,
-                           counts=tuple(regenerate_counts(z, trunc)))
-        zetas.append(z)
-        spectra.append(degree_spectrum(full))
+    q = zetas[0].q
+    if any(z.q != q for z in zetas):
+        raise ValueError("family members live over different base fields")
     genera = [z.g for z in zetas]
     if genera != sorted(genera):
         raise ValueError("family must be sorted by genus")
-    pairs = list(zip(spectra, genera))
+    pairs = [(counts_and_spectrum(z, trunc)[1], z.g) for z in zetas]
     tv = empirical_tv(pairs, trunc)
     quotients = beta_quotients(pairs, trunc)
     bound = tv_bound(tv)
     rhs = rhs_group(tv, spec, trunc)
     gl_rank = spec.is_gl()
     rows = []
-    for i, z in enumerate(zetas):
-        total = mass_bun(spec, z).value
-        lhs = log_q_fraction(total, q) / z.g
-        row = {"index": i, "genus": z.g, "lhs": lhs,
+    for i, (z, (g, lhs)) in enumerate(zip(zetas, lhs_sequence(zetas, spec))):
+        row = {"index": i, "genus": g, "lhs": lhs,
                "gap": abs(lhs - rhs.value)}
         if gl_rank is not None:
-            ss = zagier_ss_mass(gl_rank, 0, z)
-            hn = hn_ss_mass(gl_rank, 0, z)
-            if ss.value != hn.value:
+            try:
+                ss = semistable_mass(gl_rank, 0, z).value
+            except RouteMismatchError as e:
                 raise RouteMismatchError(
-                    f"family member {i} (g = {z.g}): M^ss({gl_rank}, 0) is "
-                    f"{ss.value} by Zagier but {hn.value} by HN")
-            if ss.value > 0:
-                ss_lhs = log_q_fraction(ss.value, q) / z.g
+                    f"family member {i} (g = {g}): {e}") from e
+            if ss > 0:
+                ss_lhs = log_q_fraction(ss, q) / g
                 row["ss_lhs"] = ss_lhs
                 row["ss_gap"] = abs(ss_lhs - lhs)
         rows.append(ReportRow(**row))
-    dom = dominance_check(tv, gl_rank, trunc) if gl_rank else None
+    dom = None
+    if gl_rank is not None and gl_rank <= DOMINANCE_MAX_RANK:
+        dom = dominance_check(tv, gl_rank, trunc)
     return ConvergenceReport(
         q=q, group=spec, rows=tuple(rows), rhs_value=rhs.value,
         rhs_tail=rhs.tail, tv=tv, tv_bound_value=bound,

@@ -21,6 +21,7 @@ from .arith import (
     parse_integer,
 )
 from .asymptotics import (
+    DOMINANCE_MAX_RANK,
     TVData,
     convergence_report,
     dominance_check,
@@ -33,20 +34,18 @@ from .curves import (
     CurveModel,
     HyperellipticCurve,
     PlaneCurve,
-    PointCounts,
     ProjectiveLine,
     count_series,
     genus_of,
 )
 from .groups import GroupSpec, group_spec_from_json
-from .mass import RouteMismatchError, hn_ss_mass, mass_bun, zagier_ss_mass
+from .mass import RouteMismatchError, mass_bun, semistable_mass
 from .zeta import (
     InconsistentCountsError,
     ZetaData,
     class_number,
-    degree_spectrum,
+    counts_and_spectrum,
     quasi_residue,
-    regenerate_counts,
     special_value,
     zeta_from_counts,
 )
@@ -169,16 +168,26 @@ def _run_config(cfg: dict, args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def curve_zeta(model: CurveModel, budget: int) -> ZetaData:
+    """P(T) of a validated model from its enumerated N_1..N_g; every error
+    names the curve."""
+    try:
+        g = genus_of(model, budget)
+        return zeta_from_counts(model.q, g,
+                                count_series(model, g, budget).counts)
+    except Exception as e:
+        raise ConfigError(f"curves[{model.name}]: {e}") from e
+
+
 def cmd_zeta(cfg: dict, run: dict) -> dict:
     """Counts, spectrum and zeta invariants of every curve, to ``trunc``.
 
     P(T) is fixed by N_1..N_g and fixes every N_m with m > g, so only
-    N_1..N_k, k = min(max(trunc, g), g + 1), are enumerated; the report's
-    N_(g+1)..N_trunc and its spectrum come from P(T).  N_(g+1) is the one
-    guard: when the report shows it (trunc > g), the enumerated value must
-    equal the regenerated one.  A count-kernel bug that shows only at
-    m > g + 1 is therefore not caught here; the count oracles of the test
-    suite cover those degrees.
+    N_1..N_g are enumerated, plus N_(g+1) when trunc > g; the report's
+    counts and spectrum come from P(T).  N_(g+1) is the one guard: when the
+    report shows it, the enumerated value must equal the regenerated one.
+    A count-kernel bug that shows only at m > g + 1 is therefore not caught
+    here; the count oracles of the test suite cover those degrees.
     """
     curves = build_curves(cfg)
     if not curves:
@@ -186,26 +195,23 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
     trunc, budget = run["trunc"], run["budget"]
 
     def one(model: CurveModel) -> dict:
+        z = curve_zeta(model, budget)
+        g = z.g
         try:
-            g = genus_of(model, budget)
-            m_top = max(trunc, g)
-            counts = count_series(model, min(m_top, g + 1), budget)
-            z = zeta_from_counts(model.q, g, counts.counts[:g])
-            regen = regenerate_counts(z, m_top)
-            if trunc > g and counts.n(g + 1) != regen[g]:
-                raise InconsistentCountsError(
-                    f"guard count N_{g + 1} = {counts.n(g + 1)} but "
-                    f"P(T) regenerates {regen[g]}")
-            counts = PointCounts(q=model.q, g=g,
-                                 counts=counts.counts[:g] + tuple(regen[g:]))
-            spec = degree_spectrum(counts)
+            counts, spec = counts_and_spectrum(z, trunc)
+            if trunc > g:
+                guard = count_series(model, g + 1, budget).n(g + 1)
+                if guard != counts[g]:
+                    raise InconsistentCountsError(
+                        f"guard count N_{g + 1} = {guard} but "
+                        f"P(T) regenerates {counts[g]}")
             return {
                 "name": model.name,
                 "kind": model.kind,
                 "q": model.q,
                 "g": g,
-                "counts": list(counts.counts[:trunc]),
-                "spectrum": list(spec.B[:trunc]),
+                "counts": counts,
+                "spectrum": list(spec.B),
                 "zeta": z.to_json_dict(),
                 "class_number": str(class_number(z)),
                 "quasi_residue": format_rational(quasi_residue(z)),
@@ -228,9 +234,9 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
         raise ConfigError("curves: the mass command needs at least one curve")
     if not groups:
         raise ConfigError("groups: the mass command needs at least one group")
-    budget = run["budget"]
 
     def one(model: CurveModel, spec: GroupSpec, z: ZetaData) -> dict:
+        where = f"curves[{model.name}] x groups[{spec.name}]"
         try:
             total = mass_bun(spec, z)
             row = {
@@ -243,40 +249,27 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
             if n is not None:
                 ss = []
                 for d in range(n):
-                    zg = zagier_ss_mass(n, d, z)
-                    hn = hn_ss_mass(n, d, z)
-                    if zg.value != hn.value:
-                        raise RouteMismatchError(
-                            f"curves[{model.name}] x groups[{spec.name}]: "
-                            f"M^ss({n}, {d}) is {zg.value} by Zagier but "
-                            f"{hn.value} by HN")
+                    value = semistable_mass(n, d, z).value
                     entry = {
                         "d": d,
-                        "zagier": format_rational(zg.value),
-                        "hn": format_rational(hn.value),
+                        "zagier": format_rational(value),
+                        "hn": format_rational(value),
                         "agree": True,
                     }
-                    if zg.value > 0:
+                    if value > 0:
                         entry["log_q_mass"] = _f17(
-                            log_q_fraction(zg.value, model.q))
+                            log_q_fraction(value, model.q))
                     ss.append(entry)
                 row["semistable"] = ss
             return row
-        except RouteMismatchError:
-            raise
+        except RouteMismatchError as e:
+            raise RouteMismatchError(f"{where}: {e}") from e
         except Exception as e:
-            raise ConfigError(
-                f"curves[{model.name}] x groups[{spec.name}]: {e}") from e
+            raise ConfigError(f"{where}: {e}") from e
 
     rows = []
     for model in curves:  # one zeta per curve, shared by its groups
-        try:
-            g = genus_of(model, budget)
-            counts = count_series(model, g, budget) if g else None
-            z = zeta_from_counts(model.q, g,
-                                 counts.counts[:g] if counts else [])
-        except Exception as e:
-            raise ConfigError(f"curves[{model.name}]: {e}") from e
+        z = curve_zeta(model, run["budget"])
         rows.extend(one(model, spec, z) for spec in groups)
     return {"schema": SCHEMA_VERSION, "command": "mass", "masses": rows}
 
@@ -286,11 +279,12 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
     tv = build_tv(cfg)
     if not groups:
         raise ConfigError("groups: the asymptote command needs at least one group")
-    trunc, budget = run["trunc"], run["budget"]
+    trunc = run["trunc"]
     # the family path only concerns positive-genus members; genus-0 curves
     # in a shared config are simply not part of this section
-    curves = [c for c in build_curves(cfg) if genus_of(c, budget) >= 1]
-    if tv is None and len(curves) < 1:
+    family = [z for z in (curve_zeta(c, run["budget"])
+                          for c in build_curves(cfg)) if z.g >= 1]
+    if tv is None and not family:
         raise ConfigError("tv/curves: the asymptote command needs tv data "
                           "or a curve family of positive genus")
     report: dict = {"schema": SCHEMA_VERSION, "command": "asymptote",
@@ -303,7 +297,7 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
             entry = {"group": spec.name,
                      "rhs": {"value": _f17(r.value), "tail": _f17(r.tail)}}
             n = spec.is_gl()
-            if n is not None and n <= 6:
+            if n is not None and n <= DOMINANCE_MAX_RANK:
                 entry["dominance"] = dominance_check(tv, n, trunc).to_json_dict()
             entries.append(entry)
         report["tv"] = tv.to_json_dict()
@@ -316,11 +310,11 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
             report["general"] = {"value": _f17(general.value),
                                  "weight_envelope_ok": general.envelope_ok,
                                  "d_bound": d_bound}
-    if curves:
+    if family:
         fam_reports = []
         for spec in groups:
             try:
-                rep = convergence_report(curves, spec, trunc, budget)
+                rep = convergence_report(family, spec, trunc)
             except Exception as e:
                 raise ConfigError(f"family x groups[{spec.name}]: {e}") from e
             fam_reports.append(rep.to_json_dict())

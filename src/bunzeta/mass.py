@@ -33,7 +33,9 @@ independent routes compute the semistable mass M^ss(n, d):
   summed as integers per pattern (e_1..e_(k-1)) and residue sum r_i mod n;
   each pattern's vector is cyclically convolved over Z/n with its V's,
   and each composition is put over one denominator.  One pass gives all d
-  and involves no truncation, so the routes compare exactly.
+  and involves no truncation, so the routes compare exactly:
+  :func:`semistable_mass` runs both and raises RouteMismatchError when
+  they differ.
 
 The GL_n totals and both routes' masses are memoized per (n, zeta data);
 masses are invariant under d -> d + n (twisting by a degree-1 line bundle).
@@ -151,6 +153,15 @@ def hn_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
     if n < 1:
         raise ValueError("rank must be >= 1")
     return MassValue(_hn_masses(n, z)[d % n], ((n, d), z))
+
+
+def semistable_mass(n: int, d: int, z: ZetaData) -> MassValue:
+    """M^ss(n, d) by both routes; RouteMismatchError if they differ."""
+    zg, hn = zagier_ss_mass(n, d, z), hn_ss_mass(n, d, z)
+    if zg.value != hn.value:
+        raise RouteMismatchError(f"M^ss({n}, {d}) is {zg.value} by Zagier "
+                                 f"but {hn.value} by HN")
+    return zg
 
 
 @functools.cache

@@ -174,6 +174,13 @@ def regenerate_counts(z: ZetaData, M: int, _validate: bool = True) -> list[int]:
     return out
 
 
+def counts_and_spectrum(z: ZetaData, M: int) -> tuple[list[int], DegreeSpectrum]:
+    """N_1..N_M regenerated from P(T), and the closed points B_1..B_M."""
+    counts = regenerate_counts(z, M)
+    return counts, degree_spectrum(PointCounts(q=z.q, g=z.g,
+                                               counts=tuple(counts)))
+
+
 def class_number(z: ZetaData) -> int:
     """h = #Pic^0(X)(F_q) = P(1)."""
     return sum(z.a)

@@ -1,7 +1,13 @@
 import pytest
 
 from bunzeta.arith import ext_field
-from bunzeta.curves import HyperellipticCurve, PlaneCurve, ProjectiveLine
+from bunzeta.curves import (
+    HyperellipticCurve,
+    PlaneCurve,
+    ProjectiveLine,
+    count_series,
+    genus_of,
+)
 from bunzeta.zeta import zeta_from_counts
 
 
@@ -46,3 +52,13 @@ def zeta_catalog():
         "E1": zeta_from_counts(2, 1, [3]),
         "C2": zeta_from_counts(2, 2, [3, 5]),
     }
+
+
+@pytest.fixture(scope="session")
+def catalog_zeta(curve_catalog):
+    """ZetaData of a catalog curve, from its enumerated N_1..N_g."""
+    def build(name):
+        model = curve_catalog[name]
+        g = genus_of(model)
+        return zeta_from_counts(model.q, g, count_series(model, g).counts)
+    return build

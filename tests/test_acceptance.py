@@ -211,8 +211,8 @@ def test_criterion_8_dominance_at_boundary():
             "n <= 4, boundary densities")
 
 
-def test_criterion_9_finite_level_trend(curve_catalog):
-    fam = [curve_catalog["E1"], curve_catalog["C2"], curve_catalog["C3"]]
+def test_criterion_9_finite_level_trend(catalog_zeta):
+    fam = [catalog_zeta(name) for name in ("E1", "C2", "C3")]
     rep = convergence_report(fam, builtin_group("GL", 2), 8)
     gaps = [r.ss_gap for r in rep.rows]
     assert len(gaps) == 3 and all(g is not None and math.isfinite(g)

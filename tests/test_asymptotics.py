@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bunzeta.asymptotics import (
+    DOMINANCE_MAX_RANK,
     TVData,
     beta_quotients,
     convergence_report,
@@ -21,7 +22,7 @@ from bunzeta.asymptotics import (
     tv_sum_term,
 )
 from bunzeta.groups import builtin_group
-from bunzeta.zeta import DegreeSpectrum
+from bunzeta.zeta import DegreeSpectrum, zeta_from_counts
 
 
 def random_feasible_tv(rng, qs=(2, 3, 4, 5, 9), max_degree=25):
@@ -288,8 +289,8 @@ def test_dominance_rejects_large_rank():
 # ---------------------------------------------------------------------------
 
 
-def test_convergence_report_pipeline(curve_catalog):
-    fam = [curve_catalog["E1"], curve_catalog["C2"], curve_catalog["C3"]]
+def test_convergence_report_pipeline(catalog_zeta):
+    fam = [catalog_zeta(name) for name in ("E1", "C2", "C3")]
     gl2 = builtin_group("GL", 2)
     rep = convergence_report(fam, gl2, 8)
     assert [r.genus for r in rep.rows] == [1, 2, 3]
@@ -303,35 +304,47 @@ def test_convergence_report_pipeline(curve_catalog):
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))  # nonincreasing
 
 
-def test_convergence_report_single_member(curve_catalog):
-    rep = convergence_report([curve_catalog["E1"]], builtin_group("Gm", 1), 6)
+def test_convergence_report_single_member(catalog_zeta):
+    rep = convergence_report([catalog_zeta("E1")], builtin_group("Gm", 1), 6)
     assert len(rep.rows) == 1
     # rhs comes from that member's spectrum
     assert rep.tv.beta_at(1) == 3
 
 
-def test_convergence_report_errors(curve_catalog):
+def test_convergence_report_errors(catalog_zeta):
     gl2 = builtin_group("GL", 2)
     with pytest.raises(ValueError):
         convergence_report([], gl2, 5)
     with pytest.raises(ValueError):
-        convergence_report([curve_catalog["P1/F2"]], gl2, 5)
+        convergence_report([catalog_zeta("P1/F2")], gl2, 5)
     with pytest.raises(ValueError):
-        convergence_report([curve_catalog["C2"], curve_catalog["E1"]], gl2, 5)
+        convergence_report([catalog_zeta("C2"), catalog_zeta("E1")], gl2, 5)
     with pytest.raises(ValueError):
-        convergence_report([curve_catalog["E1"], curve_catalog["E3"]], gl2, 5)
+        convergence_report([catalog_zeta("E1"), catalog_zeta("E3")], gl2, 5)
 
 
 def test_convergence_report_accepts_point_counts(curve_catalog):
+    # counts from any source enter through zeta_from_counts
     from bunzeta.curves import count_series
     pc = count_series(curve_catalog["E1"], 2)
-    rep = convergence_report([pc], builtin_group("Gm", 1), 4)
+    z = zeta_from_counts(pc.q, pc.g, pc.counts[:pc.g])
+    rep = convergence_report([z], builtin_group("Gm", 1), 4)
     assert rep.rows[0].genus == 1
 
 
-def test_report_json_round_trip(curve_catalog):
+def test_convergence_report_dominance_limit(catalog_zeta):
+    # the family section leaves the table out above DOMINANCE_MAX_RANK,
+    # as the tv section does
+    rep = convergence_report([catalog_zeta("E1")],
+                             builtin_group("GL", DOMINANCE_MAX_RANK + 1), 4)
+    assert rep.dominance is None
+    assert rep.to_json_dict()["dominance"] is None
+    assert rep.rows[0].ss_lhs is not None
+
+
+def test_report_json_round_trip(catalog_zeta):
     import json
-    rep = convergence_report([curve_catalog["E1"], curve_catalog["C2"]],
+    rep = convergence_report([catalog_zeta("E1"), catalog_zeta("C2")],
                              builtin_group("GL", 2), 6)
     blob = json.dumps(rep.to_json_dict(), sort_keys=True)
     parsed = json.loads(blob)
@@ -347,17 +360,17 @@ def test_log_q_fraction_handles_huge_values():
         log_q_fraction(Fraction(0), 2)
 
 
-def test_convergence_report_raises_on_route_mismatch(curve_catalog,
+def test_convergence_report_raises_on_route_mismatch(catalog_zeta,
                                                      monkeypatch):
-    from bunzeta import asymptotics
+    from bunzeta import mass
     from bunzeta.mass import MassValue, RouteMismatchError
 
-    hn = asymptotics.hn_ss_mass
+    hn = mass.hn_ss_mass
 
     def skewed(n, d, z):
         return MassValue(hn(n, d, z).value + 1, ((n, d), z))
 
-    monkeypatch.setattr(asymptotics, "hn_ss_mass", skewed)
+    monkeypatch.setattr(mass, "hn_ss_mass", skewed)
     with pytest.raises(RouteMismatchError, match="Zagier"):
-        convergence_report([curve_catalog["E1"], curve_catalog["C2"]],
+        convergence_report([catalog_zeta("E1"), catalog_zeta("C2")],
                            builtin_group("GL", 2), 4)

@@ -264,12 +264,14 @@ def test_mass_route_mismatch_fails(config_path, monkeypatch, capsys):
     from bunzeta import cli
     from bunzeta.mass import MassValue, RouteMismatchError
 
-    hn = cli.hn_ss_mass
+    from bunzeta import mass
+
+    hn = mass.hn_ss_mass
 
     def skewed(n, d, z):
         return MassValue(hn(n, d, z).value + (d == 1), ((n, d), z))
 
-    monkeypatch.setattr(cli, "hn_ss_mass", skewed)
+    monkeypatch.setattr(mass, "hn_ss_mass", skewed)
     run = {"trunc": 4, "budget": 1 << 20, "format": "json", "out": None}
     with pytest.raises(RouteMismatchError,
                        match=r"curves\[P1/F2\] x groups\[GL2\]: "
@@ -331,28 +333,33 @@ def test_zeta_enumerates_only_to_the_guard(config_path, monkeypatch, trunc,
 
 
 def test_mass_builds_one_zeta_per_curve(monkeypatch):
-    # the family config pairs 6 curves with 7 groups: 6 zetas, not 42
+    # the family config pairs 6 curves with 7 groups: 6 zetas, not 42, in
+    # mass and in asymptote
     from bunzeta import cli
 
     family = Path(__file__).resolve().parents[1] / "bench" / "workloads" \
         / "family.json"
-    calls = {"count_series": 0, "zeta_from_counts": 0}
+    calls = {"count_series": 0, "zeta_from_counts": 0, "ZetaData": 0}
 
-    def counted(name):
-        fn = getattr(cli, name)
-
+    def counted(name, fn):
         def wrapper(*args, **kw):
             calls[name] += 1
             return fn(*args, **kw)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+    for name in ("count_series", "zeta_from_counts"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    monkeypatch.setattr(ZetaData, "__post_init__",
+                        counted("ZetaData", ZetaData.__post_init__))
     cfg = json.loads(family.read_text())
     run = {"trunc": 4, "budget": 1 << 20, "format": "json", "out": None}
     report = cli.cmd_mass(cfg, run)
     assert len(report["masses"]) == 42
-    assert calls == {"count_series": 6, "zeta_from_counts": 6}
+    assert calls == {"count_series": 6, "zeta_from_counts": 6, "ZetaData": 6}
+    calls.update(dict.fromkeys(calls, 0))
+    report = cli.cmd_asymptote(cfg, run)
+    assert len(report["family"]) == 7
+    assert calls == {"count_series": 6, "zeta_from_counts": 6, "ZetaData": 6}
 
 
 def test_duplicate_curve_name_rejected(tmp_path, capsys):
@@ -364,6 +371,37 @@ def test_duplicate_curve_name_rejected(tmp_path, capsys):
     for command in ("zeta", "mass", "asymptote"):
         assert run_cli([command, "--config", str(path)]) == 1
         assert "curves[E1]: duplicate name" in capsys.readouterr().err
+
+
+def test_singular_curve_named_by_every_command(tmp_path, capsys):
+    # y^2 + x y = x^3 is singular at (0, 0); E1 before it is fine
+    cfg = dict(BASE_CONFIG)
+    cfg["curves"] = [BASE_CONFIG["curves"][1],
+                     {"name": "sing", "kind": "hyperelliptic", "p": 2,
+                      "h": [0, 1], "f": [0, 0, 0, 1]}]
+    path = tmp_path / "sing.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("zeta", "mass", "asymptote"):
+        assert run_cli([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: curves[sing]: "), (command, err)
+        assert "singular" in err
+
+
+def test_asymptote_family_leaves_out_large_dominance_table(tmp_path):
+    # GL7 is above the composition-table limit: both sections leave it out
+    cfg = dict(BASE_CONFIG, groups=[{"family": "GL", "n": 7}])
+    path = tmp_path / "gl7.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "gl7_out.json"
+    assert run_cli(["asymptote", "--config", str(path), "--out",
+                    str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "dominance" not in report["groups"][0]
+    fam = report["family"][0]
+    assert fam["dominance"] is None
+    assert [r["genus"] for r in fam["rows"]] == [1, 2]
+    assert all("ss_lhs" in r for r in fam["rows"])
 
 
 def test_budget_error_names_curve(config_path, tmp_path, capsys):
