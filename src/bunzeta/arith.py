@@ -36,17 +36,26 @@ DEFAULT_ENUM_BUDGET = 1 << 26
 # table for addition in odd-characteristic extensions: three or four 4-byte
 # array entries per element, 12 MiB for F_(2^20), built in about 1 s on a
 # 2-core Intel Xeon.  Beyond it fields fall back to the ``_pc_*`` helpers on
-# digit polynomials over the base field, about 1 ms per point counted.
+# digit polynomials over the base field, about 250 times slower per element
+# scanned, so no scan runs there (``CurveModel.scan_field`` refuses it); the
+# fallback serves moduli, table builds and the hyperelliptic gcd certificate.
 _TABLE_MAX_ORDER = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed the configured cap."""
+    """A scan of a field's elements was refused: the field's order exceeds
+    the enumeration budget or the table limit."""
 
-    def __init__(self, size: int, budget: int, what: str = "enumeration"):
+    def __init__(self, size: int, budget: int, what: str, limit: str = "budget"):
         self.size = size
         self.budget = budget
-        super().__init__(f"{what} of size {size} exceeds budget {budget}")
+        super().__init__(f"{what} of size {size} exceeds the {limit} {budget}")
+
+
+def within_weil_bound(n_m: int, q: int, g: int, m: int) -> bool:
+    """|N_m - q^m - 1| <= 2g q^(m/2), squared to stay in integers (exact)."""
+    dev = n_m - q ** m - 1
+    return dev * dev <= 4 * g * g * q ** m
 
 
 def parse_rational(s) -> Fraction:

@@ -175,13 +175,11 @@ def tv_bound(tv: TVData) -> Fraction:
 
 def _neglog_q_terms(q: int, pairs) -> list[float]:
     """Per-term binary64 values of weight * (-log_q ratio)."""
-    ln_q = math.log(q)
     out = []
     for weight, ratio in pairs:
         if ratio <= 0:
             raise ValueError(f"nonpositive local value {ratio}")
-        t = (math.log(ratio.denominator) - math.log(ratio.numerator)) / ln_q
-        out.append(float(weight) * t)
+        out.append(float(weight) * -log_q_fraction(ratio, q))
     return out
 
 
@@ -292,12 +290,9 @@ def rhs_general(groups, q: int, d_bound: int) -> GeneralResult:
             raise ValueError(f"nonpositive local value L({r}) = {L}")
     pairs = [(gam, L) for _, gam, L in triples]
     value = math.fsum(_neglog_q_terms(q, pairs))
-    ln_q = math.log(q)
-    ok = True
-    for r, _, L in triples:
-        logval = abs((math.log(L.numerator) - math.log(L.denominator)) / ln_q)
-        if logval > 3.0 * d_bound * float(Fraction(1) / _sqrt_lower(q ** r)):
-            ok = False
+    ok = all(abs(log_q_fraction(L, q))
+             <= 3.0 * d_bound * float(Fraction(1) / _sqrt_lower(q ** r))
+             for r, _, L in triples)
     return GeneralResult(value, ok)
 
 

@@ -152,8 +152,9 @@ def build_tv(cfg: dict) -> TVData | None:
 
 
 def _run_config(cfg: dict, args) -> dict:
+    """The run settings, checked before any curve is counted."""
     out_cfg = cfg.get("output") or {}
-    return {
+    run = {
         "trunc": args.trunc if args.trunc is not None
         else _integer(cfg.get("trunc", DEFAULT_TRUNC), "trunc"),
         "budget": args.budget if args.budget is not None
@@ -161,6 +162,11 @@ def _run_config(cfg: dict, args) -> dict:
         "format": args.format or out_cfg.get("format", "json"),
         "out": args.out or out_cfg.get("path"),
     }
+    if run["trunc"] < 1:
+        raise ConfigError("trunc: must be >= 1")
+    if run["format"] not in ("csv", "json"):
+        raise ConfigError(f"output.format: unknown format {run['format']!r}")
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +385,7 @@ def _zeta_sidecar(report: dict) -> str:
 
 def emit(report: dict, run: dict) -> None:
     fmt, out = run["format"], run["out"]
-    if fmt == "json":
-        text = report_to_json(report)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    else:
-        raise ConfigError(f"output.format: unknown format {fmt!r}")
+    text = report_to_json(report) if fmt == "json" else report_to_csv(report)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -428,8 +429,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         run = _run_config(cfg, args)
-        if run["trunc"] < 1:
-            raise ConfigError("trunc: must be >= 1")
         report = _COMMANDS[args.command](cfg, run)
         emit(report, run)
     except Exception as e:  # config and library errors keep their message

@@ -27,7 +27,9 @@ is exact: h, f and the plane columns have coefficients in F_q, so the
 data at x^q is the Frobenius image of the data at x, and Frobenius, an
 automorphism of F_(q^m), preserves root counts and common roots.  The
 certificate's witness does not move either: the first singular x in code
-order is the first element of its orbit.
+order is the first element of its orbit.  Each scan gets its field, with
+tables, from ``CurveModel.scan_field``, which charges the q^m elements
+against the budget and the 2^20 table limit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import (
+    _TABLE_MAX_ORDER,
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     FiniteField,
@@ -45,6 +48,7 @@ from .arith import (
     _pc_powmod,
     _pc_sub,
     _pc_trim,
+    within_weil_bound,
 )
 
 
@@ -76,13 +80,8 @@ class PointCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        for i, n_m in enumerate(self.counts):
-            m = i + 1
-            if n_m < 0:
-                raise WeilViolationError(m, n_m, self.q, self.g)
-            # |N - q^m - 1|^2 <= 4 g^2 q^m, kept in integers (exact)
-            dev = n_m - self.q ** m - 1
-            if dev * dev > 4 * self.g * self.g * self.q ** m:
+        for m, n_m in enumerate(self.counts, start=1):
+            if n_m < 0 or not within_weil_bound(n_m, self.q, self.g, m):
                 raise WeilViolationError(m, n_m, self.q, self.g)
 
     def n(self, m: int) -> int:
@@ -147,6 +146,7 @@ class CurveModel:
 
     kind: str
     base: FiniteField
+    scans = True  # its counts scan F_(q^m); the projective line's do not
 
     def __init__(self, base: FiniteField, name: str | None = None):
         self.base = base
@@ -158,22 +158,31 @@ class CurveModel:
     def q(self) -> int:
         return self.base.order
 
-    def extension(self, m: int) -> FiniteField:
-        E = FiniteField.extension(self.base, m)
-        E.build_tables()  # a no-op above the table limit
-        return E
+    def scan_field(self, m: int, budget: int, stage: str) -> FiniteField:
+        """F_(q^m) with its tables, for a stage that scans its elements.
 
-    def _certificate_field(self, m: int, budget: int) -> FiniteField:
-        if self.q ** m > budget:
-            raise BudgetExceededError(self.q ** m, budget,
-                                      f"smoothness certificate for {self.name}")
-        return self.extension(m)
+        Every scan (a count, the plane certificate, a witness search) gets
+        its field here.  It pays for q^m elements, and above the table limit
+        an element costs about 250 times more on digit polynomials, so q^m
+        is charged against the budget and the table limit at once.
+        """
+        limit = min(budget, _TABLE_MAX_ORDER)
+        if self.q ** m > limit:
+            raise BudgetExceededError(
+                self.q ** m, limit,
+                f"{stage} for {self.name} over GF({self.base.char}^"
+                f"{self.base.degree * m})",
+                "budget" if limit == budget else "table limit")
+        E = FiniteField.extension(self.base, m)
+        E.build_tables()
+        return E
 
     def _first_root(self, G, budget: int) -> tuple[int, int]:
         """(m, x): the first root x of G in code order over the smallest
         F_(q^m) that has one (m <= deg G; every x is a root of G = 0)."""
         for m in range(1, max(len(G) - 1, 1) + 1):
-            x = _first_root_in(self._certificate_field(m, budget), G)
+            E = self.scan_field(m, budget, "smoothness certificate")
+            x = _first_root_in(E, G)
             if x is not None:
                 return m, x
 
@@ -185,10 +194,8 @@ class CurveModel:
     def _check_smooth(self, budget: int) -> None:
         """Raise SingularModelError with a witness if the model is singular."""
 
-    def _check_budget(self, m: int, budget: int) -> None:
-        pass
-
-    def _count(self, m: int, budget: int) -> int:
+    def _count(self, m: int, E: FiniteField | None) -> int:
+        """N_m, with E = F_(q^m) from scan_field if the model scans."""
         raise NotImplementedError
 
     # public API -----------------------------------------------------------
@@ -201,11 +208,11 @@ class CurveModel:
 
     def count_points(self, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
         self.validate(budget)
-        self._check_budget(m, budget)  # the budget caps work, cached or not
+        # the limits hold whether the count is cached or not
+        E = self.scan_field(m, budget, "point count") if self.scans else None
         n = self._count_cache.get(m)
         if n is None:
-            n = self._count(m, budget)
-            self._count_cache[m] = n
+            n = self._count_cache[m] = self._count(m, E)
         return n
 
     def __repr__(self):
@@ -214,11 +221,12 @@ class CurveModel:
 
 class ProjectiveLine(CurveModel):
     kind = "projective-line"
+    scans = False
 
     def genus(self) -> int:
         return 0
 
-    def _count(self, m: int, budget: int) -> int:
+    def _count(self, m: int, E: None) -> int:
         return self.q ** m + 1
 
 
@@ -290,7 +298,7 @@ class HyperellipticCurve(CurveModel):
     def _affine_witness(self, G, budget: int):
         """The first root (m, x) of G, with its singular y."""
         m, x = self._first_root(G, budget)
-        E = self.extension(m)
+        E = self.scan_field(m, budget, "smoothness certificate")
         return (m, x, self._singular_y(E, _eval_codes(E, self.h, x),
                                        _eval_codes(E, self.f, x)))
 
@@ -301,15 +309,9 @@ class HyperellipticCurve(CurveModel):
             return E.pow_c(fx, E.order // 2)  # y^2 = f(x) where h(x) = 0
         return E.neg_c(E.mul_c(hx, E.inv_c(E.embed_int(2))))
 
-    def _check_budget(self, m: int, budget: int) -> None:
-        if self.q ** m > budget:
-            raise BudgetExceededError(self.q ** m, budget,
-                                      f"point count for {self.name}")
-
-    def _count(self, m: int, budget: int) -> int:
+    def _count(self, m: int, E: FiniteField) -> int:
         """Affine solutions, plus the roots of z^2 + h_(g+1) z = f_(2g+2)
         at infinity (f_(2g+2) = 0 when deg f is odd)."""
-        E = self.extension(m)
         h_cs, f_cs = self.h, self.f
         n = 0
         for x, size in _frobenius_orbits(E, self.q):
@@ -386,24 +388,19 @@ class PlaneCurve(CurveModel):
         if not any(self._corner):
             raise SingularModelError(self.name, (1, 1, 0, 0))
         d = self.degree
-        for m in range(1, d * (d - 1) // 2 + 1):
-            E = self._certificate_field(m, budget)
+        # the largest field is gated first, so no scan starts that cannot end
+        fields = [self.scan_field(m, budget, "smoothness certificate")
+                  for m in range(d * (d - 1) // 2, 0, -1)]
+        for m, E in enumerate(reversed(fields), start=1):
             for x, _ in _frobenius_orbits(E, self.q):
                 G = _common_factor(E, (self._slice(E, columns, x)
                                        for columns in self._columns))
                 if len(G) != 1 and (y := _first_root_in(E, G)) is not None:
                     raise SingularModelError(self.name, (m, x, y, 1))
 
-    def _check_budget(self, m: int, budget: int) -> None:
-        size = self.q ** (2 * m) + self.q ** m + 1
-        if size > budget:
-            raise BudgetExceededError(size, budget,
-                                      f"point count for {self.name}")
-
-    def _count(self, m: int, budget: int) -> int:
+    def _count(self, m: int, E: FiniteField) -> int:
         """Roots of F(x, Y, 1) for every x, roots of F(X, 1, 0), and the
         point (1:0:0) when x^d has coefficient 0."""
-        E = self.extension(m)
         F = self._columns[0]
         n = sum(size * _root_count(E, self._slice(E, F, x))
                 for x, size in _frobenius_orbits(E, self.q))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, is_prime_power, moebius
+from .arith import divisors, is_prime_power, moebius, within_weil_bound
 from .curves import PointCounts
 
 
@@ -91,8 +91,7 @@ class ZetaData:
         # Weil-interval sanity on the counts this P regenerates
         for m, n_m in enumerate(regenerate_counts(self, 2 * g + 4,
                                                   _validate=False), start=1):
-            dev = n_m - q ** m - 1
-            if dev * dev > 4 * g * g * q ** m:
+            if not within_weil_bound(n_m, q, g, m):
                 raise InconsistentCountsError(
                     f"regenerated N_{m} = {n_m} violates the Weil bound")
 

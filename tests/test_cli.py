@@ -477,6 +477,21 @@ def test_unknown_format_rejected(config_path, tmp_path, capsys):
     assert run_cli(["zeta", "--config", str(path)]) == 1
     assert "format" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("command", ["zeta", "mass", "asymptote"])
+def test_unknown_format_rejected_before_counting(config_path, tmp_path,
+                                                 monkeypatch, capsys, command):
+    cfg = json.loads(open(config_path).read())
+    cfg["output"] = {"format": "xml"}
+    path = tmp_path / "fmt.json"
+    path.write_text(json.dumps(cfg))
+    touched = []
+    monkeypatch.setattr(CurveModel, "validate",
+                        lambda model, budget=0: touched.append(model.name))
+    assert run_cli([command, "--config", str(path)]) == 1
+    assert "output.format: unknown format 'xml'" in capsys.readouterr().err
+    assert touched == []
+
 def test_asymptote_reports_general_local_values(tmp_path):
     cfg = {
         "schema": 1,

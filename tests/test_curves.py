@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -326,7 +327,7 @@ def test_count_evaluates_once_per_frobenius_orbit(F3, monkeypatch):
         return evaluate(E, cs, x)
 
     monkeypatch.setattr(curves, "_eval_codes", counted)
-    model._count(6, 1 << 20)
+    model.count_points(6)
     assert len(calls) == 2 * frobenius_orbit_count(3, 6) == 260
 
 
@@ -518,10 +519,46 @@ def test_weil_bound_on_catalog(curve_catalog):
 
 
 def test_budget_exceeded(curve_catalog):
+    # every count is charged q^m, the elements of the field it scans
     with pytest.raises(BudgetExceededError):
         count_points(curve_catalog["E1"], 30, budget=1 << 10)
     with pytest.raises(BudgetExceededError):
-        count_points(curve_catalog["klein"], 6, budget=1 << 10)
+        count_points(curve_catalog["klein"], 11, budget=1 << 10)
+    assert count_points(curve_catalog["klein"], 10, budget=1 << 10) > 0
+
+
+def test_budget_refuses_cached_counts(curve_catalog):
+    model = curve_catalog["E1"]
+    count_points(model, 5)
+    with pytest.raises(BudgetExceededError, match="budget 16"):
+        count_points(model, 5, budget=16)
+
+
+def test_count_above_table_limit_refused_fast(F2):
+    # g = 10: N_11 is the last count under the table limit; N_21 would
+    # scan 2^21 elements on digit polynomials, inside the default budget
+    model = HyperellipticCurve.from_ints(F2, [1], [0, 1] + [0] * 19 + [1],
+                                         name="g10")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"point count for g10 over GF\(2\^21\) of size "
+                             r"2097152 exceeds the table limit 1048576"):
+        count_points(model, 21)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_plane_certificate_above_table_limit_refused_fast():
+    # the Fermat sextic over F_5 needs slices over F_(5^m), m <= D = 15
+    # (5^9 > 2^20); the certificate refuses F_(5^15) before it scans F_5
+    model = PlaneCurve.from_list(
+        ext_field(5, 1), [(6, 0, 0, 1), (0, 6, 0, 1), (0, 0, 6, 1)], 6,
+        name="fermat6")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"smoothness certificate for fermat6 over "
+                             r"GF\(5\^15\) .* exceeds the table limit"):
+        model.validate()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_counts_deterministic(curve_catalog):
