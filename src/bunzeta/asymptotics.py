@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
+    Record,
     format_rational,
     is_prime_power,
     parse_integer,
@@ -86,8 +86,7 @@ def ln_lower(q: int, tol: Fraction = Fraction(1, 1 << 60)) -> Fraction:
     return 2 * acc
 
 
-@dataclass(frozen=True)
-class TVData:
+class TVData(Record):
     """Per-degree limit densities of closed points along a family.
 
     ``beta`` maps a degree m to the nonnegative rational density beta_m
@@ -345,14 +344,12 @@ def beta_quotients(family: Sequence[tuple[DegreeSpectrum, int]], M: int):
     return out
 
 
-@dataclass(frozen=True)
-class DominanceRow:
+class DominanceRow(Record):
     composition: tuple[int, ...]
     exponent: float
 
 
-@dataclass(frozen=True)
-class DominanceResult:
+class DominanceResult(Record):
     rows: tuple[DominanceRow, ...]
     dominant: bool
 
@@ -390,8 +387,7 @@ def dominance_check(tv: TVData, n: int, trunc: int) -> DominanceResult:
     return DominanceResult(tuple(rows), dominant)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     index: int
     genus: int
     lhs: float
@@ -400,8 +396,7 @@ class ReportRow:
     ss_gap: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Finite-level comparison of both sides of the limit formula.
 
     The rows carry log_q(mass)/g per member; rhs/tail come from the last

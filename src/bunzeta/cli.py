@@ -9,8 +9,6 @@ precision loss and are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -174,11 +172,15 @@ def _run_config(cfg: dict, args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def curve_zeta(model: CurveModel, budget: int) -> ZetaData:
+def curve_zeta(model: CurveModel, budget: int, trunc: int = 0) -> ZetaData:
     """P(T) of a validated model from its enumerated N_1..N_g; every error
-    names the curve."""
+    names the curve.  ``trunc > g`` means the caller counts the guard
+    N_(g+1) next, so its field is checked against the limits first: an
+    over-limit guard fails before N_1..N_g are counted."""
     try:
         g = genus_of(model, budget)
+        if trunc > g and model.scans:
+            model.check_scan(g + 1, budget, "point count")
         return zeta_from_counts(model.q, g,
                                 count_series(model, g, budget).counts)
     except Exception as e:
@@ -201,7 +203,7 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
     trunc, budget = run["trunc"], run["budget"]
 
     def one(model: CurveModel) -> dict:
-        z = curve_zeta(model, budget)
+        z = curve_zeta(model, budget, trunc)
         g = z.g
         try:
             counts, spec = counts_and_spectrum(z, trunc)
@@ -338,6 +340,9 @@ def report_to_json(report: dict) -> str:
 
 
 def report_to_csv(report: dict) -> str:
+    import csv  # only here: the JSON path, the default, never loads it
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     cmd = report["command"]

@@ -34,13 +34,12 @@ against the budget and the 2^20 table limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import (
     _TABLE_MAX_ORDER,
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     FiniteField,
+    Record,
     _pc_add,
     _pc_deriv,
     _pc_gcd,
@@ -71,8 +70,7 @@ class WeilViolationError(RuntimeError):
             f"for q={q}, g={g}")
 
 
-@dataclass(frozen=True)
-class PointCounts:
+class PointCounts(Record):
     """Counts N_m = #X(F_(q^m)) for m = 1..M, with the Weil bound enforced."""
 
     q: int
@@ -158,13 +156,12 @@ class CurveModel:
     def q(self) -> int:
         return self.base.order
 
-    def scan_field(self, m: int, budget: int, stage: str) -> FiniteField:
-        """F_(q^m) with its tables, for a stage that scans its elements.
+    def check_scan(self, m: int, budget: int, stage: str) -> None:
+        """Refuse a scan of F_(q^m) over the limits, before any work.
 
-        Every scan (a count, the plane certificate, a witness search) gets
-        its field here.  It pays for q^m elements, and above the table limit
-        an element costs about 250 times more on digit polynomials, so q^m
-        is charged against the budget and the table limit at once.
+        A scan pays for q^m elements, and above the table limit an element
+        costs about 250 times more on digit polynomials, so q^m is charged
+        against the budget and the table limit at once.
         """
         limit = min(budget, _TABLE_MAX_ORDER)
         if self.q ** m > limit:
@@ -173,6 +170,14 @@ class CurveModel:
                 f"{stage} for {self.name} over GF({self.base.char}^"
                 f"{self.base.degree * m})",
                 "budget" if limit == budget else "table limit")
+
+    def scan_field(self, m: int, budget: int, stage: str) -> FiniteField:
+        """F_(q^m) with its tables, for a stage that scans its elements.
+
+        Every scan (a count, the plane certificate, a witness search) gets
+        its field here, through the one gate ``check_scan``.
+        """
+        self.check_scan(m, budget, stage)
         E = FiniteField.extension(self.base, m)
         E.build_tables()
         return E

@@ -13,16 +13,14 @@ specs (e.g. G_2: dim 14, degrees {2, 6}) can be supplied via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational, parse_integer, parse_rational
+from .arith import Record, format_rational, parse_integer, parse_rational
 
 FAMILIES = ("GL", "SL", "Sp", "SO-odd", "SO-even", "Gm")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """name, dim G, invariant degrees (with multiplicity), Tamagawa constant."""
 
     name: str

@@ -46,9 +46,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import Record
 from .groups import GroupSpec, builtin_group
 from .zeta import ZetaData, quasi_residue, special_value
 
@@ -57,8 +57,7 @@ class RouteMismatchError(ArithmeticError):
     """The Zagier and HN routes gave different semistable masses."""
 
 
-@dataclass(frozen=True)
-class MassValue:
+class MassValue(Record):
     """An exact stacky point count together with what it counts."""
 
     value: Fraction

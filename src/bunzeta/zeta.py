@@ -11,10 +11,15 @@ violated identity; there are no repair heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, is_prime_power, moebius, within_weil_bound
+from .arith import (
+    Record,
+    divisors,
+    is_prime_power,
+    moebius,
+    within_weil_bound,
+)
 from .curves import PointCounts
 
 
@@ -62,8 +67,7 @@ def _series_log(z, order):
     return lg
 
 
-@dataclass(frozen=True)
-class ZetaData:
+class ZetaData(Record):
     """q, genus, and the exact integer coefficients a_0..a_2g of P(T)."""
 
     q: int
@@ -106,8 +110,7 @@ class ZetaData:
         return {"q": self.q, "g": self.g, "a": [str(c) for c in self.a]}
 
 
-@dataclass(frozen=True)
-class DegreeSpectrum:
+class DegreeSpectrum(Record):
     """B_m = number of closed points of degree m, for m = 1..M."""
 
     q: int

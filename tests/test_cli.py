@@ -332,6 +332,51 @@ def test_zeta_enumerates_only_to_the_guard(config_path, monkeypatch, trunc,
     assert seen == {name: set(range(1, k + 1)) for name, k in top.items()}
 
 
+@pytest.fixture
+def counted_counts(monkeypatch):
+    """The degrees m of every hyperelliptic count that runs, in order."""
+    calls = []
+    count = HyperellipticCurve._count
+
+    def record(model, m, E):
+        calls.append(m)
+        return count(model, m, E)
+
+    monkeypatch.setattr(HyperellipticCurve, "_count", record)
+    return calls
+
+
+def test_over_limit_guard_refused_before_any_count(tmp_path, capsys,
+                                                   counted_counts):
+    # y^2 + y = x^41 + x over F_2 has g = 20: N_1..N_20 fit the table limit
+    # and the guard N_21 does not, so trunc 21 fails before N_1..N_20 run
+    path = tmp_path / "g20.json"
+    path.write_text(json.dumps({"schema": 1, "curves": [
+        {"name": "g20", "kind": "hyperelliptic", "p": 2, "h": [1],
+         "f": [0, 1] + [0] * 39 + [1]}]}))
+    assert run_cli(["zeta", "--config", str(path), "--trunc", "21"]) == 1
+    assert ("curves[g20]: point count for g20 over GF(2^21) of size 2097152 "
+            "exceeds the table limit 1048576") in capsys.readouterr().err
+    assert counted_counts == []
+
+
+@pytest.mark.parametrize("budget, rc, counted", [(8, 0, [1, 2, 3]),
+                                                 (7, 1, [])])
+def test_guard_gate_charges_the_budget(tmp_path, capsys, counted_counts,
+                                       budget, rc, counted):
+    # C2 has g = 2; trunc 3 adds the guard over F_8, which a budget of 8
+    # admits and a budget of 7 refuses before F_2 and F_4 are counted
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG,
+                                    curves=[BASE_CONFIG["curves"][2]])))
+    assert run_cli(["zeta", "--config", str(path), "--trunc", "3",
+                    "--budget", str(budget)]) == rc
+    assert counted_counts == counted
+    if rc:
+        assert ("curves[C2]: point count for C2 over GF(2^3) of size 8 "
+                "exceeds the budget 7") in capsys.readouterr().err
+
+
 def test_mass_builds_one_zeta_per_curve(monkeypatch):
     # the family config pairs 6 curves with 7 groups: 6 zetas, not 42, in
     # mass and in asymptote

@@ -1,0 +1,129 @@
+"""The contract of the frozen value types built on ``arith.Record``."""
+
+from fractions import Fraction
+
+import pytest
+
+from bunzeta.asymptotics import (
+    ConvergenceReport,
+    DominanceResult,
+    DominanceRow,
+    ReportRow,
+    TVData,
+)
+from bunzeta.curves import PointCounts
+from bunzeta.groups import GroupSpec
+from bunzeta.mass import MassValue
+from bunzeta.zeta import DegreeSpectrum, ZetaData
+
+
+def _tv():
+    return TVData(q=4, beta=((2, Fraction(1, 3)), (1, 1)))
+
+
+def _dominance():
+    rows = (DominanceRow((2,), 1.5), DominanceRow((1, 1), 1.0))
+    return DominanceResult(rows, True)
+
+
+# each class with its field names in order and a factory of one valid value
+CASES = {
+    PointCounts: (("q", "g", "counts"), lambda: PointCounts(2, 1, (5, 9))),
+    ZetaData: (("q", "g", "a"), lambda: ZetaData(q=2, g=1, a=(1, 2, 2))),
+    DegreeSpectrum: (("q", "g", "B"), lambda: DegreeSpectrum(2, 1, (5, 2))),
+    GroupSpec: (("name", "dim", "degrees", "tamagawa"),
+                lambda: GroupSpec("GL2", 4, (2, 1))),
+    MassValue: (("value", "context"),
+                lambda: MassValue(Fraction(1, 2), ((2, 0), "E1"))),
+    TVData: (("q", "beta", "groups"), _tv),
+    DominanceRow: (("composition", "exponent"),
+                   lambda: DominanceRow((1, 1), 1.0)),
+    DominanceResult: (("rows", "dominant"), _dominance),
+    ReportRow: (("index", "genus", "lhs", "gap", "ss_lhs", "ss_gap"),
+                lambda: ReportRow(0, 1, 2.5, 0.5, ss_lhs=2.0)),
+    ConvergenceReport: (
+        ("q", "group", "rows", "rhs_value", "rhs_tail", "tv",
+         "tv_bound_value", "tv_feasible", "member_quotients", "dominance",
+         "note"),
+        lambda: ConvergenceReport(
+            4, GroupSpec("Gm", 1, (1,)), (ReportRow(0, 1, 2.5, 0.5),), 2.0,
+            0.0, _tv(), Fraction(1), True, ((1, "1/2"),), _dominance())),
+}
+CLASSES = list(CASES)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_equal_fields_equal_objects_and_hashes(cls):
+    _, make = CASES[cls]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_fields_in_order(cls):
+    names, make = CASES[cls]
+    x = make()
+    shown = ", ".join(f"{name}={getattr(x, name)!r}" for name in names)
+    assert repr(x) == f"{cls.__name__}({shown})"
+    # the same values by position and by keyword give the same object
+    values = [getattr(x, name) for name in names]
+    assert cls(*values) == cls(**dict(zip(names, values))) == x
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_frozen(cls):
+    names, make = CASES[cls]
+    x = make()
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == make()
+
+
+@pytest.mark.parametrize("a, b", [
+    (PointCounts(2, 1, (5, 9)), DegreeSpectrum(2, 1, (5, 9))),
+    (ZetaData(2, 1, (1, 2, 2)), DegreeSpectrum(2, 1, (1, 2, 2))),
+    (DominanceRow((1,), 1.0), ((1,), 1.0)),
+], ids=["PointCounts-DegreeSpectrum", "ZetaData-DegreeSpectrum",
+        "DominanceRow-tuple"])
+def test_equal_only_within_a_class(a, b):
+    assert a != b and b != a and not a == b
+
+
+def test_arguments_checked():
+    with pytest.raises(TypeError):
+        ZetaData(2, 1)
+    with pytest.raises(TypeError):
+        ZetaData(2, 1, (1, 2, 2), None)
+    with pytest.raises(TypeError):
+        ZetaData(2, 1, a=(1, 2, 2), b=0)
+    with pytest.raises(TypeError):
+        ZetaData(2, 1, (1, 2, 2), q=2)
+
+
+def test_defaults_and_validation():
+    assert GroupSpec("GL2", 4, (1, 2)).tamagawa == Fraction(1)
+    assert TVData(q=4, beta=()).groups is None
+    row = ReportRow(0, 1, 2.5, 0.5)
+    assert (row.ss_lhs, row.ss_gap) == (None, None)
+    assert CASES[ConvergenceReport][1]().note.startswith("finite-genus data")
+    with pytest.raises(ValueError, match="dim must be positive"):
+        GroupSpec("bad", 0, ())
+
+
+def test_normalization_before_hashing():
+    # __post_init__ normalizes, and equality and hash see the normal form
+    spec = GroupSpec("GL2", 4, (2, 1))
+    assert spec.degrees == (1, 2)
+    assert spec == GroupSpec("GL2", 4, (1, 2))
+    assert hash(spec) == hash(GroupSpec("GL2", 4, (1, 2)))
+    tv = _tv()
+    assert tv.beta == ((1, Fraction(1)), (2, Fraction(1, 3)))
+    assert type(tv.beta[0][1]) is Fraction
+    assert tv == TVData(4, ((1, Fraction(1)), (2, Fraction(1, 3))))
