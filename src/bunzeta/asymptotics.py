@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
     Record,
@@ -65,6 +66,11 @@ def sqrt_enclosure(n: int, bits: int = _SQRT_BITS) -> tuple[Fraction, Fraction]:
     return lo, Fraction(s + 1, 1 << bits)
 
 
+def _sqrt_lower(n: int) -> Fraction:
+    lo, _ = sqrt_enclosure(n)
+    return lo
+
+
 @functools.lru_cache(maxsize=None)
 def ln_lower(q: int, tol: Fraction = Fraction(1, 1 << 60)) -> Fraction:
     """Rational lower bound of ln(q) via the atanh series (all terms > 0),
@@ -98,7 +104,7 @@ class TVData(Record):
 
     q: int
     beta: tuple[tuple[int, Fraction], ...]
-    groups: Optional[tuple[tuple[int, Fraction, Fraction], ...]] = None
+    groups: tuple[tuple[int, Fraction, Fraction], ...] | None = None
 
     def __post_init__(self):
         if not is_prime_power(self.q):
@@ -131,15 +137,6 @@ class TVData(Record):
                        for i, e in enumerate(groups))
         return cls(q=q, beta=beta, groups=gs)
 
-    def beta_at(self, m: int) -> Fraction:
-        for deg, b in self.beta:
-            if deg == m:
-                return b
-        return Fraction(0)
-
-    def support(self) -> list[int]:
-        return [m for m, b in self.beta if b]
-
     def feasible(self) -> bool:
         return tv_bound(self) <= 1
 
@@ -164,8 +161,7 @@ def tv_bound(tv: TVData) -> Fraction:
     for m, b in tv.beta:
         if not b:
             continue
-        lo, hi = sqrt_enclosure(tv.q ** m)
-        root_lower = lo
+        root_lower = _sqrt_lower(tv.q ** m)
         if root_lower <= 1:
             raise ArithmeticError("q^(m/2) enclosure degenerate")
         total += Fraction(m) * b / (root_lower - 1)
@@ -190,55 +186,26 @@ def _neglog_upper(q: int, x: Fraction, lnq_lower: Fraction) -> Fraction:
 
 def _finite_tail(tv: TVData, M: int, spec_degrees: Sequence[int]) -> Fraction:
     """Certified rational bound on the discarded terms (degrees > M) of the
-    group sum with the given invariant degrees ((1,) for the Picard form)."""
-    support_beyond = [m for m in tv.support() if m > M]
-    if not support_beyond:
-        return Fraction(0)
+    group sum with the given invariant degrees ((1,) for the Picard form):
+    each discarded term bounded by -log_q(1 - x) <= x/((1 - x) ln q), see
+    docs/tail_bounds.md.  Zero when nothing was discarded."""
     q = tv.q
     lnq = ln_lower(q)
-    # exact-support bound: sum the actual discarded terms, bounded above
-    support_bound = Fraction(0)
-    for m in support_beyond:
-        b = tv.beta_at(m)
-        per_degree = Fraction(0)
-        for dj in spec_degrees:
-            per_degree += _neglog_upper(q, Fraction(1, q ** (m * dj)), lnq)
-        support_bound += b * per_degree
-    bound = support_bound
-    # feasibility-envelope bound: beta_m <= (q^(m/2) - 1)/m termwise, and
-    # -log_q(1 - q^(-m d_j)) <= -log_q(1 - q^(-m)); summing the envelope
-    # over all m > M gives (see docs/tail_bounds.md)
-    #   k * q^(-(M+1)/2) / ((M+1) (1 - q^(-(M+1))) (1 - q^(-1/2)) ln q).
-    # Only sound when the discarded densities do satisfy the envelope
-    # (an infeasible input need not).
-    if all(tv.beta_at(m) * m <= _sqrt_lower(q ** m) - 1 for m in support_beyond):
-        k = len(spec_degrees)
-        inv_sqrt_upper = Fraction(1) / _sqrt_lower(q)  # >= q^(-1/2)
-        qm1_pow = _sqrt_lower(q ** (M + 1))            # <= q^((M+1)/2)
-        envelope = (Fraction(k) / ((M + 1) * lnq)) \
-            * (Fraction(1) / qm1_pow) \
-            / (1 - Fraction(1, q ** (M + 1))) \
-            / (1 - inv_sqrt_upper)
-        bound = min(support_bound, envelope)
-    return bound * _TAIL_SLACK + _TAIL_FLOOR
+    bound = sum(b * sum(_neglog_upper(q, Fraction(1, q ** (m * dj)), lnq)
+                        for dj in spec_degrees)
+                for m, b in tv.beta if m > M)
+    return bound * _TAIL_SLACK + _TAIL_FLOOR if bound else Fraction(0)
 
 
-def _sqrt_lower(n: int) -> Fraction:
-    lo, _ = sqrt_enclosure(n)
-    return lo
-
-
-class RhsResult(NamedTuple):
-    """(value, tail) pair of binary64 numbers."""
-
-    value: float
-    tail: float
+# (value, tail) pair of binary64 numbers
+RhsResult = namedtuple("RhsResult", "value tail")
 
 
 def tv_sum_term(tv: TVData, trunc: int) -> float:
     """The summed part ``-sum_(m<=trunc) beta_m log_q((q^m - 1)/q^m)``,
-    binary64; shared verbatim by rhs_pic and the constant-sheaf instance
-    of rhs_general."""
+    binary64, of rhs_pic.  rhs_general on the constant-sheaf local values
+    ``L(m) = (q^m - 1)/q^m`` lists the same exact terms and reproduces it
+    bit-exactly."""
     q = tv.q
     pairs = [(b, Fraction(q ** m - 1, q ** m))
              for m, b in tv.beta if b and m <= trunc]
@@ -266,11 +233,8 @@ def rhs_group(tv: TVData, spec: GroupSpec, trunc: int) -> RhsResult:
     return RhsResult(value, tail)
 
 
-class GeneralResult(NamedTuple):
-    """(value, weight_envelope_ok) pair."""
-
-    value: float
-    envelope_ok: bool
+# (value, weight_envelope_ok) pair
+GeneralResult = namedtuple("GeneralResult", "value envelope_ok")
 
 
 def rhs_general(groups, q: int, d_bound: int) -> GeneralResult:
@@ -314,23 +278,13 @@ def lhs_sequence(family: Sequence[ZetaData], spec: GroupSpec):
 
 
 def empirical_tv(family: Sequence[tuple[DegreeSpectrum, int]], M: int) -> TVData:
-    """Finite-index estimate of the limit densities: beta_m from the last
-    family member's spectrum divided by its genus.
-
-    Per-member quotient sequences (to judge convergence) are retained by
-    :func:`convergence_report`.
-    """
+    """Finite-index estimate of the limit densities: the nonzero entries of
+    the last map of :func:`beta_quotients`, the last family member's
+    spectrum divided by its genus."""
     family = list(family)
     if not family:
         raise ValueError("empty family")
-    for spec_, g in family:
-        if g < 1:
-            raise ValueError("genus-0 member: density quotients are undefined")
-    spectrum, g_last = family[-1]
-    beta = tuple((m, Fraction(spectrum.b(m), g_last))
-                 for m in range(1, min(M, len(spectrum)) + 1)
-                 if spectrum.b(m))
-    return TVData(q=spectrum.q, beta=beta)
+    return TVData.from_map(family[-1][0].q, beta_quotients(family, M)[-1])
 
 
 def beta_quotients(family: Sequence[tuple[DegreeSpectrum, int]], M: int):
@@ -392,8 +346,8 @@ class ReportRow(Record):
     genus: int
     lhs: float
     gap: float
-    ss_lhs: Optional[float] = None
-    ss_gap: Optional[float] = None
+    ss_lhs: float | None = None
+    ss_gap: float | None = None
 
 
 class ConvergenceReport(Record):
@@ -414,7 +368,7 @@ class ConvergenceReport(Record):
     tv_bound_value: Fraction
     tv_feasible: bool
     member_quotients: tuple
-    dominance: Optional[DominanceResult]
+    dominance: DominanceResult | None
     note: str = ("finite-genus data only; the genus-to-infinity limit is not "
                  "verifiable at this scale")
 
@@ -459,8 +413,8 @@ def convergence_report(family: Sequence[ZetaData], spec: GroupSpec,
     if genera != sorted(genera):
         raise ValueError("family must be sorted by genus")
     pairs = [(counts_and_spectrum(z, trunc)[1], z.g) for z in zetas]
-    tv = empirical_tv(pairs, trunc)
     quotients = beta_quotients(pairs, trunc)
+    tv = TVData.from_map(q, quotients[-1])
     bound = tv_bound(tv)
     rhs = rhs_group(tv, spec, trunc)
     gl_rank = spec.is_gl()

@@ -392,11 +392,12 @@ class PlaneCurve(CurveModel):
                                      self._first_root(G, budget) + (1, 0))
         if not any(self._corner):
             raise SingularModelError(self.name, (1, 1, 0, 0))
-        d = self.degree
-        # the largest field is gated first, so no scan starts that cannot end
-        fields = [self.scan_field(m, budget, "smoothness certificate")
-                  for m in range(d * (d - 1) // 2, 0, -1)]
-        for m, E in enumerate(reversed(fields), start=1):
+        D = self.degree * (self.degree - 1) // 2
+        # the largest field is gated first, so no scan starts that cannot
+        # end; each field is built only once the smaller ones hold no witness
+        self.check_scan(D, budget, "smoothness certificate")
+        for m in range(1, D + 1):
+            E = self.scan_field(m, budget, "smoothness certificate")
             for x, _ in _frobenius_orbits(E, self.q):
                 G = _common_factor(E, (self._slice(E, columns, x)
                                        for columns in self._columns))

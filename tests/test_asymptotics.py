@@ -197,9 +197,40 @@ def test_tail_soundness_under_doubling():
         assert abs(long.value - short.value) <= short.tail
 
 
+def test_tail_is_the_support_bound_exactly():
+    # the reported tail is the sum over the discarded degrees of
+    # beta_m * sum_j x/((1 - x) ln q), x = q^(-m d_j), with the slack and
+    # floor, for feasible and infeasible densities alike
+    rng = random.Random(1312)
+    slack, floor = Fraction(1_000_000_001, 10 ** 9), Fraction(1, 1 << 40)
+    groups = [builtin_group("Gm", 1), builtin_group("GL", 2),
+              builtin_group("SL", 3), builtin_group("Sp", 2)]
+    kinds = set()
+    for _ in range(40):
+        tv = random_feasible_tv(rng)
+        if rng.random() < 0.5:
+            tv = TVData.from_map(tv.q, {m: b * rng.randint(50, 5000)
+                                        for m, b in tv.beta})
+        kinds.add(tv.feasible())
+        degrees = [m for m, _ in tv.beta]
+        lo, hi = degrees[0], degrees[-1]
+        for M in {0, lo, rng.randint(lo, hi), hi - 1, hi, hi + 7}:
+            lnq = ln_lower(tv.q)
+            for spec in groups:
+                exact = sum(b * x / ((1 - x) * lnq)
+                            for m, b in tv.beta if m > M
+                            for x in (Fraction(1, tv.q ** (m * d))
+                                      for d in spec.degrees))
+                expected = float(exact * slack + floor) if exact else 0.0
+                assert rhs_group(tv, spec, M).tail == expected
+                if spec.name == "Gm":
+                    assert rhs_pic(tv, M).tail == expected
+    assert kinds == {True, False}
+
+
 def test_tail_soundness_for_infeasible_densities():
-    # the feasibility envelope does not apply, so the tail must fall back
-    # to bounding the actual discarded terms
+    # the tail bounds the actual discarded terms, so it holds whether or
+    # not the densities are feasible
     tv = TVData(q=2, beta=((1, Fraction(1)), (12, Fraction(1000))))
     assert not tv.feasible()
     short = rhs_pic(tv, 10)
@@ -236,14 +267,14 @@ def test_empirical_tv_synthetic():
 def test_empirical_tv_single_member():
     fam = [(DegreeSpectrum(q=2, g=1, B=(3, 1)), 1)]
     tv = empirical_tv(fam, 2)
-    assert tv.beta_at(1) == 3 and tv.beta_at(2) == 1
+    assert tv.beta == ((1, Fraction(3)), (2, Fraction(1)))
 
 
 def test_empirical_tv_two_members_keeps_sequences():
     fam = [(DegreeSpectrum(q=2, g=1, B=(3, 1)), 1),
            (DegreeSpectrum(q=2, g=2, B=(2, 4)), 2)]
     tv = empirical_tv(fam, 2)
-    assert tv.beta_at(1) == 1 and tv.beta_at(2) == 2
+    assert tv.beta == ((1, Fraction(1)), (2, Fraction(2)))
     quots = beta_quotients(fam, 2)
     assert quots[0] == {1: Fraction(3), 2: Fraction(1)}
     assert quots[1] == {1: Fraction(1), 2: Fraction(2)}
@@ -308,7 +339,7 @@ def test_convergence_report_single_member(catalog_zeta):
     rep = convergence_report([catalog_zeta("E1")], builtin_group("Gm", 1), 6)
     assert len(rep.rows) == 1
     # rhs comes from that member's spectrum
-    assert rep.tv.beta_at(1) == 3
+    assert dict(rep.tv.beta)[1] == 3
 
 
 def test_convergence_report_errors(catalog_zeta):

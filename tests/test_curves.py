@@ -561,6 +561,19 @@ def test_plane_certificate_above_table_limit_refused_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_plane_certificate_stops_at_its_witness(monkeypatch):
+    # x^5 + y^5 + x^2 y^2 z is singular at (0:0:1), a point over F_3 itself,
+    # so the certificate needs none of F_(3^2)..F_(3^10)
+    monkeypatch.setattr(FiniteField, "_prime_cache", {})
+    base = FiniteField.prime(3)
+    model = PlaneCurve.from_list(
+        base, [(5, 0, 0, 1), (0, 5, 0, 1), (2, 2, 1, 1)], 5, name="quintic")
+    with pytest.raises(SingularModelError) as exc:
+        model.validate()
+    assert exc.value.witness == (1, 0, 0, 1)
+    assert base._extensions == {}
+
+
 def test_counts_deterministic(curve_catalog):
     model = curve_catalog["C3"]
     assert [count_points(model, m) for m in (1, 2, 3)] == \

@@ -26,14 +26,15 @@ def test_no_assert_statements_in_package():
 
 def test_cli_import_leaves_out_unused_modules():
     # every CLI run is a fresh process, so what `import bunzeta.cli` loads
-    # is paid on every run; csv is loaded only by the csv report writer
+    # is paid on every run; csv is loaded only by the csv report writer.
+    # -S keeps site packages (whose .pth files may load typing) out
     src = pathlib.Path(bunzeta.__file__).parent.parent
     code = ("import sys; before = set(sys.modules); import bunzeta.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'csv'} "
+            "print(sorted({'dataclasses', 'inspect', 'csv', 'typing'} "
             "& (set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 
