@@ -8,7 +8,6 @@ precision loss and are byte-identical across runs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -149,19 +148,22 @@ def build_tv(cfg: dict) -> TVData | None:
         raise ConfigError(f"tv: {e}") from e
 
 
-def _run_config(cfg: dict, args) -> dict:
-    """The run settings, checked before any curve is counted."""
+def _run_config(cfg: dict, opts: dict) -> dict:
+    """The run settings, checked before any curve is built; ``opts`` are
+    the command-line options of ``parse_args``, which override the config."""
     out_cfg = cfg.get("output") or {}
     run = {
-        "trunc": args.trunc if args.trunc is not None
+        "trunc": opts["trunc"] if opts["trunc"] is not None
         else _integer(cfg.get("trunc", DEFAULT_TRUNC), "trunc"),
-        "budget": args.budget if args.budget is not None
+        "budget": opts["budget"] if opts["budget"] is not None
         else _integer(cfg.get("budget", DEFAULT_ENUM_BUDGET), "budget"),
-        "format": args.format or out_cfg.get("format", "json"),
-        "out": args.out or out_cfg.get("path"),
+        "format": opts["format"] or out_cfg.get("format", "json"),
+        "out": opts["out"] or out_cfg.get("path"),
     }
     if run["trunc"] < 1:
         raise ConfigError("trunc: must be >= 1")
+    if run["budget"] < 1:
+        raise ConfigError("budget: must be >= 1")
     if run["format"] not in ("csv", "json"):
         raise ConfigError(f"output.format: unknown format {run['format']!r}")
     return run
@@ -406,35 +408,82 @@ def emit(report: dict, run: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="bunzeta",
-        description="Exact zeta functions of curves over finite fields and "
-                    "masses of bundle moduli stacks.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-            ("zeta", "point counts, degree spectra and zeta invariants"),
-            ("mass", "exact stack masses (totals and semistable)"),
-            ("asymptote", "limit-formula evaluation and convergence report")):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="output format (default from config, else json)")
-        p.add_argument("--trunc", type=int, help="series truncation depth M")
-        p.add_argument("--budget", type=int, help="enumeration budget")
-    return ap
+USAGE = """\
+usage: bunzeta {zeta,mass,asymptote} --config PATH [--out PATH]
+               [--format csv|json] [--trunc N] [--budget N]
+"""
 
+HELP = USAGE + """
+Exact zeta functions of curves over finite fields and masses of bundle
+moduli stacks.
+
+commands:
+  zeta        point counts, degree spectra and zeta invariants
+  mass        exact stack masses (totals and semistable)
+  asymptote   limit-formula evaluation and convergence report
+
+options (--opt VALUE or --opt=VALUE; a repeated option keeps its last value):
+  --config PATH   JSON config path (required)
+  --out PATH      output path (default: stdout)
+  --format F      csv or json (default from config, else json)
+  --trunc N       series truncation depth M
+  --budget N      enumeration budget
+  -h, --help      print this help and exit
+
+exit status: 0 on success, 1 on a config or computation error, 2 on a
+usage error.
+"""
 
 _COMMANDS = {"zeta": cmd_zeta, "mass": cmd_mass, "asymptote": cmd_asymptote}
+_OPTIONS = {"--config": str, "--out": str, "--format": str,
+            "--trunc": int, "--budget": int}
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+class UsageError(ValueError):
+    """A command line outside the grammar of ``USAGE``."""
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict]:
+    """``(command, options)`` from ``COMMAND [options]``; options maps each
+    name without its dashes to its value, or None when it is not given."""
+    if not argv or argv[0] not in _COMMANDS:
+        got = repr(argv[0]) if argv else "none"
+        raise UsageError(f"expected a command from {', '.join(_COMMANDS)}, "
+                         f"got {got}")
+    opts = dict.fromkeys(name[2:] for name in _OPTIONS)
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS:
+            raise UsageError(f"unrecognized argument {arg!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"argument {name}: expected a value")
+        try:
+            opts[name[2:]] = _OPTIONS[name](value)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid int value "
+                             f"{value!r}") from None
+    if opts["config"] is None:
+        raise UsageError("the argument --config is required")
+    return argv[0], opts
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(HELP)
+        return 0
     try:
-        cfg = load_config(args.config)
-        run = _run_config(cfg, args)
-        report = _COMMANDS[args.command](cfg, run)
+        command, opts = parse_args(argv)
+    except UsageError as e:
+        sys.stderr.write(f"{USAGE}error: {e}\n")
+        return 2
+    try:
+        cfg = load_config(opts["config"])
+        run = _run_config(cfg, opts)
+        report = _COMMANDS[command](cfg, run)
         emit(report, run)
     except Exception as e:  # config and library errors keep their message
         print(f"error: {e}", file=sys.stderr)

@@ -558,3 +558,96 @@ def test_asymptote_reports_general_local_values(tmp_path):
     assert abs(float(general["value"]) - (rhs - 1.0)) < 1e-15
     assert general["weight_envelope_ok"] is True
     assert general["d_bound"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the command line itself
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["frobenius", "--config", "{cfg}"],
+    ["zeta", "--config", "{cfg}", "--jobs", "2"],
+    ["zeta", "--config", "{cfg}", "--out"],
+    ["zeta", "--config", "--out", "x.json"],
+    ["zeta", "--config", "{cfg}", "--trunc", "x"],
+    ["mass", "--config", "{cfg}", "--budget=1e3"],
+    ["zeta", "--config", "{cfg}", "extra"],
+    ["asymptote", "--trunc", "4"],
+], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
+        "option-as-value", "non-integer-trunc", "non-integer-budget",
+        "positional", "no-config"])
+def test_usage_error_exits_2_before_reading_config(config_path, monkeypatch,
+                                                   capsys, args):
+    from bunzeta import cli
+
+    read = []
+    monkeypatch.setattr(cli, "load_config", read.append)
+    assert run_cli([a.format(cfg=config_path) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: bunzeta ")
+    assert "\nerror: " in captured.err
+    assert captured.out == ""
+    assert read == []
+
+
+@pytest.mark.parametrize("args", [["--help"], ["-h"],
+                                  ["zeta", "--config", "x.json", "-h"],
+                                  ["mass", "--trunc", "x", "--help"]])
+def test_help_prints_usage_to_stdout(monkeypatch, capsys, args):
+    from bunzeta import cli
+
+    read = []
+    monkeypatch.setattr(cli, "load_config", read.append)
+    assert run_cli(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cli.HELP
+    assert captured.err == ""
+    assert read == []
+
+
+@pytest.mark.parametrize("command", ["zeta", "mass", "asymptote"])
+def test_equals_form_gives_the_same_report(config_path, tmp_path, command):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run_cli([command, "--config", config_path, "--trunc", "5",
+                    "--budget", "4096", "--format", "csv",
+                    "--out", str(spaced)]) == 0
+    assert run_cli([command, f"--config={config_path}", "--trunc=5",
+                    "--budget=4096", "--format=csv",
+                    f"--out={joined}"]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_repeated_option_keeps_its_last_value(config_path, tmp_path):
+    out = tmp_path / "zeta.json"
+    assert run_cli(["zeta", "--config", config_path, "--trunc", "3",
+                    "--out", str(tmp_path / "unused.json"), "--trunc=6",
+                    "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["trunc"] == 6
+    assert all(len(c["counts"]) == 6 for c in report["curves"])
+    assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize("flag,config_budget", [
+    (["--budget", "0"], None), (["--budget", "-7"], None),
+    (["--budget=-7"], 1024), ([], 0), ([], -3)],
+    ids=["flag-0", "flag-negative", "flag-over-config", "config-0",
+         "config-negative"])
+def test_nonpositive_budget_refused_before_any_curve(tmp_path, monkeypatch,
+                                                     capsys, flag,
+                                                     config_budget):
+    from bunzeta import cli
+
+    cfg = {"schema": 1,
+           "curves": [{"name": "P1/F2", "kind": "projective-line", "p": 2}]}
+    if config_budget is not None:
+        cfg["budget"] = config_budget
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(cfg))
+    built = []
+    monkeypatch.setattr(cli, "build_curve", built.append)
+    assert run_cli(["zeta", "--config", str(path), *flag]) == 1
+    assert "error: budget: must be >= 1" in capsys.readouterr().err
+    assert built == []

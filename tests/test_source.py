@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -24,18 +25,29 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_cli_import_leaves_out_unused_modules():
-    # every CLI run is a fresh process, so what `import bunzeta.cli` loads
-    # is paid on every run; csv is loaded only by the csv report writer.
+def test_cli_import_leaves_out_unused_modules(tmp_path):
+    # every CLI run is a fresh process, so what `import bunzeta.cli` and one
+    # run load is paid on every run; csv is loaded only by the csv report
+    # writer, and the command line is parsed without argparse (which loads
+    # gettext, and locale and shutil when it formats help or errors).
     # -S keeps site packages (whose .pth files may load typing) out
     src = pathlib.Path(bunzeta.__file__).parent.parent
-    code = ("import sys; before = set(sys.modules); import bunzeta.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'csv', 'typing'} "
-            "& (set(sys.modules) - before)))")
+    config = src.parent / "configs" / "demo.json"
+    code = ("import json, sys; before = set(sys.modules); import bunzeta.cli; "
+            "imported = set(sys.modules) - before; "
+            f"rc = bunzeta.cli.main(['zeta', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path / 'zeta.json')!r}]); "
+            "ran = set(sys.modules) - before - imported; "
+            "print(json.dumps([rc, sorted(imported), sorted(ran)]))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    rc, imported, ran = json.loads(out)
+    assert rc == 0
+    parsers = {"argparse", "gettext", "locale", "shutil"}
+    assert (parsers | {"dataclasses", "inspect", "csv", "typing"}).isdisjoint(
+        imported)
+    assert parsers.isdisjoint(ran)
 
 
 def test_no_dataclasses_import_in_package():
