@@ -150,22 +150,22 @@ def build_tv(cfg: dict) -> TVData | None:
 
 def _run_config(cfg: dict, opts: dict) -> dict:
     """The run settings, checked before any curve is built; ``opts`` are
-    the command-line options of ``parse_args``, which override the config."""
+    the command-line options of ``parse_args``, which override the config.
+    An error names where its value came from: ``--flag`` or config key."""
     out_cfg = cfg.get("output") or {}
-    run = {
-        "trunc": opts["trunc"] if opts["trunc"] is not None
-        else _integer(cfg.get("trunc", DEFAULT_TRUNC), "trunc"),
-        "budget": opts["budget"] if opts["budget"] is not None
-        else _integer(cfg.get("budget", DEFAULT_ENUM_BUDGET), "budget"),
-        "format": opts["format"] or out_cfg.get("format", "json"),
-        "out": opts["out"] or out_cfg.get("path"),
-    }
-    if run["trunc"] < 1:
-        raise ConfigError("trunc: must be >= 1")
-    if run["budget"] < 1:
-        raise ConfigError("budget: must be >= 1")
-    if run["format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format: unknown format {run['format']!r}")
+    run = {"out": opts["out"] or out_cfg.get("path")}
+    for key, name, value in (
+            ("trunc", "trunc", cfg.get("trunc", DEFAULT_TRUNC)),
+            ("budget", "budget", cfg.get("budget", DEFAULT_ENUM_BUDGET)),
+            ("format", "output.format", out_cfg.get("format", "json"))):
+        if opts[key] is not None:
+            name, value = f"--{key}", opts[key]
+        if key != "format":
+            if (value := _integer(value, name)) < 1:
+                raise ConfigError(f"{name}: must be >= 1")
+        elif value not in ("csv", "json"):
+            raise ConfigError(f"{name}: unknown format {value!r}")
+        run[key] = value
     return run
 
 

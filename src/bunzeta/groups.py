@@ -13,6 +13,7 @@ specs (e.g. G_2: dim 14, degrees {2, 6}) can be supplied via
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .arith import Record, format_rational, parse_integer, parse_rational
@@ -112,10 +113,8 @@ def mass_ratio(spec: GroupSpec, q: int, r: int = 1) -> Fraction:
     if r < 1:
         raise ValueError("r must be >= 1")
     Q = q ** r
-    val = Fraction(1)
-    for d in spec.degrees:
-        val *= 1 - Fraction(1, Q ** d)
-    return val
+    return Fraction(math.prod(Q ** d - 1 for d in spec.degrees),
+                    Q ** sum(spec.degrees))
 
 
 def group_spec_from_json(obj: dict) -> GroupSpec:

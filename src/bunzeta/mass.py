@@ -37,6 +37,7 @@ independent routes compute the semistable mass M^ss(n, d):
   :func:`semistable_mass` runs both and raises RouteMismatchError when
   they differ.
 
+Every mass is built as one integer numerator and one integer denominator.
 The GL_n totals and both routes' masses are memoized per (n, zeta data);
 masses are invariant under d -> d + n (twisting by a degree-1 line bundle).
 """
@@ -50,7 +51,7 @@ from fractions import Fraction
 
 from .arith import Record
 from .groups import GroupSpec, builtin_group
-from .zeta import ZetaData, quasi_residue, special_value
+from .zeta import ZetaData, class_number, special_value_parts
 
 
 class RouteMismatchError(ArithmeticError):
@@ -82,13 +83,16 @@ def compositions(n: int, min_parts: int = 1):
 def mass_bun(spec: GroupSpec, z: ZetaData) -> MassValue:
     """Total mass of the trivial-bundle component for a split group."""
     q, g = z.q, z.g
-    c1 = sum(1 for d in spec.degrees if d == 1)
-    val = spec.tamagawa * Fraction(q) ** ((g - 1) * spec.dim)
-    val *= quasi_residue(z) ** c1
-    for d in spec.degrees:
-        if d >= 2:
-            val *= special_value(z, d)
-    return MassValue(val, (spec, z))
+    c1 = spec.degrees.count(1)
+    # rho = h q^(1-g) / (q - 1): its q-powers join the (g-1) dim G ones
+    num = spec.tamagawa.numerator * class_number(z) ** c1
+    den = spec.tamagawa.denominator * (q - 1) ** c1
+    for d in spec.degrees[c1:]:  # sorted, so the degrees >= 2
+        a, b = special_value_parts(z, d)
+        num, den = num * a, den * b
+    e = (g - 1) * (spec.dim - c1)
+    return MassValue(Fraction(num * q ** max(e, 0), den * q ** max(-e, 0)),
+                     (spec, z))
 
 
 @functools.cache
@@ -124,9 +128,11 @@ def _zagier_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
     for comp in compositions(n):
         partial = list(itertools.accumulate(comp))
         cross = (n * n - sum(part * part for part in comp)) // 2
-        parts = math.prod(mass_gl_component(part, z).value for part in comp)
+        parts = [mass_gl_component(part, z).value for part in comp]
+        top = math.prod(v.numerator for v in parts)
         pairs = [a + b for a, b in zip(comp, comp[1:])]
-        den = parts.denominator * math.prod(1 - q ** pair for pair in pairs)
+        den = math.prod(v.denominator for v in parts) * math.prod(
+            1 - q ** pair for pair in pairs)
         for d in range(n):
             # n times the fractional part of the q-exponent
             num = sum(pair * (partial[l] * d % n)
@@ -137,7 +143,7 @@ def _zagier_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
                     f"for composition {comp}; the composition sum does not "
                     "define a rational number here")
             e = (g - 1) * cross + num // n
-            terms[d].append((parts.numerator * q ** max(e, 0),
+            terms[d].append((top * q ** max(e, 0),
                              den * q ** max(-e, 0)))
     out = []
     for ts in terms:
@@ -184,8 +190,8 @@ def _hn_strata_sums(n: int, z: ZetaData) -> list[Fraction]:
 
     Per composition: the residue tuples (r_1..r_k) are summed as integers,
     keyed by their pattern (e_1..e_(k-1)) and by sum r_i mod n; each
-    pattern's class vectors are convolved over Z/n once, and the whole
-    composition is put over one denominator.
+    pattern's class vectors are convolved over Z/n once, and each d's
+    composition terms are added as integers over one common denominator.
     """
     q = z.q
     # M^ss(m, r) = nums[m][r] / dens[m]: one denominator per rank m < n
@@ -194,7 +200,7 @@ def _hn_strata_sums(n: int, z: ZetaData) -> list[Fraction]:
         vals = _hn_masses(m, z)
         dens[m] = math.lcm(*(v.denominator for v in vals))
         nums[m] = [v.numerator * (dens[m] // v.denominator) for v in vals]
-    sums = [Fraction(0)] * n
+    terms = []  # (den, numerators by d) per composition
     for comp in compositions(n, min_parts=2):
         k = len(comp)
         s = [0, *itertools.accumulate(comp)]  # s[i] = n_1 + ... + n_i
@@ -234,7 +240,8 @@ def _hn_strata_sums(n: int, z: ZetaData) -> list[Fraction]:
         power = (z.g - 1) * cross - shift
         den = math.prod(dens[part] for part in comp) * math.prod(
             q ** (n * w) - 1 for w in ws)
-        for d, a in enumerate(total):
-            sums[d] += Fraction(a * q ** max(power, 0),
-                                den * q ** max(-power, 0))
-    return sums
+        terms.append((den * q ** max(-power, 0),
+                      [a * q ** max(power, 0) for a in total]))
+    common = math.lcm(*(den for den, _ in terms))
+    return [Fraction(sum(row[d] * (common // den) for den, row in terms),
+                     common) for d in range(n)]

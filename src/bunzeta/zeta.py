@@ -99,13 +99,6 @@ class ZetaData(Record):
                 raise InconsistentCountsError(
                     f"regenerated N_{m} = {n_m} violates the Weil bound")
 
-    def p_at(self, t: Fraction) -> Fraction:
-        """P(t), exactly."""
-        acc = Fraction(0)
-        for c in reversed(self.a):
-            acc = acc * t + c
-        return acc
-
     def to_json_dict(self) -> dict:
         return {"q": self.q, "g": self.g, "a": [str(c) for c in self.a]}
 
@@ -190,16 +183,26 @@ def class_number(z: ZetaData) -> int:
 
 def quasi_residue(z: ZetaData) -> Fraction:
     """q^(1-g) h / (q - 1): the scaled leading value at the s = 1 pole."""
-    return Fraction(z.q) ** (1 - z.g) * class_number(z) / (z.q - 1)
+    return Fraction(class_number(z) * z.q ** max(1 - z.g, 0),
+                    (z.q - 1) * z.q ** max(z.g - 1, 0))
 
 
-def special_value(z: ZetaData, s: int) -> Fraction:
-    """Zeta value at an integer s >= 2: P(q^-s) / ((1 - q^-s)(1 - q^(1-s)))."""
+def special_value_parts(z: ZetaData, s: int) -> tuple[int, int]:
+    """Integers (num, den), not reduced, with num / den = zeta_X(s), s >= 2."""
     if s <= 1:
         raise ValueError("special_value needs s >= 2 (s = 1 is the pole; "
                          "use quasi_residue)")
-    t = Fraction(1, z.q ** s)
-    return z.p_at(t) / ((1 - t) * (1 - Fraction(1, z.q ** (s - 1))))
+    q, Q, acc = z.q, z.q ** s, 0
+    for c in z.a:
+        acc = acc * Q + c
+    return acc * q ** (2 * s - 1), Q ** (2 * z.g) * (Q - 1) * (Q // q - 1)
+
+
+def special_value(z: ZetaData, s: int) -> Fraction:
+    """Zeta value at an integer s >= 2, P(q^-s) / ((1 - q^-s)(1 - q^(1-s))),
+    on integers: ``acc q^(2s-1) / (Q^(2g) (Q - 1) (q^(s-1) - 1))`` with
+    Q = q^s and acc = sum_k a_k Q^(2g-k) = Q^(2g) P(q^-s) by Horner."""
+    return Fraction(*special_value_parts(z, s))
 
 
 def degree_spectrum(counts: PointCounts) -> DegreeSpectrum:

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from bunzeta.arith import ext_field
+from bunzeta.arith import DEFAULT_ENUM_BUDGET, ext_field
 from bunzeta.curves import (
     HyperellipticCurve,
     PlaneCurve,
@@ -8,7 +10,7 @@ from bunzeta.curves import (
     count_series,
     genus_of,
 )
-from bunzeta.zeta import zeta_from_counts
+from bunzeta.zeta import InconsistentCountsError, zeta_from_counts
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +64,38 @@ def catalog_zeta(curve_catalog):
         g = genus_of(model)
         return zeta_from_counts(model.q, g, count_series(model, g).counts)
     return build
+
+
+@pytest.fixture(scope="session")
+def genus6_zeta(F2):
+    # y^2 + y = x^13 over F_2, genus 6
+    model = HyperellipticCurve.from_ints(F2, [1], [0] * 13 + [1], name="C6")
+    counts = count_series(model, 6, DEFAULT_ENUM_BUDGET)
+    return zeta_from_counts(2, 6, counts.counts[:6])
+
+
+@pytest.fixture(scope="session")
+def random_zetas():
+    """Seeded random ZetaData: the projective line and up to four draws of
+    counts N_1..N_g inside the Weil window that are the counts of a genus-g
+    curve's zeta data, for each q in 2, 3, 4, 5, 7 and g in 1, 2, 3."""
+    rng = random.Random(1412)
+    out = []
+    for q in (2, 3, 4, 5, 7):
+        out.append(zeta_from_counts(q, 0, []))
+        for g in (1, 2, 3):
+            kept = 0
+            for _ in range(400):
+                counts = []
+                for m in range(1, g + 1):
+                    width = int(2 * g * q ** (m / 2))
+                    counts.append(max(0, q ** m + 1 - width)
+                                  + rng.randrange(2 * width + 1))
+                try:
+                    out.append(zeta_from_counts(q, g, counts))
+                except InconsistentCountsError:
+                    continue
+                kept += 1
+                if kept == 4:
+                    break
+    return out

@@ -630,14 +630,16 @@ def test_repeated_option_keeps_its_last_value(config_path, tmp_path):
     assert not (tmp_path / "unused.json").exists()
 
 
-@pytest.mark.parametrize("flag,config_budget", [
-    (["--budget", "0"], None), (["--budget", "-7"], None),
-    (["--budget=-7"], 1024), ([], 0), ([], -3)],
+@pytest.mark.parametrize("flag,config_budget,source", [
+    (["--budget", "0"], None, "--budget"),
+    (["--budget", "-7"], None, "--budget"),
+    (["--budget=-7"], 1024, "--budget"), ([], 0, "budget"),
+    ([], -3, "budget")],
     ids=["flag-0", "flag-negative", "flag-over-config", "config-0",
          "config-negative"])
 def test_nonpositive_budget_refused_before_any_curve(tmp_path, monkeypatch,
                                                      capsys, flag,
-                                                     config_budget):
+                                                     config_budget, source):
     from bunzeta import cli
 
     cfg = {"schema": 1,
@@ -649,5 +651,49 @@ def test_nonpositive_budget_refused_before_any_curve(tmp_path, monkeypatch,
     built = []
     monkeypatch.setattr(cli, "build_curve", built.append)
     assert run_cli(["zeta", "--config", str(path), *flag]) == 1
-    assert "error: budget: must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {source}: must be >= 1\n"
     assert built == []
+
+
+P1_ONLY = {"schema": 1,
+           "curves": [{"name": "P1/F2", "kind": "projective-line", "p": 2}]}
+
+
+@pytest.mark.parametrize("flag,config,message", [
+    (["--trunc", "0"], {}, "--trunc: must be >= 1"),
+    (["--trunc=-2"], {"trunc": 4}, "--trunc: must be >= 1"),
+    ([], {"trunc": 0}, "trunc: must be >= 1"),
+    (["--budget", "0"], {"budget": 1024}, "--budget: must be >= 1"),
+    ([], {"budget": 0}, "budget: must be >= 1"),
+    (["--format", "xml"], {}, "--format: unknown format 'xml'"),
+    (["--format=xml"], {"output": {"format": "csv"}},
+     "--format: unknown format 'xml'"),
+    ([], {"output": {"format": "xml"}}, "output.format: unknown format 'xml'"),
+], ids=["trunc-flag", "trunc-flag-over-config", "trunc-config", "budget-flag",
+        "budget-config", "format-flag", "format-flag-over-config",
+        "format-config"])
+def test_bad_setting_names_its_source(tmp_path, monkeypatch, capsys, flag,
+                                      config, message):
+    # a bad value from a flag is named by the flag, one from the config by
+    # its key; either way it exits 1 before any curve is built
+    from bunzeta import cli
+
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps({**P1_ONLY, **config}))
+    built = []
+    monkeypatch.setattr(cli, "build_curve", built.append)
+    assert run_cli(["zeta", "--config", str(path), *flag]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == []
+
+
+@pytest.mark.parametrize("flag,config", [
+    (["--trunc", "3"], {"trunc": 0}), (["--budget", "64"], {"budget": -1}),
+    (["--format", "csv"], {"output": {"format": "xml"}})],
+    ids=["trunc", "budget", "format"])
+def test_good_flag_overrides_bad_config_value(tmp_path, capsys, flag, config):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps({**P1_ONLY, **config}))
+    assert run_cli(["zeta", "--config", str(path), *flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out

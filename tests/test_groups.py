@@ -159,6 +159,26 @@ def test_mass_ratio_matches_order():
                     Fraction(group_order(spec, q, r), q ** (r * spec.dim))
 
 
+def mass_ratio_oracle(spec, q, r=1):
+    """prod_j (1 - q^(-r d_j)) as a running Fraction product."""
+    val = Fraction(1)
+    for d in spec.degrees:
+        val *= 1 - Fraction(1, (q ** r) ** d)
+    return val
+
+
+def test_mass_ratio_matches_fraction_oracle():
+    specs = [builtin_group(family, n) for family, n in
+             [("Gm", 1), ("GL", 1), ("GL", 4), ("SL", 3), ("Sp", 3),
+              ("SO-odd", 2), ("SO-even", 3), ("SO-even", 4)]]
+    specs.append(GroupSpec("G2", 14, (2, 6), Fraction(3, 7)))
+    for spec in specs:
+        for q in (2, 3, 4, 5, 7, 9):
+            for r in (1, 2, 3):
+                assert mass_ratio(spec, q, r) == \
+                    mass_ratio_oracle(spec, q, r), (spec.name, q, r)
+
+
 # ---------------------------------------------------------------------------
 # config ingestion
 # ---------------------------------------------------------------------------

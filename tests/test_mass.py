@@ -7,9 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bunzeta import mass
-from bunzeta.arith import DEFAULT_ENUM_BUDGET
-from bunzeta.curves import HyperellipticCurve, count_series
-from bunzeta.groups import builtin_group, group_order
+from bunzeta.groups import FAMILIES, builtin_group, group_order
 from bunzeta.mass import (
     MassValue,
     compositions,
@@ -19,6 +17,7 @@ from bunzeta.mass import (
     zagier_ss_mass,
 )
 from bunzeta.zeta import class_number, quasi_residue, zeta_from_counts
+from test_zeta import quasi_residue_oracle, special_value_oracle
 
 
 def p1_rank2_split_bundle_mass(q):
@@ -76,6 +75,39 @@ def test_gm_mass_is_pic0_weighted_count(zeta_catalog):
         expected = Fraction(class_number(z), z.q - 1)
         got = mass_bun(builtin_group("Gm", 1), z).value
         assert got == expected == quasi_residue(z) * Fraction(z.q) ** (z.g - 1)
+
+
+def mass_bun_oracle(spec, z):
+    """The product formula as a running Fraction product, on the Fraction
+    oracles of the zeta values."""
+    q, g = z.q, z.g
+    c1 = sum(1 for d in spec.degrees if d == 1)
+    val = spec.tamagawa * Fraction(q) ** ((g - 1) * spec.dim)
+    val *= quasi_residue_oracle(z) ** c1
+    for d in spec.degrees:
+        if d >= 2:
+            val *= special_value_oracle(z, d)
+    return val
+
+
+BUILTIN_SPECS = [("Gm", 1), ("GL", 1), ("GL", 2), ("GL", 5), ("SL", 2),
+                 ("SL", 6), ("Sp", 1), ("Sp", 3), ("SO-odd", 2),
+                 ("SO-even", 2), ("SO-even", 3)]
+
+
+@pytest.mark.parametrize("tamagawa", [None, Fraction(3, 7)],
+                         ids=["tau-1", "tau-3/7"])
+def test_mass_bun_matches_fraction_oracle(zeta_catalog, genus6_zeta,
+                                          random_zetas, tamagawa):
+    zetas = [*zeta_catalog.values(), genus6_zeta, *random_zetas]
+    # every family: g - 1 and rho's 1 - g give q-exponents of both signs
+    assert {0, 1, 6} <= {z.g for z in zetas}
+    assert {family for family, _ in BUILTIN_SPECS} == set(FAMILIES)
+    for family, n in BUILTIN_SPECS:
+        spec = builtin_group(family, n, tamagawa)
+        for z in zetas:
+            assert mass_bun(spec, z).value == mass_bun_oracle(spec, z), \
+                (spec.name, z)
 
 
 def test_mass_gl_component_pinned(zeta_catalog):
@@ -193,14 +225,6 @@ def _transfer_strata_sums(n, z):
 def _transfer_part_factor(n_i, r, coeff, z):
     """M^ss(n_i, r) q^(-r coeff): the r-dependent factor of one part."""
     return _transfer_hn_masses(n_i, z)[r] * Fraction(z.q) ** (-r * coeff)
-
-
-@pytest.fixture(scope="module")
-def genus6_zeta(F2):
-    # y^2 + y = x^13 over F_2, genus 6
-    model = HyperellipticCurve.from_ints(F2, [1], [0] * 13 + [1], name="C6")
-    counts = count_series(model, 6, DEFAULT_ENUM_BUDGET)
-    return zeta_from_counts(2, 6, counts.counts[:6])
 
 
 @pytest.mark.parametrize("key", ["P1/F2", "P1/F3", "E1", "C2", "C6"])

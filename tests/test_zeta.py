@@ -136,6 +136,33 @@ def test_special_value_served_by_series_summation(zeta_catalog):
     assert 0 < exact - partial < Fraction(1, 4 ** 13)
 
 
+def quasi_residue_oracle(z):
+    """The scaled residue in Fraction arithmetic, q^(1-g) h / (q - 1)."""
+    return Fraction(z.q) ** (1 - z.g) * class_number(z) / (z.q - 1)
+
+
+def special_value_oracle(z, s):
+    """zeta_X(s) in Fraction arithmetic: P(t) by Horner at t = q^-s, over
+    (1 - t)(1 - q^(1-s))."""
+    t = Fraction(1, z.q ** s)
+    p_at_t = Fraction(0)
+    for c in reversed(z.a):
+        p_at_t = p_at_t * t + c
+    return p_at_t / ((1 - t) * (1 - Fraction(1, z.q ** (s - 1))))
+
+
+def test_integer_values_match_fraction_oracles(zeta_catalog, genus6_zeta,
+                                               random_zetas):
+    zetas = [*zeta_catalog.values(), genus6_zeta, *random_zetas]
+    # g = 0 puts q^(2s-1) in the numerator, g >= 1 a power of q in the
+    # denominator: both signs of the q-exponent occur
+    assert {0, 1, 2, 3, 6} <= {z.g for z in zetas}
+    for z in zetas:
+        assert quasi_residue(z) == quasi_residue_oracle(z), z
+        for s in range(2, 7):
+            assert special_value(z, s) == special_value_oracle(z, s), (z, s)
+
+
 def test_special_value_rejects_pole():
     z = zeta_from_counts(2, 0, [])
     with pytest.raises(ValueError):
