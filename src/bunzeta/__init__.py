@@ -31,9 +31,6 @@ from .curves import (
     ProjectiveLine,
     SingularModelError,
     WeilViolationError,
-    count_points,
-    count_series,
-    genus_of,
 )
 from .groups import GroupSpec, builtin_group, group_order, mass_ratio
 from .mass import (

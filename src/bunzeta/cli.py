@@ -31,9 +31,8 @@ from .curves import (
     CurveModel,
     HyperellipticCurve,
     PlaneCurve,
+    PointCounts,
     ProjectiveLine,
-    count_series,
-    genus_of,
 )
 from .groups import GroupSpec, group_spec_from_json
 from .mass import RouteMismatchError, mass_bun, semistable_mass
@@ -174,17 +173,16 @@ def _run_config(cfg: dict, opts: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def curve_zeta(model: CurveModel, budget: int, trunc: int = 0) -> ZetaData:
-    """P(T) of a validated model from its enumerated N_1..N_g; every error
-    names the curve.  ``trunc > g`` means the caller counts the guard
-    N_(g+1) next, so its field is checked against the limits first: an
-    over-limit guard fails before N_1..N_g are counted."""
+def curve_zeta(model: CurveModel, budget: int,
+               trunc: int = 0) -> tuple[ZetaData, PointCounts]:
+    """P(T) of a validated model from its enumerated N_1..N_g, and the
+    enumerated counts; every error names the curve.  ``trunc > g`` adds the
+    guard N_(g+1) to the one ``counts`` call, so an over-limit guard fails
+    before N_1 is counted."""
     try:
-        g = genus_of(model, budget)
-        if trunc > g and model.scans:
-            model.check_scan(g + 1, budget, "point count")
-        return zeta_from_counts(model.q, g,
-                                count_series(model, g, budget).counts)
+        g = model.genus()
+        enumerated = model.counts(g + (trunc > g), budget)
+        return zeta_from_counts(model.q, g, enumerated.counts[:g]), enumerated
     except Exception as e:
         raise ConfigError(f"curves[{model.name}]: {e}") from e
 
@@ -205,12 +203,12 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
     trunc, budget = run["trunc"], run["budget"]
 
     def one(model: CurveModel) -> dict:
-        z = curve_zeta(model, budget, trunc)
+        z, enumerated = curve_zeta(model, budget, trunc)
         g = z.g
         try:
             counts, spec = counts_and_spectrum(z, trunc)
             if trunc > g:
-                guard = count_series(model, g + 1, budget).n(g + 1)
+                guard = enumerated.n(g + 1)
                 if guard != counts[g]:
                     raise InconsistentCountsError(
                         f"guard count N_{g + 1} = {guard} but "
@@ -279,7 +277,7 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
 
     rows = []
     for model in curves:  # one zeta per curve, shared by its groups
-        z = curve_zeta(model, run["budget"])
+        z, _ = curve_zeta(model, run["budget"])
         rows.extend(one(model, spec, z) for spec in groups)
     return {"schema": SCHEMA_VERSION, "command": "mass", "masses": rows}
 
@@ -292,8 +290,8 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
     trunc = run["trunc"]
     # the family path only concerns positive-genus members; genus-0 curves
     # in a shared config are simply not part of this section
-    family = [z for z in (curve_zeta(c, run["budget"])
-                          for c in build_curves(cfg)) if z.g >= 1]
+    family = [z for z, _ in (curve_zeta(c, run["budget"])
+                             for c in build_curves(cfg)) if z.g >= 1]
     if tv is None and not family:
         raise ConfigError("tv/curves: the asymptote command needs tv data "
                           "or a curve family of positive genus")

@@ -27,9 +27,12 @@ is exact: h, f and the plane columns have coefficients in F_q, so the
 data at x^q is the Frobenius image of the data at x, and Frobenius, an
 automorphism of F_(q^m), preserves root counts and common roots.  The
 certificate's witness does not move either: the first singular x in code
-order is the first element of its orbit.  Each scan gets its field, with
-tables, from ``CurveModel.scan_field``, which charges the q^m elements
-against the budget and the 2^20 table limit.
+order is the first element of its orbit.
+
+A scan of F_(q^m) is charged its q^m elements against the budget and the
+2^20 table limit, and each stage has one gate: ``CurveModel.counts(k)``
+checks F_(q^k) before N_1, the plane certificate F_(q^D) before F_q, and
+the witness search each field before it scans it.
 """
 
 from __future__ import annotations
@@ -150,13 +153,12 @@ class CurveModel:
         self.base = base
         self.name = name or f"{self.kind}/GF({base.order})"
         self._smooth = False  # set once validate() has passed
-        self._count_cache: dict[int, int] = {}  # counts are immutable facts
 
     @property
     def q(self) -> int:
         return self.base.order
 
-    def check_scan(self, m: int, budget: int, stage: str) -> None:
+    def _check_scan(self, m: int, budget: int, stage: str) -> None:
         """Refuse a scan of F_(q^m) over the limits, before any work.
 
         A scan pays for q^m elements, and above the table limit an element
@@ -175,9 +177,9 @@ class CurveModel:
         """F_(q^m) with its tables, for a stage that scans its elements.
 
         Every scan (a count, the plane certificate, a witness search) gets
-        its field here, through the one gate ``check_scan``.
+        its field here, through the one gate ``_check_scan``.
         """
-        self.check_scan(m, budget, stage)
+        self._check_scan(m, budget, stage)
         E = FiniteField.extension(self.base, m)
         E.build_tables()
         return E
@@ -212,13 +214,22 @@ class CurveModel:
             self._smooth = True
 
     def count_points(self, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+        """N_m = #X(F_(q^m)) of the smooth projective model."""
         self.validate(budget)
-        # the limits hold whether the count is cached or not
         E = self.scan_field(m, budget, "point count") if self.scans else None
-        n = self._count_cache.get(m)
-        if n is None:
-            n = self._count_cache[m] = self._count(m, E)
-        return n
+        return self._count(m, E)
+
+    def counts(self, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointCounts:
+        """N_1..N_k of the validated model, Weil bound checked.
+
+        A model that scans is charged for F_(q^k), its largest field, before
+        N_1 is counted, so an over-limit k is refused before any count runs.
+        """
+        self.validate(budget)
+        if self.scans:
+            self._check_scan(k, budget, "point count")
+        return PointCounts(q=self.q, g=self.genus(), counts=tuple(
+            self.count_points(m, budget) for m in range(1, k + 1)))
 
     def __repr__(self):
         return f"<{self.kind} {self.name}>"
@@ -395,7 +406,7 @@ class PlaneCurve(CurveModel):
         D = self.degree * (self.degree - 1) // 2
         # the largest field is gated first, so no scan starts that cannot
         # end; each field is built only once the smaller ones hold no witness
-        self.check_scan(D, budget, "smoothness certificate")
+        self._check_scan(D, budget, "smoothness certificate")
         for m in range(1, D + 1):
             E = self.scan_field(m, budget, "smoothness certificate")
             for x, _ in _frobenius_orbits(E, self.q):
@@ -411,28 +422,3 @@ class PlaneCurve(CurveModel):
         n = sum(size * _root_count(E, self._slice(E, F, x))
                 for x, size in _frobenius_orbits(E, self.q))
         return n + _root_count(E, self._line[0]) + (self._corner[0] == 0)
-
-
-# ---------------------------------------------------------------------------
-# free-function API
-# ---------------------------------------------------------------------------
-
-
-def genus_of(model: CurveModel, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """Genus of a validated model (raises SingularModelError with a witness)."""
-    model.validate(budget)
-    return model.genus()
-
-
-def count_points(model: CurveModel, m: int,
-                 budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """#X(F_(q^m)) of the smooth projective model."""
-    return model.count_points(m, budget)
-
-
-def count_series(model: CurveModel, M: int,
-                 budget: int = DEFAULT_ENUM_BUDGET) -> PointCounts:
-    """N_1..N_M as a PointCounts (Weil bound checked on construction)."""
-    g = genus_of(model, budget)
-    counts = tuple(model.count_points(m, budget) for m in range(1, M + 1))
-    return PointCounts(q=model.q, g=g, counts=counts)

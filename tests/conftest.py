@@ -7,8 +7,6 @@ from bunzeta.curves import (
     HyperellipticCurve,
     PlaneCurve,
     ProjectiveLine,
-    count_series,
-    genus_of,
 )
 from bunzeta.zeta import InconsistentCountsError, zeta_from_counts
 
@@ -61,8 +59,8 @@ def catalog_zeta(curve_catalog):
     """ZetaData of a catalog curve, from its enumerated N_1..N_g."""
     def build(name):
         model = curve_catalog[name]
-        g = genus_of(model)
-        return zeta_from_counts(model.q, g, count_series(model, g).counts)
+        g = model.genus()
+        return zeta_from_counts(model.q, g, model.counts(g).counts)
     return build
 
 
@@ -70,7 +68,7 @@ def catalog_zeta(curve_catalog):
 def genus6_zeta(F2):
     # y^2 + y = x^13 over F_2, genus 6
     model = HyperellipticCurve.from_ints(F2, [1], [0] * 13 + [1], name="C6")
-    counts = count_series(model, 6, DEFAULT_ENUM_BUDGET)
+    counts = model.counts(6, DEFAULT_ENUM_BUDGET)
     return zeta_from_counts(2, 6, counts.counts[:6])
 
 

@@ -25,7 +25,6 @@ from bunzeta.asymptotics import (
     tv_bound,
     tv_sum_term,
 )
-from bunzeta.curves import count_points, count_series, genus_of
 from bunzeta.groups import builtin_group, group_order
 from bunzeta.mass import hn_ss_mass, mass_bun, zagier_ss_mass
 from bunzeta.zeta import regenerate_counts, zeta_from_counts
@@ -67,12 +66,12 @@ def test_criterion_1_zeta_round_trip(curve_catalog):
     keys = ["P1/F2", "P1/F3", "E1", "C2", "klein"]
     for key in keys:
         model = curve_catalog[key]
-        g = genus_of(model)
-        counts = count_series(model, max(g, 1))
+        g = model.genus()
+        counts = model.counts(max(g, 1))
         z = zeta_from_counts(model.q, g, counts.counts[:g])
         top = max(2 * g, 1)
         regen = regenerate_counts(z, top)
-        enum = [count_points(model, m) for m in range(1, top + 1)]
+        enum = [model.count_points(m) for m in range(1, top + 1)]
         assert regen == enum, (key, regen, enum)
     elapsed = time.monotonic() - t0
     _report("1 zeta round trip", elapsed < 60.0,

@@ -356,8 +356,7 @@ def test_convergence_report_errors(catalog_zeta):
 
 def test_convergence_report_accepts_point_counts(curve_catalog):
     # counts from any source enter through zeta_from_counts
-    from bunzeta.curves import count_series
-    pc = count_series(curve_catalog["E1"], 2)
+    pc = curve_catalog["E1"].counts(2)
     z = zeta_from_counts(pc.q, pc.g, pc.counts[:pc.g])
     rep = convergence_report([z], builtin_group("Gm", 1), 4)
     assert rep.rows[0].genus == 1

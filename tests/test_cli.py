@@ -318,18 +318,20 @@ def test_enumerated_counts_cross_checked(config_path, monkeypatch, capsys):
 ])
 def test_zeta_enumerates_only_to_the_guard(config_path, monkeypatch, trunc,
                                            top):
-    # N_1..N_g fix P(T); N_(g+1) is counted only as the guard of trunc > g
-    seen = {}
+    # N_1..N_g fix P(T); N_(g+1) is counted only as the guard of trunc > g,
+    # and no degree is counted twice
+    seen = []
     count_points = CurveModel.count_points
 
     def record(model, m, budget):
-        seen.setdefault(model.name, set()).add(m)
+        seen.append((model.name, m))
         return count_points(model, m, budget)
 
     monkeypatch.setattr(CurveModel, "count_points", record)
     assert run_cli(["zeta", "--config", config_path, "--trunc",
                     str(trunc)]) == 0
-    assert seen == {name: set(range(1, k + 1)) for name, k in top.items()}
+    assert seen == [(name, m) for name, k in top.items()
+                    for m in range(1, k + 1)]
 
 
 @pytest.fixture
@@ -384,7 +386,7 @@ def test_mass_builds_one_zeta_per_curve(monkeypatch):
 
     family = Path(__file__).resolve().parents[1] / "bench" / "workloads" \
         / "family.json"
-    calls = {"count_series": 0, "zeta_from_counts": 0, "ZetaData": 0}
+    calls = {"counts": 0, "zeta_from_counts": 0, "ZetaData": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kw):
@@ -392,19 +394,21 @@ def test_mass_builds_one_zeta_per_curve(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    for name in ("count_series", "zeta_from_counts"):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    monkeypatch.setattr(CurveModel, "counts",
+                        counted("counts", CurveModel.counts))
+    monkeypatch.setattr(cli, "zeta_from_counts",
+                        counted("zeta_from_counts", cli.zeta_from_counts))
     monkeypatch.setattr(ZetaData, "__post_init__",
                         counted("ZetaData", ZetaData.__post_init__))
     cfg = json.loads(family.read_text())
     run = {"trunc": 4, "budget": 1 << 20, "format": "json", "out": None}
     report = cli.cmd_mass(cfg, run)
     assert len(report["masses"]) == 42
-    assert calls == {"count_series": 6, "zeta_from_counts": 6, "ZetaData": 6}
+    assert calls == {"counts": 6, "zeta_from_counts": 6, "ZetaData": 6}
     calls.update(dict.fromkeys(calls, 0))
     report = cli.cmd_asymptote(cfg, run)
     assert len(report["family"]) == 7
-    assert calls == {"count_series": 6, "zeta_from_counts": 6, "ZetaData": 6}
+    assert calls == {"counts": 6, "zeta_from_counts": 6, "ZetaData": 6}
 
 
 def test_duplicate_curve_name_rejected(tmp_path, capsys):

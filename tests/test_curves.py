@@ -14,9 +14,6 @@ from bunzeta.curves import (
     SingularModelError,
     WeilViolationError,
     _frobenius_orbits,
-    count_points,
-    count_series,
-    genus_of,
 )
 from bunzeta.zeta import regenerate_counts, zeta_from_counts
 
@@ -227,12 +224,12 @@ NORM_CUBIC = [(3, 0, 0, 1), (2, 1, 0, 1), (2, 0, 1, 1), (1, 1, 1, 1),
 
 
 def test_genus_pinned(curve_catalog):
-    assert genus_of(curve_catalog["P1/F2"]) == 0
-    assert genus_of(curve_catalog["E1"]) == 1
-    assert genus_of(curve_catalog["C2"]) == 2
-    assert genus_of(curve_catalog["C3"]) == 3
-    assert genus_of(curve_catalog["klein"]) == 3  # (4-1)(4-2)/2
-    assert genus_of(curve_catalog["E3"]) == 1
+    pinned = {"P1/F2": 0, "E1": 1, "C2": 2, "C3": 3,
+              "klein": 3,  # (4-1)(4-2)/2
+              "E3": 1}
+    for key, g in pinned.items():
+        curve_catalog[key].validate()
+        assert curve_catalog[key].genus() == g
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +238,28 @@ def test_genus_pinned(curve_catalog):
 
 
 def test_projective_line_counts(curve_catalog):
-    assert count_points(curve_catalog["P1/F2"], 3) == 9  # q^3 + 1
-    assert count_series(curve_catalog["P1/F3"], 2).counts == (4, 10)
+    assert curve_catalog["P1/F2"].count_points(3) == 9  # q^3 + 1
+    assert curve_catalog["P1/F3"].counts(2).counts == (4, 10)
+    # the projective line scans nothing, so no budget refuses its counts
+    assert curve_catalog["P1/F2"].counts(30, budget=1).n(30) == 2 ** 30 + 1
 
 
 def test_e1_counts(curve_catalog):
     # affine solutions plus one point at infinity (deg f = 3 odd)
     e1 = curve_catalog["E1"]
-    assert count_points(e1, 1) == 3
-    assert count_points(e1, 1) == brute_affine_solutions(e1, 1) + 1
-    assert count_points(e1, 2) == brute_affine_solutions(e1, 2) + 1 == 9
+    assert e1.count_points(1) == 3
+    assert e1.count_points(1) == brute_affine_solutions(e1, 1) + 1
+    assert e1.count_points(2) == brute_affine_solutions(e1, 2) + 1 == 9
 
 
 def test_e3_count(curve_catalog):
     e3 = curve_catalog["E3"]
-    assert count_points(e3, 1) == 4
-    assert count_points(e3, 1) == brute_affine_solutions(e3, 1) + 1
+    assert e3.count_points(1) == 4
+    assert e3.count_points(1) == brute_affine_solutions(e3, 1) + 1
 
 
 def test_count_series_weil_window(curve_catalog):
-    pc = count_series(curve_catalog["E1"], 2)
+    pc = curve_catalog["E1"].counts(2)
     assert pc.counts[0] == 3
     assert abs(pc.counts[1] - 5) <= 2 * 2  # 2g q^(m/2) = 4 at g=1, q=2, m=2
 
@@ -268,8 +267,8 @@ def test_count_series_weil_window(curve_catalog):
 def test_genus_10_counts_to_n11_match_zeta(F3):
     # N_11 is counted in F_(3^11), 177147 elements, with tables
     model = HyperellipticCurve.from_ints(F3, [], [1, 1] + [0] * 19 + [1])
-    counts = count_series(model, 11).counts
-    assert genus_of(model) == 10 and counts[10] == 175762
+    counts = model.counts(11).counts
+    assert model.genus() == 10 and counts[10] == 175762
     z = zeta_from_counts(3, 10, counts[:10])
     assert list(counts) == regenerate_counts(z, 11)
 
@@ -279,7 +278,7 @@ def test_hyperelliptic_counts_match_pair_enumeration(curve_catalog, key):
     model = curve_catalog[key]
     assert len(model.f) % 2 == 0  # odd deg f: one point at infinity
     for m in (1, 2, 3):
-        assert count_points(model, m) == brute_affine_solutions(model, m) + 1
+        assert model.count_points(m) == brute_affine_solutions(model, m) + 1
 
 
 def frobenius_orbit_count(q, m):
@@ -310,9 +309,10 @@ def test_frobenius_orbits_partition_the_field(p, m, over):
                          ids=["h=0", "h=x"])
 def test_orbit_counts_match_pair_enumeration_over_f5(h, f):
     model = HyperellipticCurve.from_ints(ext_field(5, 1), h, f, name="g2/F5")
-    assert genus_of(model) == 2
+    model.validate()
+    assert model.genus() == 2
     for m in (1, 2):
-        assert count_points(model, m) == brute_affine_solutions(model, m) + 1
+        assert model.count_points(m) == brute_affine_solutions(model, m) + 1
 
 
 def test_count_evaluates_once_per_frobenius_orbit(F3, monkeypatch):
@@ -334,7 +334,7 @@ def test_count_evaluates_once_per_frobenius_orbit(F3, monkeypatch):
 def test_klein_quartic_counts(curve_catalog):
     # frozen off exhaustive projective enumeration; N_3 = 24 is the
     # classical count of the Klein quartic over F_8
-    assert count_series(curve_catalog["klein"], 3).counts == (3, 5, 24)
+    assert curve_catalog["klein"].counts(3).counts == (3, 5, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +347,28 @@ def test_even_degree_infinity_rules(F2, F3):
     # 2 over F_4
     c_irred = HyperellipticCurve.from_ints(
         F2, [0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1], name="inf0")
-    assert count_points(c_irred, 1) == brute_affine_solutions(c_irred, 1)
-    assert count_points(c_irred, 2) == brute_affine_solutions(c_irred, 2) + 2
+    assert c_irred.count_points(1) == brute_affine_solutions(c_irred, 1)
+    assert c_irred.count_points(2) == brute_affine_solutions(c_irred, 2) + 2
     # h_(g+1) = 0: z^2 = 1 has exactly one root in characteristic 2
     c_ram = HyperellipticCurve.from_ints(
         F2, [0, 0, 1], [0, 1, 0, 0, 0, 0, 1], name="inf1")
-    assert count_points(c_ram, 1) == brute_affine_solutions(c_ram, 1) + 1
+    assert c_ram.count_points(1) == brute_affine_solutions(c_ram, 1) + 1
     # odd characteristic: number of square roots of the leading coefficient
     c_split = HyperellipticCurve.from_ints(
         F3, [], [0, 1, 0, 0, 0, 0, 1], name="inf2")  # 1 is a square: 2 points
-    assert count_points(c_split, 1) == brute_affine_solutions(c_split, 1) + 2
+    assert c_split.count_points(1) == brute_affine_solutions(c_split, 1) + 2
     c_inert = HyperellipticCurve.from_ints(
         F3, [], [0, 1, 0, 0, 0, 0, 2], name="inf0-odd")  # 2 is not a square
-    assert count_points(c_inert, 1) == brute_affine_solutions(c_inert, 1)
+    assert c_inert.count_points(1) == brute_affine_solutions(c_inert, 1)
     # odd characteristic with h_(g+1) != 0: z^2 + z = f_6 over F_3 has
     # discriminant 1 + f_6, giving 0 roots for f_6 = 1 and 1 for f_6 = 2
     # (f_5 != 0 keeps deg(h^2 + 4f) = 2g+1, so the model stays smooth)
     c_h0 = HyperellipticCurve.from_ints(
         F3, [0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1], name="inf0-h")
-    assert count_points(c_h0, 1) == brute_affine_solutions(c_h0, 1)
+    assert c_h0.count_points(1) == brute_affine_solutions(c_h0, 1)
     c_h1 = HyperellipticCurve.from_ints(
         F3, [0, 0, 0, 1], [0, 1, 0, 0, 0, 1, 2], name="inf1-h")
-    assert count_points(c_h1, 1) == brute_affine_solutions(c_h1, 1) + 1
+    assert c_h1.count_points(1) == brute_affine_solutions(c_h1, 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +385,14 @@ def test_nodal_cubic_rejected(F2):
     nodal = HyperellipticCurve.from_ints(F2, [0, 1], [0, 0, 0, 1],
                                          name="nodal")
     with pytest.raises(SingularModelError) as exc:
-        genus_of(nodal)
+        nodal.validate()
     assert exc.value.witness == (1, 0, 0)
 
 
 def test_cusp_rejected(F3):
     cusp = HyperellipticCurve.from_ints(F3, [], [0, 0, 0, 1], name="cusp")
     with pytest.raises(SingularModelError) as exc:
-        genus_of(cusp)
+        cusp.validate()
     assert exc.value.witness == (1, 0, 0)
 
 
@@ -403,7 +403,7 @@ def test_degenerate_at_infinity_rejected(p, h, f):
     # deg(h^2 + 4f) = 2 <= 2g, and y^2 + y = x^4 with h_2 = f_3 = h_1 = 0
     model = HyperellipticCurve.from_ints(ext_field(p, 1), h, f, name="degen")
     with pytest.raises(SingularModelError) as exc:
-        genus_of(model)
+        model.validate()
     assert exc.value.witness == (1, "infinity", 1)
     assert "degen" in str(exc.value) and "infinity" in str(exc.value)
 
@@ -412,7 +412,7 @@ def test_odd_degree_f_with_top_h_has_two_points_at_infinity(F2):
     # y^2 + (x^2 + 1) y = x^3 + 1: z^2 + z = 0 at infinity has 2 roots
     model = HyperellipticCurve.from_ints(F2, [1, 0, 1], [1, 0, 0, 1],
                                          name="odd-f-top-h")
-    counts = [count_points(model, m) for m in range(1, 5)]
+    counts = [model.count_points(m) for m in range(1, 5)]
     assert counts == regenerate_counts(zeta_from_counts(2, 1, counts[:1]), 4)
     assert counts[0] == brute_affine_solutions(model, 1) + 2
 
@@ -422,7 +422,7 @@ def test_low_degree_discriminant_stays_accepted(F3):
     # infinity, with one rational point there
     model = HyperellipticCurve.from_ints(F3, [0, 0, 1], [0, 1, 0, 1, 2],
                                          name="F-deg-3")
-    counts = count_series(model, 4).counts
+    counts = model.counts(4).counts
     assert counts == (4, 16, 28, 64)
     assert list(counts) == regenerate_counts(
         zeta_from_counts(3, 1, counts[:1]), 4)
@@ -459,7 +459,7 @@ def test_accepted_models_are_self_consistent():
             continue
         accepted += 1
         g = model.genus()
-        counts = [count_points(model, m) for m in range(1, 2 * g + 3)]
+        counts = [model.count_points(m) for m in range(1, 2 * g + 3)]
         z = zeta_from_counts(model.q, g, counts[:g])
         assert counts == regenerate_counts(z, 2 * g + 2), model.name
     assert accepted >= 300
@@ -468,7 +468,7 @@ def test_accepted_models_are_self_consistent():
 def test_singular_plane_curve_rejected(F2):
     triangle = PlaneCurve.from_list(F2, [(1, 1, 1, 1)], 3, name="xyz")
     with pytest.raises(SingularModelError) as exc:
-        genus_of(triangle)
+        triangle.validate()
     assert exc.value.witness is not None
 
 
@@ -490,7 +490,7 @@ def test_norm_of_a_line_rejected_at_its_degree(F2, entries, d, m):
     # (the former bound-4 scan accepted the quintic as genus 6)
     model = PlaneCurve.from_list(F2, entries, d, name="norm")
     with pytest.raises(SingularModelError) as exc:
-        genus_of(model)
+        model.validate()
     w = exc.value.witness
     assert w[0] == m and w[3] == 1
     assert plane_singular_at(model, FiniteField.extension(F2, m), w[1:])
@@ -511,8 +511,10 @@ def test_point_counts_weil_enforced():
 
 def test_weil_bound_on_catalog(curve_catalog):
     for model in curve_catalog.values():
-        g = genus_of(model)
-        pc = count_series(model, max(2 * g, 2))
+        g = model.genus()
+        pc = model.counts(max(2 * g, 2))
+        assert pc.counts == tuple(model.count_points(m)
+                                  for m in range(1, len(pc) + 1))
         for m, n_m in enumerate(pc.counts, start=1):
             dev = n_m - model.q ** m - 1
             assert dev * dev <= 4 * g * g * model.q ** m
@@ -521,30 +523,42 @@ def test_weil_bound_on_catalog(curve_catalog):
 def test_budget_exceeded(curve_catalog):
     # every count is charged q^m, the elements of the field it scans
     with pytest.raises(BudgetExceededError):
-        count_points(curve_catalog["E1"], 30, budget=1 << 10)
+        curve_catalog["E1"].count_points(30, budget=1 << 10)
     with pytest.raises(BudgetExceededError):
-        count_points(curve_catalog["klein"], 11, budget=1 << 10)
-    assert count_points(curve_catalog["klein"], 10, budget=1 << 10) > 0
+        curve_catalog["klein"].count_points(11, budget=1 << 10)
+    assert curve_catalog["klein"].count_points(10, budget=1 << 10) > 0
 
 
 def test_budget_refuses_cached_counts(curve_catalog):
     model = curve_catalog["E1"]
-    count_points(model, 5)
+    model.count_points(5)
     with pytest.raises(BudgetExceededError, match="budget 16"):
-        count_points(model, 5, budget=16)
+        model.count_points(5, budget=16)
 
 
-def test_count_above_table_limit_refused_fast(F2):
+def test_count_above_table_limit_refused_fast(F2, monkeypatch):
     # g = 10: N_11 is the last count under the table limit; N_21 would
-    # scan 2^21 elements on digit polynomials, inside the default budget
+    # scan 2^21 elements on digit polynomials, inside the default budget;
+    # counts(21) is refused with the same text before N_1..N_20 run
     model = HyperellipticCurve.from_ints(F2, [1], [0, 1] + [0] * 19 + [1],
                                          name="g10")
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceededError,
-                       match=r"point count for g10 over GF\(2\^21\) of size "
-                             r"2097152 exceeds the table limit 1048576"):
-        count_points(model, 21)
-    assert time.perf_counter() - start < 1.0
+    counted = []
+    count = HyperellipticCurve._count
+
+    def record(model, m, E):
+        counted.append(m)
+        return count(model, m, E)
+
+    monkeypatch.setattr(HyperellipticCurve, "_count", record)
+    for call in (model.count_points, model.counts):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=r"point count for g10 over GF\(2\^21\) of "
+                                 r"size 2097152 exceeds the table limit "
+                                 r"1048576"):
+            call(21)
+        assert time.perf_counter() - start < 1.0
+    assert counted == []
 
 
 def test_plane_certificate_above_table_limit_refused_fast():
@@ -576,8 +590,8 @@ def test_plane_certificate_stops_at_its_witness(monkeypatch):
 
 def test_counts_deterministic(curve_catalog):
     model = curve_catalog["C3"]
-    assert [count_points(model, m) for m in (1, 2, 3)] == \
-        [count_points(model, m) for m in (1, 2, 3)]
+    assert [model.count_points(m) for m in (1, 2, 3)] == \
+        [model.count_points(m) for m in (1, 2, 3)]
 
 
 def test_curve_over_extension_base_field(curve_catalog):
@@ -587,11 +601,12 @@ def test_curve_over_extension_base_field(curve_catalog):
     from bunzeta.arith import ext_field
     F4 = ext_field(2, 2)
     e4 = HyperellipticCurve.from_ints(F4, [1], [0, 0, 0, 1], name="E1xF4")
-    assert genus_of(e4) == 1
+    e4.validate()
+    assert e4.genus() == 1
     e1 = curve_catalog["E1"]
     for m in (1, 2, 3):
-        assert count_points(e4, m) == count_points(e1, 2 * m)
-    assert count_points(e4, 1) == brute_affine_solutions(e4, 1) + 1
+        assert e4.count_points(m) == e1.count_points(2 * m)
+    assert e4.count_points(1) == brute_affine_solutions(e4, 1) + 1
 
 
 def test_klein_smoothness_certificate_is_complete(F2, monkeypatch):
@@ -626,12 +641,12 @@ def test_plane_certificate_agrees_with_scan_oracle():
         assert (oracle is None) == (cert is None), (model.name, oracle, cert)
         if cert is None:
             for m in (1, 2, 3):
-                assert count_points(model, m) == \
+                assert model.count_points(m) == \
                     plane_enumerated_count(model, m), (model.name, m)
             # `zeta` enumerates only to N_(g+1); the kernel beyond that is
             # held to the counts P(T) regenerates, to N_(2g+2)
             g = model.genus()
-            counts = [count_points(model, m) for m in range(1, 2 * g + 3)]
+            counts = [model.count_points(m) for m in range(1, 2 * g + 3)]
             z = zeta_from_counts(model.q, g, counts[:g])
             assert counts == regenerate_counts(z, 2 * g + 2), model.name
         else:
@@ -644,5 +659,5 @@ def test_plane_certificate_agrees_with_scan_oracle():
 
 def test_klein_counts_match_enumeration(curve_catalog):
     klein = curve_catalog["klein"]
-    assert [count_points(klein, m) for m in range(1, 9)] == \
+    assert [klein.count_points(m) for m in range(1, 9)] == \
         [plane_enumerated_count(klein, m) for m in range(1, 9)]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bunzeta.curves import PointCounts, count_points, count_series, genus_of
+from bunzeta.curves import PointCounts
 from bunzeta.zeta import (
     InconsistentCountsError,
     ZetaData,
@@ -80,12 +80,12 @@ def test_inconsistent_counts_rejected():
 
 def test_round_trip_all_catalog_curves(curve_catalog):
     for model in curve_catalog.values():
-        g = genus_of(model)
-        counts = count_series(model, max(g, 1))
+        g = model.genus()
+        counts = model.counts(max(g, 1))
         z = zeta_from_counts(model.q, g, counts.counts[:g])
         top = max(2 * g, 2)
         assert regenerate_counts(z, top) == \
-            [count_points(model, m) for m in range(1, top + 1)]
+            [model.count_points(m) for m in range(1, top + 1)]
 
 
 def test_regenerated_counts_beyond_2g_stay_in_weil_window(zeta_catalog):
@@ -183,14 +183,14 @@ def test_degree_spectrum_pinned_p1():
 
 def test_degree_spectrum_e1(curve_catalog):
     # frozen off enumeration: N = (3, 9) so B = (3, 3)
-    counts = count_series(curve_catalog["E1"], 2)
+    counts = curve_catalog["E1"].counts(2)
     assert counts.counts == (3, 9)
     assert degree_spectrum(counts).B == (3, 3)
 
 
 def test_degree_spectrum_total_identity(curve_catalog):
     from bunzeta.arith import divisors
-    counts = count_series(curve_catalog["C2"], 6)
+    counts = curve_catalog["C2"].counts(6)
     spec = degree_spectrum(counts)
     for m in range(1, 7):
         assert sum(d * spec.b(d) for d in divisors(m)) == counts.n(m)
