@@ -38,8 +38,10 @@ DEFAULT_ENUM_BUDGET = 1 << 26
 # array entries per element, 12 MiB for F_(2^20), built in about 1 s on a
 # 2-core Intel Xeon.  Beyond it fields fall back to the ``_pc_*`` helpers on
 # digit polynomials over the base field, about 250 times slower per element
-# scanned, so no scan runs there (``CurveModel.scan_field`` refuses it); the
-# fallback serves moduli, table builds and the hyperelliptic gcd certificate.
+# scanned, so no scan on tables runs there (``CurveModel._check_scan``
+# refuses it); the fallback serves moduli, table builds and the hyperelliptic
+# gcd certificate.  The bit-sliced count of hyperelliptic models over F_2
+# builds no tables, and only the budget binds it.
 _TABLE_MAX_ORDER = 1 << 20
 
 
@@ -253,6 +255,14 @@ def _pc_deriv(B, a):
     return _pc_trim([B.mul_c(c, B.embed_int(k)) for k, c in enumerate(a)][1:])
 
 
+def _pc_eval(B, cs, x: int) -> int:
+    """The value at x of a code polynomial over B (Horner)."""
+    acc = 0
+    for c in reversed(cs):
+        acc = B.add_c(B.mul_c(acc, x), c)
+    return acc
+
+
 def _pc_mul(B, a, b):
     if not a or not b:
         return []
@@ -325,13 +335,19 @@ def _pc_is_irreducible(B, f) -> bool:
 
 
 def _lex_smallest_irreducible_codes(B, m: int):
-    """Monic degree-m irreducible over B, minimal in lexicographic order of
-    the coefficient vector (constant term first, codes ordered as integers)."""
-    for lower in itertools.product(range(B.order), repeat=m):
-        if m > 1 and lower[0] == 0:
-            continue  # constant term 0: divisible by x
+    """Monic degree-m irreducible over B, m >= 2, minimal in lexicographic
+    order of the coefficient vector (constant term first, codes ordered as
+    integers).
+
+    The search starts at constant term 1, since x divides the rest, and
+    skips candidates with a root in B; only the others, which have no
+    linear factor, go to Ben-Or's test.
+    """
+    Q = B.order
+    for lower in itertools.product(range(1, Q), *[range(Q)] * (m - 1)):
         f = list(lower) + [1]
-        if _pc_is_irreducible(B, f):
+        if all(_pc_eval(B, f, a) for a in range(1, Q)) and \
+                _pc_is_irreducible(B, f):
             return tuple(f)
     raise ArithmeticError("no irreducible polynomial found (impossible)")
 

@@ -20,19 +20,32 @@ m <= D = d(d-1)/2 are a complete certificate: a reduced curve has <= D
 singular points (genus formula plus Bezout), so each Frobenius orbit of
 them has <= D; a non-reduced one is singular at a point of degree <= d/2.
 
-Every per-x kernel (the hyperelliptic count, the plane count and the
-plane certificate) visits one x per orbit of the Frobenius x -> x^q on
-F_(q^m), the first in code order, and weights it by the orbit size.  This
-is exact: h, f and the plane columns have coefficients in F_q, so the
-data at x^q is the Frobenius image of the data at x, and Frobenius, an
-automorphism of F_(q^m), preserves root counts and common roots.  The
-certificate's witness does not move either: the first singular x in code
-order is the first element of its orbit.
+Every per-x kernel on a tabled field (the hyperelliptic count, the plane
+count and the plane certificate) visits one x per orbit of the Frobenius
+x -> x^q on F_(q^m), the first in code order, and weights it by the orbit
+size.  This is exact: h, f and the plane columns have coefficients in
+F_q, so the data at x^q is the Frobenius image of the data at x, and
+Frobenius, an automorphism of F_(q^m), preserves root counts and common
+roots.  The certificate's witness does not move either: the first
+singular x in code order is the first element of its orbit.
 
-A scan of F_(q^m) is charged its q^m elements against the budget and the
-2^20 table limit, and each stage has one gate: ``CurveModel.counts(k)``
-checks F_(q^k) before N_1, the plane certificate F_(q^D) before F_q, and
-the witness search each field before it scans it.
+Hyperelliptic models over the prime field F_2 are counted without tables,
+on every x at once.  Over x with h(x) = c != 0, y = c z turns
+y^2 + c y = f(x) into z^2 + z = f(x)/c^2; z^2 + z is F_2-linear with
+kernel F_2, and its image is the kernel of the trace Tr to F_2 (it lies
+in that kernel, since Tr(z^2) = Tr(z), and both have index 2).  So x has
+1 + (-1)^Tr(f(x)/h(x)^2) points.  Over x with h(x) = 0, y^2 = f(x) has
+one root, as squaring is a bijection.  With the codes of F_(2^m) as bit
+vectors over F_2, every F_2-coordinate of h(x), f(x) and their quotient is
+one Python int with one bit per x (``_SlicedField``), and the affine count
+is 2^m + #{h(x) != 0} - 2 #{Tr(f(x)/h(x)^2) = 1}: for h = 1 that is
+2 (2^m - #{Tr f(x) = 1}).
+
+A scan of F_(q^m) is charged its q^m elements against the budget, and a
+scan on tables also against the 2^20 table limit; the bit-sliced count is
+charged against the budget alone.  Each stage has one gate:
+``CurveModel.counts(k)`` checks F_(q^k) before N_1, the plane certificate
+F_(q^D) before F_q, and the witness search each field before it scans it.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from .arith import (
     Record,
     _pc_add,
     _pc_deriv,
+    _pc_eval,
     _pc_gcd,
     _pc_mul,
     _pc_powmod,
@@ -97,13 +111,6 @@ def _coeff(cs, k: int) -> int:
     return cs[k] if k < len(cs) else 0
 
 
-def _eval_codes(E: FiniteField, cs, x: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = E.add_c(E.mul_c(acc, x), c)
-    return acc
-
-
 def _frobenius_orbits(E: FiniteField, q: int):
     """(x, orbit size) for the first x in code order of each orbit of
     x -> x^q on E."""
@@ -121,7 +128,7 @@ def _frobenius_orbits(E: FiniteField, q: int):
 
 def _first_root_in(E: FiniteField, cs):
     """The first root in E of a code polynomial, in code order, or None."""
-    return next((x for x in range(E.order) if _eval_codes(E, cs, x) == 0), None)
+    return next((x for x in range(E.order) if _pc_eval(E, cs, x) == 0), None)
 
 
 def _root_count(E: FiniteField, cs) -> int:
@@ -142,12 +149,146 @@ def _common_factor(B: FiniteField, polys):
     return G
 
 
+# The bit-sliced count runs x through F_(2^m) in blocks of 2^_BLOCK_BITS
+# codes: a slice then holds 128 KiB, whatever m, and m > 20 takes 2^(m-20)
+# blocks.
+_BLOCK_BITS = 20
+
+
+class _SlicedField:
+    """F_(2^m) = F_2[t]/(P) on bit slices, for the count over F_2.
+
+    An element is a list of m ints, one per coordinate: bit j of int i is
+    the coefficient of t^i of the element at the j-th x of a block.  Sums
+    are XORs, products are schoolbook ANDs and XORs reduced by the bits of
+    t^k mod P, and squaring, which is F_2-linear, needs no AND.
+    """
+
+    def __init__(self, modulus):
+        self.m = m = len(modulus) - 1
+        P = sum(c << i for i, c in enumerate(modulus))
+        self._reduce, r = [], 1  # the bits of t^k mod P, k < 2m - 1
+        for _ in range(2 * m - 1):
+            self._reduce.append([i for i in range(m) if r >> i & 1])
+            r <<= 1
+            if r >> m & 1:
+                r ^= P
+        # s_i = Tr(t^i) by Newton's identities over F_2: s_0 = m and
+        # s_k = e_1 s_(k-1) + ... + e_(k-1) s_1 + k e_k, where e_j is the
+        # coefficient of t^(m-j) in P
+        s = [m & 1]
+        for k in range(1, m):
+            s.append((sum(modulus[m - j] & s[k - j] for j in range(1, k))
+                      + k * modulus[m - k]) & 1)
+        self._trace = [i for i in range(m) if s[i]]
+
+    def _fold(self, out):
+        """The element of a product's coordinates, degree < 2m - 1."""
+        m = self.m
+        for k in range(m, len(out)):
+            if out[k]:
+                for i in self._reduce[k]:
+                    out[i] ^= out[k]
+        return out[:m]
+
+    def mul(self, a, b):
+        out = [0] * (2 * self.m - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] ^= ai & bj
+        return self._fold(out)
+
+    def square(self, a):
+        out = [0] * (2 * self.m - 1)
+        out[::2] = a
+        return self._fold(out)
+
+    def inverse(self, a):
+        """a^(2^m - 2): 1/a, and 0 where a = 0, by the Itoh-Tsujii chain
+        b_k = a^(2^k - 1), b_2k = b_k^(2^k) b_k, b_(k+1) = b_k^2 a, to
+        k = m - 1.  (For m = 1 it returns a^2 = a, which is that too.)"""
+        b, k = a, 1
+        for bit in bin(self.m - 1)[3:]:
+            c = b
+            for _ in range(k):
+                c = self.square(c)
+            b, k = self.mul(c, b), 2 * k
+            if bit == "1":
+                b, k = self.mul(self.square(b), a), k + 1
+        return self.square(b)
+
+    def trace(self, a) -> int:
+        """The slice of Tr(a): Tr is F_2-linear, Tr(a) = sum a_i Tr(t^i)."""
+        t = 0
+        for i in self._trace:
+            t ^= a[i]
+        return t
+
+    def blocks(self):
+        """(x, ones) for each block of 2^min(m, _BLOCK_BITS) codes: x is the
+        element whose value at the j-th code of the block is that code, and
+        ones has a bit for every code.  Bit j of a low coordinate i of x is
+        bit i of j, a pattern built by doubling; the top m - width
+        coordinates are the same for the whole block."""
+        m, width = self.m, min(self.m, _BLOCK_BITS)
+        size = 1 << width
+        ones = (1 << size) - 1
+        low = []
+        for i in range(width):
+            pattern, length = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+            while length < size:
+                pattern |= pattern << length
+                length *= 2
+            low.append(pattern)
+        for top in range(1 << (m - width)):
+            yield low + [ones if top >> i & 1 else 0
+                         for i in range(m - width)], ones
+
+    def evaluate(self, polys, x, ones):
+        """The values at x of polynomials over F_2 (0/1 coefficients).
+
+        A term x^k is (x^j)^(2^s) with j odd, so the products go to the odd
+        j, and the squarings to the rest.  Each x^j is a product of the
+        x^(2^i), or x^j' x^(j - j') from the previous odd j' when j - j'
+        has fewer bits than j: one product per odd j for a dense
+        polynomial.
+        """
+        terms = {}  # odd j -> (s, index of the polynomial) for each term
+        for n, cs in enumerate(polys):
+            for k in range(1, len(cs)):
+                if cs[k]:
+                    s = (k & -k).bit_length() - 1
+                    terms.setdefault(k >> s, []).append((s, n))
+        values = [[ones if cs and cs[0] else 0] + [0] * (self.m - 1)
+                  for cs in polys]
+        squares, prev_j, prev = [x], 0, None  # squares[i] = x^(2^i)
+        for j in sorted(terms):
+            if (j - prev_j).bit_count() >= j.bit_count():
+                prev_j, prev = 0, None
+            d = j - prev_j
+            while len(squares) < d.bit_length():
+                squares.append(self.square(squares[-1]))
+            for i in range(d.bit_length()):
+                if d >> i & 1:
+                    prev = squares[i] if prev is None else \
+                        self.mul(prev, squares[i])
+            prev_j, power, done = j, prev, 0
+            for s, n in sorted(terms[j]):
+                for _ in range(s - done):
+                    power = self.square(power)
+                done = s
+                values[n] = [u ^ v for u, v in zip(values[n], power)]
+        return values
+
+
 class CurveModel:
     """Base class for curve models; subclasses implement the counting rules."""
 
     kind: str
     base: FiniteField
-    scans = True  # its counts scan F_(q^m); the projective line's do not
+    tabled = True  # its count kernel scans F_(q^m) with its tables
 
     def __init__(self, base: FiniteField, name: str | None = None):
         self.base = base
@@ -158,14 +299,16 @@ class CurveModel:
     def q(self) -> int:
         return self.base.order
 
-    def _check_scan(self, m: int, budget: int, stage: str) -> None:
+    def _check_scan(self, m: int, budget: int, stage: str,
+                    tabled: bool = True) -> None:
         """Refuse a scan of F_(q^m) over the limits, before any work.
 
-        A scan pays for q^m elements, and above the table limit an element
-        costs about 250 times more on digit polynomials, so q^m is charged
-        against the budget and the table limit at once.
+        A scan pays for q^m elements against the budget.  A scan on tables
+        is held to the table limit too, since above it an element costs
+        about 250 times more on digit polynomials; a kernel that builds no
+        tables (``tabled`` false) is charged against the budget alone.
         """
-        limit = min(budget, _TABLE_MAX_ORDER)
+        limit = min(budget, _TABLE_MAX_ORDER) if tabled else budget
         if self.q ** m > limit:
             raise BudgetExceededError(
                 self.q ** m, limit,
@@ -201,8 +344,13 @@ class CurveModel:
     def _check_smooth(self, budget: int) -> None:
         """Raise SingularModelError with a witness if the model is singular."""
 
+    def _check_count(self, k: int, budget: int) -> None:
+        """The per-kind cost check of N_1..N_k: q^k elements scanned."""
+        self._check_scan(k, budget, "point count", self.tabled)
+
     def _count(self, m: int, E: FiniteField | None) -> int:
-        """N_m, with E = F_(q^m) from scan_field if the model scans."""
+        """N_m, with E = F_(q^m) from scan_field if the model's kernel
+        needs tables, and None otherwise."""
         raise NotImplementedError
 
     # public API -----------------------------------------------------------
@@ -216,18 +364,19 @@ class CurveModel:
     def count_points(self, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
         """N_m = #X(F_(q^m)) of the smooth projective model."""
         self.validate(budget)
-        E = self.scan_field(m, budget, "point count") if self.scans else None
-        return self._count(m, E)
+        if self.tabled:
+            return self._count(m, self.scan_field(m, budget, "point count"))
+        self._check_count(m, budget)
+        return self._count(m, None)
 
     def counts(self, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointCounts:
         """N_1..N_k of the validated model, Weil bound checked.
 
-        A model that scans is charged for F_(q^k), its largest field, before
-        N_1 is counted, so an over-limit k is refused before any count runs.
+        The model is charged for F_(q^k), its largest field, before N_1 is
+        counted, so an over-limit k is refused before any count runs.
         """
         self.validate(budget)
-        if self.scans:
-            self._check_scan(k, budget, "point count")
+        self._check_count(k, budget)
         return PointCounts(q=self.q, g=self.genus(), counts=tuple(
             self.count_points(m, budget) for m in range(1, k + 1)))
 
@@ -237,7 +386,10 @@ class CurveModel:
 
 class ProjectiveLine(CurveModel):
     kind = "projective-line"
-    scans = False
+    tabled = False
+
+    def _check_count(self, k: int, budget: int) -> None:
+        pass  # N_m = q^m + 1 scans nothing
 
     def genus(self) -> int:
         return 0
@@ -269,6 +421,7 @@ class HyperellipticCurve(CurveModel):
             raise SingularModelError(
                 self.name, None,
                 f"{self.name}: h = 0 in characteristic 2 is inseparable, never smooth")
+        self.tabled = base.order != 2  # over F_2 the bit-sliced kernel counts
 
     @classmethod
     def from_ints(cls, base: FiniteField, h_coeffs, f_coeffs,
@@ -315,8 +468,8 @@ class HyperellipticCurve(CurveModel):
         """The first root (m, x) of G, with its singular y."""
         m, x = self._first_root(G, budget)
         E = self.scan_field(m, budget, "smoothness certificate")
-        return (m, x, self._singular_y(E, _eval_codes(E, self.h, x),
-                                       _eval_codes(E, self.f, x)))
+        return (m, x, self._singular_y(E, _pc_eval(E, self.h, x),
+                                       _pc_eval(E, self.f, x)))
 
     @staticmethod
     def _singular_y(E: FiniteField, hx: int, fx: int) -> int:
@@ -325,17 +478,40 @@ class HyperellipticCurve(CurveModel):
             return E.pow_c(fx, E.order // 2)  # y^2 = f(x) where h(x) = 0
         return E.neg_c(E.mul_c(hx, E.inv_c(E.embed_int(2))))
 
-    def _count(self, m: int, E: FiniteField) -> int:
+    def _count(self, m: int, E: FiniteField | None) -> int:
         """Affine solutions, plus the roots of z^2 + h_(g+1) z = f_(2g+2)
         at infinity (f_(2g+2) = 0 when deg f is odd)."""
-        h_cs, f_cs = self.h, self.f
-        n = 0
-        for x, size in _frobenius_orbits(E, self.q):
-            n += size * E.quadratic_root_count(_eval_codes(E, h_cs, x),
-                                               _eval_codes(E, f_cs, x))
+        if E is None:
+            # untabled: its modulus, and the two roots at infinity below
+            E = FiniteField.extension(self.base, m)
+            n = self._sliced_affine_count(E.modulus)
+        else:
+            n = self._orbit_affine_count(E)
         g = self.genus()
-        return n + E.quadratic_root_count(_coeff(h_cs, g + 1),
-                                          _coeff(f_cs, 2 * g + 2))
+        return n + E.quadratic_root_count(_coeff(self.h, g + 1),
+                                          _coeff(self.f, 2 * g + 2))
+
+    def _orbit_affine_count(self, E: FiniteField) -> int:
+        """The affine count on a tabled E, one x per Frobenius orbit."""
+        return sum(size * E.quadratic_root_count(_pc_eval(E, self.h, x),
+                                                 _pc_eval(E, self.f, x))
+                   for x, size in _frobenius_orbits(E, self.q))
+
+    def _sliced_affine_count(self, modulus) -> int:
+        """The affine count over F_2, on every x of a block at once: an x
+        with h(x) = 0 has one point, any other 1 + (-1)^Tr(f(x)/h(x)^2)."""
+        K = _SlicedField(modulus)
+        count = 0
+        for x, ones in K.blocks():
+            h, f = K.evaluate((self.h, self.f), x, ones)
+            nonzero = 0
+            for v in h:
+                nonzero |= v
+            # Tr(f/h^2) is 0 where h = 0, since there 1/h = 0
+            t = K.trace(K.mul(f, K.square(K.inverse(h))))
+            codes = ones.bit_length()
+            count += codes + nonzero.bit_count() - 2 * t.bit_count()
+        return count
 
 
 class PlaneCurve(CurveModel):
@@ -391,7 +567,7 @@ class PlaneCurve(CurveModel):
     @staticmethod
     def _slice(E: FiniteField, columns, x: int):
         """A form at (x, Y, 1), as a code polynomial in Y over E."""
-        return _pc_trim([_eval_codes(E, c, x) for c in columns])
+        return _pc_trim([_pc_eval(E, c, x) for c in columns])
 
     def _check_smooth(self, budget: int) -> None:
         """On z = 0, one gcd over the base field decides every (X:1:0), and

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from bunzeta.arith import (
     BudgetExceededError,
     FiniteField,
+    _lex_smallest_irreducible_codes,
     _pc_add,
     _pc_deriv,
+    _pc_eval,
     _pc_is_irreducible,
     _pc_mul,
     _pc_sub,
@@ -18,7 +20,7 @@ from bunzeta.arith import (
     ext_field,
     moebius,
 )
-from bunzeta.curves import HyperellipticCurve, _eval_codes
+from bunzeta.curves import HyperellipticCurve
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +96,25 @@ def test_is_irreducible_matches_trial_division(base, top):
             f = list(lower) + [1]
             assert _pc_is_irreducible(B, f) == \
                 trial_division_is_irreducible(B, f), (B, f)
+
+
+def plain_ben_or_search(B, m):
+    """Oracle: the first monic degree-m coefficient vector in lexicographic
+    order that passes Ben-Or's test, with no candidate skipped."""
+    for lower in itertools.product(range(B.order), repeat=m):
+        f = list(lower) + [1]
+        if _pc_is_irreducible(B, f):
+            return tuple(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_modulus_search_matches_plain_ben_or(p):
+    # skipping constant term 0 and roots in F_p changes no modulus
+    B = ext_field(p, 1)
+    for m in range(2, 17):
+        if p ** m <= 1 << 16:
+            assert _lex_smallest_irreducible_codes(B, m) == \
+                plain_ben_or_search(B, m), (p, m)
 
 
 def test_find_irreducible_rejects_degree_zero():
@@ -356,7 +377,7 @@ def test_poly_evaluation_is_ring_homomorphism(a, b, x):
     F = ext_field(3, 2)
 
     def ev(cs):
-        return _eval_codes(F, cs, x)
+        return _pc_eval(F, cs, x)
 
     assert ev(_pc_add(F, a, b)) == F.add_c(ev(a), ev(b))
     assert ev(_pc_mul(F, a, b)) == F.mul_c(ev(a), ev(b))
@@ -367,9 +388,9 @@ def test_poly_evaluation_over_field_elements():
     F9 = ext_field(3, 2)
     pa, pb = [1, 2, 0, 1], [2, 2]
     for x in range(9):
-        ea, eb = _eval_codes(F9, pa, x), _eval_codes(F9, pb, x)
-        assert _eval_codes(F9, _pc_mul(F9, pa, pb), x) == F9.mul_c(ea, eb)
-        assert _eval_codes(F9, _pc_add(F9, pa, pb), x) == F9.add_c(ea, eb)
+        ea, eb = _pc_eval(F9, pa, x), _pc_eval(F9, pb, x)
+        assert _pc_eval(F9, _pc_mul(F9, pa, pb), x) == F9.mul_c(ea, eb)
+        assert _pc_eval(F9, _pc_add(F9, pa, pb), x) == F9.add_c(ea, eb)
 
 
 def test_poly_derivative():

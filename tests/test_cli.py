@@ -350,15 +350,30 @@ def counted_counts(monkeypatch):
 
 def test_over_limit_guard_refused_before_any_count(tmp_path, capsys,
                                                    counted_counts):
-    # y^2 + y = x^41 + x over F_2 has g = 20: N_1..N_20 fit the table limit
-    # and the guard N_21 does not, so trunc 21 fails before N_1..N_20 run
+    # y^2 = x^25 + 2x + 2 over F_3 has g = 12: N_1..N_12 fit the table limit
+    # and the guard N_13 does not, so trunc 13 fails before N_1..N_12 run
+    path = tmp_path / "g12.json"
+    path.write_text(json.dumps({"schema": 1, "curves": [
+        {"name": "g12", "kind": "hyperelliptic", "p": 3,
+         "f": [2, 2] + [0] * 23 + [1]}]}))
+    assert run_cli(["zeta", "--config", str(path), "--trunc", "13"]) == 1
+    assert ("curves[g12]: point count for g12 over GF(3^13) of size 1594323 "
+            "exceeds the table limit 1048576") in capsys.readouterr().err
+    assert counted_counts == []
+
+
+def test_f2_guard_charged_against_the_budget_alone(tmp_path, capsys,
+                                                   counted_counts):
+    # y^2 + y = x^41 + x over F_2 (g = 20) builds no tables, so its guard
+    # N_21 is charged only its 2^21 elements against the budget
     path = tmp_path / "g20.json"
     path.write_text(json.dumps({"schema": 1, "curves": [
         {"name": "g20", "kind": "hyperelliptic", "p": 2, "h": [1],
          "f": [0, 1] + [0] * 39 + [1]}]}))
-    assert run_cli(["zeta", "--config", str(path), "--trunc", "21"]) == 1
+    assert run_cli(["zeta", "--config", str(path), "--trunc", "21",
+                    "--budget", str((1 << 21) - 1)]) == 1
     assert ("curves[g20]: point count for g20 over GF(2^21) of size 2097152 "
-            "exceeds the table limit 1048576") in capsys.readouterr().err
+            "exceeds the budget 2097151") in capsys.readouterr().err
     assert counted_counts == []
 
 

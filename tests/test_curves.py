@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 import time
 
@@ -6,6 +8,7 @@ import pytest
 
 from bunzeta import curves
 from bunzeta.arith import BudgetExceededError, FiniteField, ext_field
+from bunzeta.cli import build_curve
 from bunzeta.curves import (
     HyperellipticCurve,
     PlaneCurve,
@@ -320,15 +323,90 @@ def test_count_evaluates_once_per_frobenius_orbit(F3, monkeypatch):
     model = HyperellipticCurve.from_ints(F3, [], [0, 1, 0, 0, 0, 1])
     model.validate()
     calls = []
-    evaluate = curves._eval_codes
+    evaluate = curves._pc_eval
 
     def counted(E, cs, x):
         calls.append(x)
         return evaluate(E, cs, x)
 
-    monkeypatch.setattr(curves, "_eval_codes", counted)
+    monkeypatch.setattr(curves, "_pc_eval", counted)
     model.count_points(6)
     assert len(calls) == 2 * frobenius_orbit_count(3, 6) == 260
+
+
+def f2_config_curves():
+    """The hyperelliptic curves over F_2 of the config files, bench
+    workloads included."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("configs/*.json")) + \
+        sorted(root.glob("bench/workloads/*.json"))
+    return [build_curve(entry) for path in paths
+            for entry in json.loads(path.read_text()).get("curves", [])
+            if entry["kind"] == "hyperelliptic" and entry["p"] == 2
+            and entry.get("e", 1) == 1]
+
+
+def random_dense_f2_models(seed, genera):
+    """Smooth models over F_2 with every coefficient of h and f drawn, h of
+    degree 1..g+1 (so h != 1) and deg f in {2g+1, 2g+2}."""
+    rng = random.Random(seed)
+    out = []
+    for g in genera:
+        while True:
+            h = [rng.randrange(2) for _ in range(rng.randint(1, g + 1))] + [1]
+            f = [rng.randrange(2)
+                 for _ in range(rng.choice((2 * g + 1, 2 * g + 2)))] + [1]
+            model = HyperellipticCurve.from_ints(ext_field(2, 1), h, f,
+                                                 name=f"h={h} f={f}")
+            if certificate_verdict(model) is None:
+                out.append(model)
+                break
+    return out
+
+
+def assert_sliced_matches_orbit_oracle(model, top):
+    """The bit-sliced count (no field handed in) equals the orbit kernel on
+    a tabled F_(2^m), for m = 1..top."""
+    for m in range(1, top + 1):
+        assert model._count(m, None) == \
+            model._count(m, tabled_field(model.base, m)), (model.name, m)
+
+
+def test_sliced_counts_match_orbit_oracle_on_catalog_and_configs(
+        curve_catalog):
+    models = [model for model in curve_catalog.values()
+              if model.kind == "hyperelliptic" and model.q == 2]
+    models += f2_config_curves()
+    assert len(models) >= 12  # E1, C2, C3, the demo and the workloads
+    for model in models:
+        assert_sliced_matches_orbit_oracle(model, min(2 * model.genus() + 2,
+                                                      18))
+
+
+def test_sliced_counts_match_orbit_oracle_on_random_dense_curves():
+    # h has roots in some F_(2^m), so the h(x) = 0 branch is exercised
+    for model in random_dense_f2_models(2027, [1, 2, 3, 4, 5, 6, 7, 8, 8]):
+        assert_sliced_matches_orbit_oracle(model, 2 * model.genus() + 2)
+
+
+def test_sliced_blocks_match_orbit_oracle(monkeypatch):
+    # blocks of 4 codes: every m > 2 runs the multi-block path
+    monkeypatch.setattr(curves, "_BLOCK_BITS", 2)
+    for model in random_dense_f2_models(2028, [1, 2, 3]):
+        assert_sliced_matches_orbit_oracle(model, 2 * model.genus() + 2)
+
+
+def test_f2_counts_build_no_tables(monkeypatch):
+    model, = random_dense_f2_models(2029, [2])
+    model.validate()
+    oracle = tuple(model._count(m, tabled_field(model.base, m))
+                   for m in range(1, 7))
+
+    def no_tables(self):
+        raise AssertionError("a count over F_2 built field tables")
+
+    monkeypatch.setattr(FiniteField, "build_tables", no_tables)
+    assert model.counts(6).counts == oracle
 
 
 def test_klein_quartic_counts(curve_catalog):
@@ -536,29 +614,52 @@ def test_budget_refuses_cached_counts(curve_catalog):
         model.count_points(5, budget=16)
 
 
-def test_count_above_table_limit_refused_fast(F2, monkeypatch):
-    # g = 10: N_11 is the last count under the table limit; N_21 would
-    # scan 2^21 elements on digit polynomials, inside the default budget;
-    # counts(21) is refused with the same text before N_1..N_20 run
-    model = HyperellipticCurve.from_ints(F2, [1], [0, 1] + [0] * 19 + [1],
-                                         name="g10")
-    counted = []
+@pytest.fixture
+def counted(monkeypatch):
+    """The degrees m of every hyperelliptic count that runs, in order."""
+    calls = []
     count = HyperellipticCurve._count
 
     def record(model, m, E):
-        counted.append(m)
+        calls.append(m)
         return count(model, m, E)
 
     monkeypatch.setattr(HyperellipticCurve, "_count", record)
+    return calls
+
+
+def test_count_above_table_limit_refused_fast(F3, counted):
+    # g = 11 over F_3: N_12 is the last count under the table limit; N_13
+    # would scan 3^13 elements on digit polynomials, inside the default
+    # budget; counts(13) is refused with the same text before N_1..N_12 run
+    model = HyperellipticCurve.from_ints(F3, [], [2, 2] + [0] * 21 + [1],
+                                         name="g11")
     for call in (model.count_points, model.counts):
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError,
-                           match=r"point count for g10 over GF\(2\^21\) of "
-                                 r"size 2097152 exceeds the table limit "
+                           match=r"point count for g11 over GF\(3\^13\) of "
+                                 r"size 1594323 exceeds the table limit "
                                  r"1048576"):
-            call(21)
+            call(13)
         assert time.perf_counter() - start < 1.0
     assert counted == []
+
+
+def test_f2_count_charged_against_the_budget_alone(F2, counted):
+    # over F_2 no table is built: a budget below 2^21 refuses N_21 before
+    # N_1..N_20 run, and the default budget admits it (two blocks of 2^20
+    # codes), and N_22 (four), with the counts P(T) regenerates
+    model = HyperellipticCurve.from_ints(F2, [1], [0, 1] + [0] * 19 + [1],
+                                         name="g10")
+    for call in (model.count_points, model.counts):
+        with pytest.raises(BudgetExceededError,
+                           match=r"point count for g10 over GF\(2\^21\) of "
+                                 r"size 2097152 exceeds the budget 2097151"):
+            call(21, (1 << 21) - 1)
+    assert counted == []
+    z = zeta_from_counts(2, 10, model.counts(10).counts)
+    assert [model.count_points(m) for m in (21, 22)] == \
+        regenerate_counts(z, 22)[20:]
 
 
 def test_plane_certificate_above_table_limit_refused_fast():
