@@ -17,7 +17,7 @@ independent routes compute the semistable mass M^ss(n, d):
 * :func:`hn_ss_mass` solves the slope-stratification identity
   ``total = sum over strata of prod M^ss(n_i, d_i) q^(-sum chi_ij)`` with
   ``chi_ij = n_i n_j (1 - g) + (d_i n_j - d_j n_i)`` directly, summing the
-  infinitely many strata of each composition (n_1..n_k) exactly.  Write
+  infinitely many strata of every composition (n_1..n_k) exactly.  Write
   d_i = n_i c_i + r_i with 0 <= r_i < n_i, u_l = c_l - c_(l+1) and
   s_i = n_1 + ... + n_i.  M^ss(n_i, d_i) depends only on r_i; the slopes
   fall strictly iff u_l >= e_l = [r_(l+1) n_l >= r_l n_(l+1)]; the
@@ -29,10 +29,12 @@ independent routes compute the semistable mass M^ss(n, d):
   sum r_i + sum s_l u_l = d (mod n), which fixes c_k.  With w_l =
   s_l (n - s_l), the u_l >= e_l of one class mod n sum to V[rho] /
   (q^(n w_l) - 1), V[rho] the integer sum of q^(w_l (n - u)) over
-  e_l <= u < e_l + n with s_l u = rho.  The residue tuples (r_1..r_k) are
-  summed as integers per pattern (e_1..e_(k-1)) and residue sum r_i mod n;
-  each pattern's vector is cyclically convolved over Z/n with its V's,
-  and each composition is put over one denominator.  One pass gives all d
+  e_l <= u < e_l + n with s_l u = rho.  Each factor of a term belongs to
+  one part (its r_i and its share n_i s_(i-1) of cross) or to one
+  boundary (V, whose e_l needs only the two adjacent slopes), so a
+  transfer over composition prefixes, one integer vector over Z/n per
+  state (s_i, r_i/n_i), sums all compositions at once over one common
+  denominator, in O(n^4) integer operations.  One pass gives all d
   and involves no truncation, so the routes compare exactly:
   :func:`semistable_mass` runs both and raises RouteMismatchError when
   they differ.
@@ -44,6 +46,7 @@ masses are invariant under d -> d + n (twisting by a degree-1 line bundle).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -186,12 +189,15 @@ def _hn_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
 
 def _hn_strata_sums(n: int, z: ZetaData) -> list[Fraction]:
     """Mass of all proper slope strata of the degree-d component, for each
-    d in 0..n-1.
+    d in 0..n-1, by one transfer over composition prefixes.
 
-    Per composition: the residue tuples (r_1..r_k) are summed as integers,
-    keyed by their pattern (e_1..e_(k-1)) and by sum r_i mod n; each
-    pattern's class vectors are convolved over Z/n once, and each d's
-    composition terms are added as integers over one common denominator.
+    The state of the parts (n_1, r_1)..(n_i, r_i) is their sum s = s_i and
+    last slope r_i/n_i; over the common denominator below it holds the
+    integer sum of its prefix terms by class of sum r_j + sum_(l<i) s_l u_l
+    mod n.  Appending (n', r') sums u_i >= e = [r' n_i >= r_i n'] by the
+    class vector V_s^e, w = s (n - s).  As V_s^1 = V_s^0 - (q^(n w) - 1)
+    delta_0, all states at s are convolved with V_s^0 once, together, and
+    q^(n w) - 1 times the states of last slope at most r'/n' is taken off.
     """
     q = z.q
     # M^ss(m, r) = nums[m][r] / dens[m]: one denominator per rank m < n
@@ -200,48 +206,42 @@ def _hn_strata_sums(n: int, z: ZetaData) -> list[Fraction]:
         vals = _hn_masses(m, z)
         dens[m] = math.lcm(*(v.denominator for v in vals))
         nums[m] = [v.numerator * (dens[m] // v.denominator) for v in vals]
-    terms = []  # (den, numerators by d) per composition
-    for comp in compositions(n, min_parts=2):
-        k = len(comp)
-        s = [0, *itertools.accumulate(comp)]  # s[i] = n_1 + ... + n_i
-        cross = (n * n - sum(part * part for part in comp)) // 2
-        # part i's factor M^ss(n_i, r) q^(-r c_i), c_i = n - s_i - s_(i-1),
-        # times dens[n_i] q^top to an integer; keys skip the r with M^ss = 0
-        factors, shift = [], 0
-        for i, part in enumerate(comp):
-            c = n - s[i + 1] - s[i]
-            top = (part - 1) * max(c, 0)
-            shift += top
-            factors.append({r: v * q ** (top - r * c)
-                            for r, v in enumerate(nums[part]) if v})
-        # classes[l][e][rho] = sum_(u=e)^(e+n-1) [s_l u = rho] q^(w_l (n-u));
-        # over q^(n w_l) - 1 it sums q^(-w_l u) over all u >= e in class rho
-        ws = [s[l] * (n - s[l]) for l in range(1, k)]
-        classes = []
-        for l, w in enumerate(ws, start=1):
-            pair = ([0] * n, [0] * n)
-            for e in (0, 1):
-                for u in range(e, e + n):
-                    pair[e][s[l] * u % n] += q ** (w * (n - u))
-            classes.append(pair)
-        acc: dict = {}  # pattern -> integer numerators by sum r_i mod n
-        for rs in itertools.product(*factors):
-            pattern = tuple(int(rs[l + 1] * comp[l] >= rs[l] * comp[l + 1])
-                            for l in range(k - 1))
-            acc.setdefault(pattern, [0] * n)[sum(rs) % n] += math.prod(
-                f[r] for f, r in zip(factors, rs))
-        total = [0] * n
-        for pattern, vec in acc.items():
-            for pair, e in zip(classes, pattern):
-                vec = [sum(vec[(rho - j) % n] * c
-                           for j, c in enumerate(pair[e]) if c)
-                       for rho in range(n)]
-            total = [a + b for a, b in zip(total, vec)]
-        power = (z.g - 1) * cross - shift
-        den = math.prod(dens[part] for part in comp) * math.prod(
-            q ** (n * w) - 1 for w in ws)
-        terms.append((den * q ** max(-power, 0),
-                      [a * q ** max(power, 0) for a in total]))
-    common = math.lcm(*(den for den, _ in terms))
-    return [Fraction(sum(row[d] * (common // den) for den, row in terms),
-                     common) for d in range(n)]
+    lcm = math.lcm(*dens.values())
+    gaps = [q ** (n * t * (n - t)) - 1 for t in range(n + 1)]
+    # over lcm^n prod_(0<t<n) gaps[t] q^(n n), part (n', r') after s brings
+    # M^ss(n', r') lcm^n', the gaps of the points it skips and q to its
+    # exponent (g-1) n' s - r' (n - 2s - n') >= -n n', plus n n'
+    states: list[dict] = [{} for _ in range(n)]
+    out = [0] * n
+    for s in range(n):
+        slopes = sorted(states[s])
+        cums, acc = [], [0] * n  # cums[j]: the states of the j+1 least slopes
+        for mu in slopes:
+            acc = [a + b for a, b in zip(acc, states[s][mu])]
+            cums.append(acc)
+        conv = [1] + [0] * (n - 1)  # the empty prefix
+        if s:
+            v0 = [0] * n  # V_s^0
+            for u in range(n):
+                v0[s * u % n] += q ** (s * (n - s) * (n - u))
+            conv = [sum(acc[(rho - j) % n] * c for j, c in enumerate(v0) if c)
+                    for rho in range(n)]
+        skip = 1  # the product of gaps[t], s < t < s + part
+        for part in range(1, n - s + 1 if s else n):
+            scale = lcm // dens[part] * lcm ** (part - 1) * skip
+            skip *= gaps[s + part]
+            for r, num in enumerate(nums[part]):
+                if not num:
+                    continue
+                mu = Fraction(r, part)
+                j = bisect.bisect_right(slopes, mu)
+                vec = [a - gaps[s] * b for a, b in zip(conv, cums[j - 1])] \
+                    if j else conv
+                f = num * scale * q ** ((z.g - 1) * part * s + n * part
+                                        - r * (n - 2 * s - part))
+                target = out if s + part == n else \
+                    states[s + part].setdefault(mu, [0] * n)
+                for rho, a in enumerate(vec):
+                    target[(rho + r) % n] += f * a
+    den = lcm ** n * math.prod(gaps[1:n]) * q ** (n * n)
+    return [Fraction(a, den) for a in out]

@@ -11,6 +11,31 @@ from bunzeta.curves import (
 from bunzeta.zeta import InconsistentCountsError, zeta_from_counts
 
 
+class CountLog(list):
+    """The degrees m of the hyperelliptic counts that ran, in order.
+
+    Until ``real`` is set a count fails the test at once, so a test of a
+    refusal fails in milliseconds when the gate breaks instead of counting
+    for minutes first."""
+
+    real = False
+
+
+@pytest.fixture
+def count_log(monkeypatch):
+    log = CountLog()
+    count = HyperellipticCurve._count
+
+    def record(model, m, E):
+        log.append(m)
+        if not log.real:
+            pytest.fail(f"{model.name}: N_{m} was counted, not refused")
+        return count(model, m, E)
+
+    monkeypatch.setattr(HyperellipticCurve, "_count", record)
+    return log
+
+
 @pytest.fixture(scope="session")
 def F2():
     return ext_field(2, 1)

@@ -334,22 +334,8 @@ def test_zeta_enumerates_only_to_the_guard(config_path, monkeypatch, trunc,
                     for m in range(1, k + 1)]
 
 
-@pytest.fixture
-def counted_counts(monkeypatch):
-    """The degrees m of every hyperelliptic count that runs, in order."""
-    calls = []
-    count = HyperellipticCurve._count
-
-    def record(model, m, E):
-        calls.append(m)
-        return count(model, m, E)
-
-    monkeypatch.setattr(HyperellipticCurve, "_count", record)
-    return calls
-
-
 def test_over_limit_guard_refused_before_any_count(tmp_path, capsys,
-                                                   counted_counts):
+                                                   count_log):
     # y^2 = x^25 + 2x + 2 over F_3 has g = 12: N_1..N_12 fit the table limit
     # and the guard N_13 does not, so trunc 13 fails before N_1..N_12 run
     path = tmp_path / "g12.json"
@@ -359,11 +345,11 @@ def test_over_limit_guard_refused_before_any_count(tmp_path, capsys,
     assert run_cli(["zeta", "--config", str(path), "--trunc", "13"]) == 1
     assert ("curves[g12]: point count for g12 over GF(3^13) of size 1594323 "
             "exceeds the table limit 1048576") in capsys.readouterr().err
-    assert counted_counts == []
+    assert count_log == []
 
 
 def test_f2_guard_charged_against_the_budget_alone(tmp_path, capsys,
-                                                   counted_counts):
+                                                   count_log):
     # y^2 + y = x^41 + x over F_2 (g = 20) builds no tables, so its guard
     # N_21 is charged only its 2^21 elements against the budget
     path = tmp_path / "g20.json"
@@ -374,21 +360,22 @@ def test_f2_guard_charged_against_the_budget_alone(tmp_path, capsys,
                     "--budget", str((1 << 21) - 1)]) == 1
     assert ("curves[g20]: point count for g20 over GF(2^21) of size 2097152 "
             "exceeds the budget 2097151") in capsys.readouterr().err
-    assert counted_counts == []
+    assert count_log == []
 
 
 @pytest.mark.parametrize("budget, rc, counted", [(8, 0, [1, 2, 3]),
                                                  (7, 1, [])])
-def test_guard_gate_charges_the_budget(tmp_path, capsys, counted_counts,
+def test_guard_gate_charges_the_budget(tmp_path, capsys, count_log,
                                        budget, rc, counted):
     # C2 has g = 2; trunc 3 adds the guard over F_8, which a budget of 8
     # admits and a budget of 7 refuses before F_2 and F_4 are counted
+    count_log.real = not rc  # only the admitted run counts
     path = tmp_path / "c2.json"
     path.write_text(json.dumps(dict(BASE_CONFIG,
                                     curves=[BASE_CONFIG["curves"][2]])))
     assert run_cli(["zeta", "--config", str(path), "--trunc", "3",
                     "--budget", str(budget)]) == rc
-    assert counted_counts == counted
+    assert count_log == counted
     if rc:
         assert ("curves[C2]: point count for C2 over GF(2^3) of size 8 "
                 "exceeds the budget 7") in capsys.readouterr().err

@@ -614,21 +614,7 @@ def test_budget_refuses_cached_counts(curve_catalog):
         model.count_points(5, budget=16)
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    """The degrees m of every hyperelliptic count that runs, in order."""
-    calls = []
-    count = HyperellipticCurve._count
-
-    def record(model, m, E):
-        calls.append(m)
-        return count(model, m, E)
-
-    monkeypatch.setattr(HyperellipticCurve, "_count", record)
-    return calls
-
-
-def test_count_above_table_limit_refused_fast(F3, counted):
+def test_count_above_table_limit_refused_fast(F3, count_log):
     # g = 11 over F_3: N_12 is the last count under the table limit; N_13
     # would scan 3^13 elements on digit polynomials, inside the default
     # budget; counts(13) is refused with the same text before N_1..N_12 run
@@ -642,10 +628,10 @@ def test_count_above_table_limit_refused_fast(F3, counted):
                                  r"1048576"):
             call(13)
         assert time.perf_counter() - start < 1.0
-    assert counted == []
+    assert count_log == []
 
 
-def test_f2_count_charged_against_the_budget_alone(F2, counted):
+def test_f2_count_charged_against_the_budget_alone(F2, count_log):
     # over F_2 no table is built: a budget below 2^21 refuses N_21 before
     # N_1..N_20 run, and the default budget admits it (two blocks of 2^20
     # codes), and N_22 (four), with the counts P(T) regenerates
@@ -656,7 +642,8 @@ def test_f2_count_charged_against_the_budget_alone(F2, counted):
                            match=r"point count for g10 over GF\(2\^21\) of "
                                  r"size 2097152 exceeds the budget 2097151"):
             call(21, (1 << 21) - 1)
-    assert counted == []
+    assert count_log == []
+    count_log.real = True
     z = zeta_from_counts(2, 10, model.counts(10).counts)
     assert [model.count_points(m) for m in (21, 22)] == \
         regenerate_counts(z, 22)[20:]

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,85 @@ def _transfer_part_factor(n_i, r, coeff, z):
     return _transfer_hn_masses(n_i, z)[r] * Fraction(z.q) ** (-r * coeff)
 
 
+@functools.cache
+def _composition_hn_masses(n, z):
+    """Oracle: M^ss(n, 0..n-1) by the per-composition sum below."""
+    total = mass_gl_component(n, z).value
+    if n == 1:
+        return (total,)
+    return tuple(total - strata for strata in _composition_strata_sums(n, z))
+
+
+def _composition_strata_sums(n, z):
+    """Oracle: the stratum sums one composition at a time, on integers.
+
+    Per composition: the residue tuples (r_1..r_k) are summed as integers,
+    keyed by their pattern (e_1..e_(k-1)) and by sum r_i mod n; each
+    pattern's class vectors are convolved over Z/n once, and each d's
+    composition terms are added as integers over one common denominator.
+    """
+    q = z.q
+    # M^ss(m, r) = nums[m][r] / dens[m]: one denominator per rank m < n
+    nums, dens = {}, {}
+    for m in range(1, n):
+        vals = _composition_hn_masses(m, z)
+        dens[m] = math.lcm(*(v.denominator for v in vals))
+        nums[m] = [v.numerator * (dens[m] // v.denominator) for v in vals]
+    terms = []  # (den, numerators by d) per composition
+    for comp in compositions(n, min_parts=2):
+        k = len(comp)
+        s = [0, *itertools.accumulate(comp)]  # s[i] = n_1 + ... + n_i
+        cross = (n * n - sum(part * part for part in comp)) // 2
+        # part i's factor M^ss(n_i, r) q^(-r c_i), c_i = n - s_i - s_(i-1),
+        # times dens[n_i] q^top to an integer; keys skip the r with M^ss = 0
+        factors, shift = [], 0
+        for i, part in enumerate(comp):
+            c = n - s[i + 1] - s[i]
+            top = (part - 1) * max(c, 0)
+            shift += top
+            factors.append({r: v * q ** (top - r * c)
+                            for r, v in enumerate(nums[part]) if v})
+        # classes[l][e][rho] = sum_(u=e)^(e+n-1) [s_l u = rho] q^(w_l (n-u));
+        # over q^(n w_l) - 1 it sums q^(-w_l u) over all u >= e in class rho
+        ws = [s[l] * (n - s[l]) for l in range(1, k)]
+        classes = []
+        for l, w in enumerate(ws, start=1):
+            pair = ([0] * n, [0] * n)
+            for e in (0, 1):
+                for u in range(e, e + n):
+                    pair[e][s[l] * u % n] += q ** (w * (n - u))
+            classes.append(pair)
+        acc: dict = {}  # pattern -> integer numerators by sum r_i mod n
+        for rs in itertools.product(*factors):
+            pattern = tuple(int(rs[l + 1] * comp[l] >= rs[l] * comp[l + 1])
+                            for l in range(k - 1))
+            acc.setdefault(pattern, [0] * n)[sum(rs) % n] += math.prod(
+                f[r] for f, r in zip(factors, rs))
+        total = [0] * n
+        for pattern, vec in acc.items():
+            for pair, e in zip(classes, pattern):
+                vec = [sum(vec[(rho - j) % n] * c
+                           for j, c in enumerate(pair[e]) if c)
+                       for rho in range(n)]
+            total = [a + b for a, b in zip(total, vec)]
+        power = (z.g - 1) * cross - shift
+        den = math.prod(dens[part] for part in comp) * math.prod(
+            q ** (n * w) - 1 for w in ws)
+        terms.append((den * q ** max(-power, 0),
+                      [a * q ** max(power, 0) for a in total]))
+    common = math.lcm(*(den for den, _ in terms))
+    return [Fraction(sum(row[d] * (common // den) for den, row in terms),
+                     common) for d in range(n)]
+
+
+@pytest.mark.parametrize("key", ["P1/F2", "P1/F3", "E1", "C2", "C6"])
+def test_prefix_transfer_matches_composition_oracle(zeta_catalog,
+                                                    genus6_zeta, key):
+    z = genus6_zeta if key == "C6" else zeta_catalog[key]
+    for n in range(1, 11 if key == "E1" else 9):
+        assert mass._hn_masses(n, z) == _composition_hn_masses(n, z), (key, n)
+
+
 @pytest.mark.parametrize("key", ["P1/F2", "P1/F3", "E1", "C2", "C6"])
 def test_integer_routes_match_fraction_oracles(zeta_catalog, genus6_zeta,
                                                key):
@@ -239,7 +319,7 @@ def test_integer_routes_match_fraction_oracles(zeta_catalog, genus6_zeta,
 
 def test_zagier_equals_hn_exactly(zeta_catalog):
     for key, z in zeta_catalog.items():
-        for n in range(1, 11 if key == "E1" else 9):
+        for n in range(1, 13 if key == "E1" else 9):
             total = mass_gl_component(n, z).value
             for d in range(n):
                 a = zagier_ss_mass(n, d, z).value
