@@ -134,10 +134,11 @@ def within_weil_bound(n_m: int, q: int, g: int, m: int) -> bool:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse ``"p/q"`` / ``"p"`` strings (also accepts ints) into a Fraction."""
+    """Parse ``"p/q"`` / ``"p"`` strings (also accepts ints, not bools)
+    into a Fraction."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
         return Fraction(s.strip())

@@ -128,6 +128,10 @@ class TVData(Record):
 
     @classmethod
     def from_map(cls, q: int, beta_map: dict, groups=None) -> "TVData":
+        for m in beta_map:  # a JSON key must be plain digits: int("1_0") is 10
+            if type(m) is not int and not (
+                    isinstance(m, str) and m.isascii() and m.isdigit()):
+                raise ValueError(f"beta: key {m!r}: expected decimal digits")
         beta = tuple((int(m), parse_rational(b)) for m, b in beta_map.items()
                      if parse_rational(b) != 0)
         gs = None

@@ -12,7 +12,9 @@ independent routes compute the semistable mass M^ss(n, d):
 
 * :func:`zagier_ss_mass` evaluates the closed-form sum over ordered
   compositions of n (the 1/(1 - q^(n_i + n_(i+1))) factors carry the
-  alternating sign implicitly);
+  alternating sign implicitly).  Its fractional q-exponent splits into
+  one integer per part, so a transfer over composition prefixes, one
+  integer per d in each state (s_i, n_i), sums all compositions at once;
 
 * :func:`hn_ss_mass` solves the slope-stratification identity
   ``total = sum over strata of prod M^ss(n_i, d_i) q^(-sum chi_ij)`` with
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -72,14 +73,12 @@ class MassValue(Record):
             raise ValueError(f"negative mass {self.value} for {self.context}")
 
 
-def compositions(n: int, min_parts: int = 1):
+def compositions(n: int):
     """Ordered compositions of n (tuples of positive parts)."""
     if n == 0:
-        if min_parts <= 0:
-            yield ()
-        return
+        yield ()
     for first in range(1, n + 1):
-        for rest in compositions(n - first, min_parts - 1):
+        for rest in compositions(n - first):
             yield (first,) + rest
 
 
@@ -123,36 +122,36 @@ def _zagier_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
     """(M^ss(n, 0), ..., M^ss(n, n - 1)) from the composition sum.
 
     Each composition contributes prod M(n_i) q^((g-1) cross + num/n) /
-    prod (1 - q^(n_l + n_(l+1))); only num depends on d.  The terms of each
-    d are summed as integer numerators over one common denominator.
+    prod (1 - q^(n_l + n_(l+1))).  With r_i = s_i d mod n, num/n is d n
+    plus the integer (n_i (r_(i-1) + r_i) - d (s_i^2 - s_(i-1)^2)) / n of
+    each part, so one transfer over composition prefixes, with states
+    (s_i, n_i), sums all compositions at once.  A state holds one integer
+    per d over the lcm of the boundary products of its prefixes.
     """
     q, g = z.q, z.g
-    terms: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for comp in compositions(n):
-        partial = list(itertools.accumulate(comp))
-        cross = (n * n - sum(part * part for part in comp)) // 2
-        parts = [mass_gl_component(part, z).value for part in comp]
-        top = math.prod(v.numerator for v in parts)
-        pairs = [a + b for a, b in zip(comp, comp[1:])]
-        den = math.prod(v.denominator for v in parts) * math.prod(
-            1 - q ** pair for pair in pairs)
-        for d in range(n):
-            # n times the fractional part of the q-exponent
-            num = sum(pair * (partial[l] * d % n)
-                      for l, pair in enumerate(pairs))
-            if num % n:
-                raise ArithmeticError(
-                    f"non-integral q-exponent {(g - 1) * cross} + {num}/{n} "
-                    f"for composition {comp}; the composition sum does not "
-                    "define a rational number here")
-            e = (g - 1) * cross + num // n
-            terms[d].append((top * q ** max(e, 0),
-                             den * q ** max(-e, 0)))
-    out = []
-    for ts in terms:
-        common = math.lcm(*(abs(den) for _, den in ts))
-        out.append(Fraction(sum(a * (common // den) for a, den in ts), common))
-    return tuple(out)
+    vals = [mass_gl_component(m, z).value for m in range(1, n + 1)]
+    lcm = math.lcm(*(v.denominator for v in vals))
+    # over lcm^n q^(3 n n), part m after s brings M(m) lcm^m and q to its
+    # exponent plus 3 n m, which is nonnegative
+    states = [{0: (1, [1] * n)}] + [{} for _ in range(n)]
+    for t in range(1, n + 1):
+        for m in range(1, t + 1):
+            s = t - m  # boundary 1 - q^(last + m), none after the empty prefix
+            prev = [(den * (1 - q ** (last + m) if last else 1), vec)
+                    for last, (den, vec) in states[s].items()]
+            den = math.lcm(*(b for b, _ in prev))
+            acc = [sum(den // b * vec[d] for b, vec in prev) for d in range(n)]
+            top = vals[m - 1].numerator * (lcm ** m // vals[m - 1].denominator)
+            base = (g - 1) * m * s + 3 * n * m
+            states[t][m] = (den, [a * top * q ** (base + (
+                m * (s * d % n + t * d % n) - d * (t * t - s * s)) // n)
+                for d, a in enumerate(acc)])
+    common = math.lcm(*(den for den, _ in states[n].values()))
+    return tuple(
+        Fraction(sum(vec[d] * (common // den)
+                     for den, vec in states[n].values()) * q ** (d * n),
+                 common * lcm ** n * q ** (3 * n * n))
+        for d in range(n))
 
 
 def hn_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:

@@ -236,28 +236,54 @@ TV_GENERAL = {"q": 4, "beta": {"1": "1"},
               "groups": [{"deg": 1, "gamma": "1", "L": "3/4"}], "d_bound": 2}
 
 
-@pytest.mark.parametrize("groups,tv,where", [
-    ([{"family": "GL", "n": 2.5}], None, "groups[0]: n"),
+NOT_AN_INTEGER = "expected an integer"
+NOT_A_RATIONAL = "cannot parse rational from"
+NOT_DIGITS = "expected decimal digits"
+
+
+@pytest.mark.parametrize("groups,tv,where,message", [
+    ([{"family": "GL", "n": 2.5}], None, "groups[0]: n", NOT_AN_INTEGER),
     ([{"family": "Gm", "n": 1}, {"family": "GL", "n": True}], None,
-     "groups[1]: n"),
-    ([{"name": "G2", "dim": 14.0, "degrees": [2, 6]}], None, "groups[0]: dim"),
+     "groups[1]: n", NOT_AN_INTEGER),
+    ([{"name": "G2", "dim": 14.0, "degrees": [2, 6]}], None, "groups[0]: dim",
+     NOT_AN_INTEGER),
     ([{"name": "G2", "dim": 14, "degrees": [2, "6"]}], None,
-     "groups[0]: degrees"),
-    (None, dict(TV_GENERAL, q=4.7), "tv.q"),
-    (None, dict(TV_GENERAL, q="4"), "tv.q"),
+     "groups[0]: degrees", NOT_AN_INTEGER),
+    (None, dict(TV_GENERAL, q=4.7), "tv.q", NOT_AN_INTEGER),
+    (None, dict(TV_GENERAL, q="4"), "tv.q", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, groups=[{"deg": 1.5, "gamma": "1", "L": "3/4"}]),
-     "tv: groups[0].deg"),
-    (None, dict(TV_GENERAL, d_bound=1.9), "tv.d_bound"),
+     "tv: groups[0].deg", NOT_AN_INTEGER),
+    (None, dict(TV_GENERAL, d_bound=1.9), "tv.d_bound", NOT_AN_INTEGER),
+    # bool is an int subclass, and int() reads "1_0" as 10
+    ([{"family": "GL", "n": 2, "tamagawa": True}], None, "groups[0]",
+     NOT_A_RATIONAL),
+    ([{"family": "Gm", "n": 1},
+      {"name": "G2", "dim": 14, "degrees": [2, 6], "tamagawa": True}], None,
+     "groups[1]", NOT_A_RATIONAL),
+    (None, dict(TV_GENERAL, beta={"1": True}), "tv", NOT_A_RATIONAL),
+    (None, dict(TV_GENERAL, groups=[{"deg": 1, "gamma": True, "L": "3/4"}]),
+     "tv", NOT_A_RATIONAL),
+    (None, dict(TV_GENERAL, groups=[{"deg": 1, "gamma": "1", "L": False}]),
+     "tv", NOT_A_RATIONAL),
+    (None, dict(TV_GENERAL, beta={"1_0": "1"}), "tv: beta: key '1_0'",
+     NOT_DIGITS),
+    (None, dict(TV_GENERAL, beta={" 1": "1"}), "tv: beta: key ' 1'",
+     NOT_DIGITS),
+    (None, dict(TV_GENERAL, beta={"1.0": "1"}), "tv: beta: key '1.0'",
+     NOT_DIGITS),
 ], ids=["float-n", "bool-n", "float-dim", "string-degree", "float-q",
-        "string-q", "float-deg", "float-d_bound"])
+        "string-q", "float-deg", "float-d_bound", "bool-tamagawa",
+        "bool-raw-tamagawa", "bool-beta", "bool-gamma", "bool-L",
+        "underscore-key", "space-key", "decimal-point-key"])
 def test_non_integer_group_or_tv_field_rejected(tmp_path, capsys, groups, tv,
-                                                where):
+                                                where, message):
     cfg = {"schema": 1, "groups": groups or [{"family": "Gm", "n": 1}],
            "tv": tv or TV_GENERAL}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     assert run_cli(["asymptote", "--config", str(path)]) == 1
-    assert f"{where}: expected an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: {message}"), err
 
 
 def test_mass_route_mismatch_fails(config_path, monkeypatch, capsys):
