@@ -164,18 +164,8 @@ def moebius(n: int) -> int:
     """Mobius function of a positive integer."""
     if n < 1:
         raise ValueError("moebius is defined for positive integers")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    ps = _prime_factors(n)
+    return (-1) ** len(ps) if all(n % (p * p) for p in ps) else 0
 
 
 def divisors(n: int) -> list[int]:
@@ -191,36 +181,39 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
+def _least_factor(n: int, d: int = 2) -> int:
+    """The least prime factor of n >= 2, for n with no prime factor below d:
+    the one trial division behind the prime helpers."""
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+            return d
         d += 1
-    if n > 1:
-        out.append(n)
+    return n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1 in increasing order."""
+    out = []
+    p = 2
+    while n > 1:
+        p = _least_factor(n, p)
+        out.append(p)
+        while n % p == 0:
+            n //= p
     return out
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _least_factor(n) == n
 
 
 def is_prime_power(n: int) -> bool:
     if n < 2:
         return False
-    ps = _prime_factors(n)
-    return len(ps) == 1
+    p = _least_factor(n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .arith import (
 )
 from .groups import GroupSpec, builtin_group, mass_ratio
 from .mass import RouteMismatchError, compositions, mass_bun, semistable_mass
-from .zeta import DegreeSpectrum, ZetaData, counts_and_spectrum
+from .zeta import ZetaData, counts_and_spectrum
 
 _SQRT_BITS = 64
 # Reported tails get a tiny outward nudge, plus an absolute floor whenever
@@ -281,23 +281,14 @@ def lhs_sequence(family: Sequence[ZetaData], spec: GroupSpec):
     return out
 
 
-def empirical_tv(family: Sequence[tuple[DegreeSpectrum, int]], M: int) -> TVData:
-    """Finite-index estimate of the limit densities: the nonzero entries of
-    the last map of :func:`beta_quotients`, the last family member's
-    spectrum divided by its genus."""
-    family = list(family)
-    if not family:
-        raise ValueError("empty family")
-    return TVData.from_map(family[-1][0].q, beta_quotients(family, M)[-1])
-
-
-def beta_quotients(family: Sequence[tuple[DegreeSpectrum, int]], M: int):
-    """Per-member {m: B_m/g} maps, the raw sequences behind empirical_tv."""
+def beta_quotients(family: Sequence[tuple[Sequence[int], int]], M: int):
+    """Per-member {m: B_m/g} maps from (B_1..B_M', g) pairs; the last one's
+    nonzero entries are the finite-index estimate of the limit densities."""
     out = []
     for spectrum, g in family:
         if g < 1:
             raise ValueError("genus-0 member: density quotients are undefined")
-        out.append({m: Fraction(spectrum.b(m), g)
+        out.append({m: Fraction(spectrum[m - 1], g)
                     for m in range(1, min(M, len(spectrum)) + 1)})
     return out
 

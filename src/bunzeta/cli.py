@@ -63,6 +63,19 @@ def _f17(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it is a JSON object (``kind`` dict) or array (list),
+    else a ConfigError naming ``where`` and the JSON type it has."""
+    if type(value) is not kind:
+        raise ConfigError(f"{where}: expected a JSON {_JSON_TYPES[kind]}, "
+                          f"got {_JSON_TYPES[type(value)]}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,6 +84,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path}: invalid JSON ({e})") from e
+    _typed(cfg, dict, f"config {path}: top level")
     if cfg.get("schema") != SCHEMA_VERSION:
         raise ConfigError(
             f"config {path}: schema must be {SCHEMA_VERSION}, "
@@ -117,8 +131,19 @@ def build_curve(entry: dict) -> CurveModel:
         raise ConfigError(f"curves[{name}]: {e}") from e
 
 
+def _entries(cfg: dict, key: str):
+    """The objects of the array ``cfg[key]`` in order, none when it is
+    absent or null; a wrong JSON type is a ConfigError naming the key or
+    the entry, raised when the iteration reaches it."""
+    entries = cfg.get(key)
+    if entries is None:
+        return
+    for i, entry in enumerate(_typed(entries, list, key)):
+        yield _typed(entry, dict, f"{key}[{i}]")
+
+
 def build_curves(cfg: dict) -> list[CurveModel]:
-    curves = [build_curve(e) for e in cfg.get("curves") or []]
+    curves = [build_curve(e) for e in _entries(cfg, "curves")]
     for i, model in enumerate(curves):
         if any(c.name == model.name for c in curves[:i]):
             raise ConfigError(f"curves[{model.name}]: duplicate name")
@@ -127,7 +152,7 @@ def build_curves(cfg: dict) -> list[CurveModel]:
 
 def build_groups(cfg: dict) -> list[GroupSpec]:
     out = []
-    for i, entry in enumerate(cfg.get("groups") or []):
+    for i, entry in enumerate(_entries(cfg, "groups")):
         try:
             out.append(group_spec_from_json(entry))
         except (KeyError, ValueError, TypeError) as e:
@@ -139,10 +164,13 @@ def build_tv(cfg: dict) -> TVData | None:
     entry = cfg.get("tv")
     if entry is None:
         return None
-    q = _integer(entry.get("q"), "tv.q")
+    q = _integer(_typed(entry, dict, "tv").get("q"), "tv.q")
+    beta = _typed(entry.get("beta", {}), dict, "tv.beta")
+    if (groups := entry.get("groups")) is not None:
+        for i, row in enumerate(_typed(groups, list, "tv.groups")):
+            _typed(row, dict, f"tv.groups[{i}]")
     try:
-        return TVData.from_map(q, entry.get("beta", {}),
-                               entry.get("groups"))
+        return TVData.from_map(q, beta, groups)
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"tv: {e}") from e
 
@@ -151,7 +179,8 @@ def _run_config(cfg: dict, opts: dict) -> dict:
     """The run settings, checked before any curve is built; ``opts`` are
     the command-line options of ``parse_args``, which override the config.
     An error names where its value came from: ``--flag`` or config key."""
-    out_cfg = cfg.get("output") or {}
+    out_cfg = cfg.get("output")
+    out_cfg = {} if out_cfg is None else _typed(out_cfg, dict, "output")
     run = {"out": opts["out"] or out_cfg.get("path")}
     for key, name, value in (
             ("trunc", "trunc", cfg.get("trunc", DEFAULT_TRUNC)),
@@ -219,7 +248,7 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
                 "q": model.q,
                 "g": g,
                 "counts": counts,
-                "spectrum": list(spec.B),
+                "spectrum": spec,
                 "zeta": z.to_json_dict(),
                 "class_number": str(class_number(z)),
                 "quasi_residue": format_rational(quasi_residue(z)),

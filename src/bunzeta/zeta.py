@@ -3,10 +3,11 @@
 The zeta function of a curve of genus g over F_q is
 ``Z(T) = P(T) / ((1 - T)(1 - qT))`` with ``P`` of degree 2g,
 ``P(0) = 1`` and the functional equation ``a_(2g-i) = q^(g-i) a_i``.
-``P`` is reconstructed from the minimal data N_1..N_g in exact rational
-power-series arithmetic; any redundant counts the caller has are
-cross-checks, not inputs.  Inconsistent inputs fail loudly with the first
-violated identity; there are no repair heuristics.
+``P`` is reconstructed from the minimal data N_1..N_g by Newton's
+identities on integers, and the counts beyond g are regenerated from ``P``
+in exact rational power-series arithmetic; any redundant counts the
+caller has are cross-checks, not inputs.  Inconsistent inputs fail loudly
+with the first violated identity; there are no repair heuristics.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .arith import (
     moebius,
     within_weil_bound,
 )
-from .curves import PointCounts
 
 
 class InconsistentCountsError(ValueError):
@@ -38,20 +38,6 @@ def _series_mul(a, b, order):
         for j, bj in enumerate(b[:order + 1 - i]):
             out[i + j] += ai * bj
     return out
-
-def _series_exp(s, order):
-    """exp of a series with zero constant term, to the given order."""
-    if s[0]:
-        raise ValueError("exp needs a series with zero constant term")
-    e = [Fraction(0)] * (order + 1)
-    e[0] = Fraction(1)
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(s) and s[j]:
-                acc += j * s[j] * e[k - j]
-        e[k] = acc / k
-    return e
 
 def _series_log(z, order):
     """log of a series with constant term 1, to the given order."""
@@ -93,35 +79,28 @@ class ZetaData(Record):
         if sum(a) <= 0:
             raise InconsistentCountsError(f"P(1) = {sum(a)} <= 0")
         # Weil-interval sanity on the counts this P regenerates
-        for m, n_m in enumerate(regenerate_counts(self, 2 * g + 4,
-                                                  _validate=False), start=1):
-            if not within_weil_bound(n_m, q, g, m):
-                raise InconsistentCountsError(
-                    f"regenerated N_{m} = {n_m} violates the Weil bound")
+        _weil_checked(self, regenerate_counts(self, 2 * g + 4,
+                                              _validate=False))
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "g": self.g, "a": [str(c) for c in self.a]}
 
 
-class DegreeSpectrum(Record):
-    """B_m = number of closed points of degree m, for m = 1..M."""
-
-    q: int
-    g: int
-    B: tuple[int, ...]
-
-    def b(self, m: int) -> int:
-        return self.B[m - 1]
-
-    def __len__(self):
-        return len(self.B)
+def _weil_checked(z: ZetaData, counts: list[int]) -> list[int]:
+    """The counts regenerated from z, once each lies in its Weil interval."""
+    for m, n_m in enumerate(counts, start=1):
+        if not within_weil_bound(n_m, z.q, z.g, m):
+            raise InconsistentCountsError(
+                f"regenerated N_{m} = {n_m} violates the Weil bound")
+    return counts
 
 
 def zeta_from_counts(q: int, g: int, counts) -> ZetaData:
     """Reconstruct P(T) from exactly N_1..N_g.
 
-    a_0..a_g are the degree-<=g truncation of
-    ``(1 - T)(1 - qT) exp(sum N_m T^m / m)``; a_(g+1)..a_(2g) come from the
+    With the power sums ``s_m = q^m + 1 - N_m`` of the roots of P, Newton's
+    identities ``s_k + a_1 s_(k-1) + ... + a_(k-1) s_1 + k a_k = 0`` give
+    a_1..a_g, one exact division each; a_(g+1)..a_(2g) come from the
     functional equation.  Noninteger coefficients or P(1) <= 0 mean the
     counts are not the counts of a genus-g curve over F_q.
     """
@@ -132,19 +111,15 @@ def zeta_from_counts(q: int, g: int, counts) -> ZetaData:
         raise ValueError(f"need exactly g = {g} leading counts, got {len(counts)}")
     if any(n < 0 for n in counts):
         raise InconsistentCountsError("negative point count")
-    s = [Fraction(0)] * (g + 1)
-    for m in range(1, g + 1):
-        s[m] = Fraction(counts[m - 1], m)
-    e = _series_exp(s, g)
-    pref = [Fraction(1), Fraction(-(q + 1)), Fraction(q)]  # (1-T)(1-qT)
-    p = _series_mul(pref, e, g)
-    a = []
-    for k in range(g + 1):
-        if p[k].denominator != 1:
+    s = [q ** m + 1 - n for m, n in enumerate(counts, start=1)]
+    a = [1]
+    for k in range(1, g + 1):
+        t = -sum(a[j] * s[k - j - 1] for j in range(k))
+        if t % k:
             raise InconsistentCountsError(
-                f"coefficient a_{k} = {p[k]} is not an integer; "
+                f"coefficient a_{k} = {Fraction(t, k)} is not an integer; "
                 "counts are inconsistent")
-        a.append(p[k].numerator)
+        a.append(t // k)
     for k in range(g + 1, 2 * g + 1):
         a.append(q ** (k - g) * a[2 * g - k])
     return ZetaData(q=q, g=g, a=tuple(a))
@@ -169,11 +144,10 @@ def regenerate_counts(z: ZetaData, M: int, _validate: bool = True) -> list[int]:
     return out
 
 
-def counts_and_spectrum(z: ZetaData, M: int) -> tuple[list[int], DegreeSpectrum]:
+def counts_and_spectrum(z: ZetaData, M: int) -> tuple[list[int], list[int]]:
     """N_1..N_M regenerated from P(T), and the closed points B_1..B_M."""
-    counts = regenerate_counts(z, M)
-    return counts, degree_spectrum(PointCounts(q=z.q, g=z.g,
-                                               counts=tuple(counts)))
+    counts = _weil_checked(z, regenerate_counts(z, M))
+    return counts, degree_spectrum(counts)
 
 
 def class_number(z: ZetaData) -> int:
@@ -205,11 +179,12 @@ def special_value(z: ZetaData, s: int) -> Fraction:
     return Fraction(*special_value_parts(z, s))
 
 
-def degree_spectrum(counts: PointCounts) -> DegreeSpectrum:
-    """Closed points by degree: B_m = (1/m) sum_(d|m) mu(m/d) N_d."""
+def degree_spectrum(counts) -> list[int]:
+    """Closed points by degree from N_1..N_M: B_1..B_M with
+    B_m = (1/m) sum_(d|m) mu(m/d) N_d."""
     bs = []
     for m in range(1, len(counts) + 1):
-        s = sum(moebius(m // d) * counts.n(d) for d in divisors(m))
+        s = sum(moebius(m // d) * counts[d - 1] for d in divisors(m))
         if s % m != 0:
             raise InconsistentCountsError(
                 f"B_{m} = {s}/{m} is not an integer; counts are inconsistent")
@@ -217,4 +192,4 @@ def degree_spectrum(counts: PointCounts) -> DegreeSpectrum:
         if b < 0:
             raise InconsistentCountsError(f"B_{m} = {b} < 0; counts are inconsistent")
         bs.append(b)
-    return DegreeSpectrum(q=counts.q, g=counts.g, B=tuple(bs))
+    return bs

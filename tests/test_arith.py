@@ -17,7 +17,10 @@ from bunzeta.arith import (
     _pc_mul,
     _pc_sub,
     _pc_trim,
+    divisors,
     ext_field,
+    is_prime,
+    is_prime_power,
     moebius,
 )
 from bunzeta.curves import HyperellipticCurve
@@ -404,3 +407,28 @@ def test_poly_derivative():
 def test_moebius_small_values():
     assert [moebius(n) for n in range(1, 13)] == \
         [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+def test_prime_helpers_match_brute_force():
+    # every divisor of every n < 3000 by listing the multiples of each d
+    top = 3000
+    divs = [[] for _ in range(top)]
+    for d in range(1, top):
+        for multiple in range(d, top, d):
+            divs[multiple].append(d)
+    primes = [n for n in range(top) if len(divs[n]) == 2]
+    prime_powers = {p ** k for p in primes for k in range(1, 12)
+                    if p ** k < top}
+    for n in range(top):
+        assert is_prime(n) == (len(divs[n]) == 2), n
+        assert is_prime_power(n) == (n in prime_powers), n
+    for n in range(1, top):
+        assert divisors(n) == divs[n], n
+        prime_divs = [p for p in divs[n] if len(divs[p]) == 2]
+        squarefree = all(n % (d * d) for d in divs[n][1:])
+        assert moebius(n) == (-1) ** len(prime_divs) * squarefree, n
+    # a small least factor settles primality without scanning the cofactor
+    big = 2 * (2 ** 61 - 1)
+    assert not is_prime(big) and not is_prime_power(big)
+    with pytest.raises(ValueError):
+        moebius(0)

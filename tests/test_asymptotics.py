@@ -10,7 +10,6 @@ from bunzeta.asymptotics import (
     beta_quotients,
     convergence_report,
     dominance_check,
-    empirical_tv,
     lhs_sequence,
     ln_lower,
     log_q_fraction,
@@ -22,7 +21,7 @@ from bunzeta.asymptotics import (
     tv_sum_term,
 )
 from bunzeta.groups import builtin_group
-from bunzeta.zeta import DegreeSpectrum, zeta_from_counts
+from bunzeta.zeta import zeta_from_counts
 
 
 def random_feasible_tv(rng, qs=(2, 3, 4, 5, 9), max_degree=25):
@@ -257,23 +256,27 @@ def test_lhs_sequence_rejects_genus_zero(zeta_catalog):
         lhs_sequence([zeta_catalog["P1/F2"]], builtin_group("Gm", 1))
 
 
+def _density_estimate(q, fam, M):
+    # the estimate convergence_report builds from its last member
+    return TVData.from_map(q, beta_quotients(fam, M)[-1])
+
+
 def test_empirical_tv_synthetic():
     # family with B_1 = g gives the density estimate beta_1 = 1
-    fam = [(DegreeSpectrum(q=2, g=g, B=(g,)), g) for g in (2, 4, 8)]
-    tv = empirical_tv(fam, 1)
+    fam = [([g], g) for g in (2, 4, 8)]
+    tv = _density_estimate(2, fam, 1)
     assert tv.beta == ((1, Fraction(1)),)
 
 
 def test_empirical_tv_single_member():
-    fam = [(DegreeSpectrum(q=2, g=1, B=(3, 1)), 1)]
-    tv = empirical_tv(fam, 2)
+    fam = [([3, 1], 1)]
+    tv = _density_estimate(2, fam, 2)
     assert tv.beta == ((1, Fraction(3)), (2, Fraction(1)))
 
 
 def test_empirical_tv_two_members_keeps_sequences():
-    fam = [(DegreeSpectrum(q=2, g=1, B=(3, 1)), 1),
-           (DegreeSpectrum(q=2, g=2, B=(2, 4)), 2)]
-    tv = empirical_tv(fam, 2)
+    fam = [([3, 1], 1), ([2, 4], 2)]
+    tv = _density_estimate(2, fam, 2)
     assert tv.beta == ((1, Fraction(1)), (2, Fraction(2)))
     quots = beta_quotients(fam, 2)
     assert quots[0] == {1: Fraction(3), 2: Fraction(1)}
@@ -282,9 +285,9 @@ def test_empirical_tv_two_members_keeps_sequences():
 
 def test_empirical_tv_rejects_genus_zero():
     with pytest.raises(ValueError):
-        empirical_tv([(DegreeSpectrum(q=2, g=0, B=(3,)), 0)], 1)
-    with pytest.raises(ValueError):
-        empirical_tv([], 1)
+        _density_estimate(2, [([3], 0)], 1)
+    with pytest.raises(ValueError, match="empty family"):
+        convergence_report([], builtin_group("Gm", 1), 1)
 
 
 def test_dominance_pinned_zero_beta():

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -158,6 +159,19 @@ def test_singular_model_error_names_curve(tmp_path, capsys):
     assert run_cli(["zeta", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "nodal" in err
+
+
+def test_composite_p_with_large_cofactor_refused_at_once(tmp_path, capsys):
+    # the least factor 2 settles it: no trial division up to sqrt(2^61 - 1)
+    p = 2 * (2 ** 61 - 1)
+    cfg = dict(BASE_CONFIG, curves=[{"name": "E", "kind": "hyperelliptic",
+                                     "p": p, "h": [1], "f": [0, 0, 0, 1]}])
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == f"error: curves[E]: {p} is not prime\n"
 
 
 def test_plane_smoothness_bound_key_is_ignored(tmp_path):
@@ -729,3 +743,35 @@ def test_good_flag_overrides_bad_config_value(tmp_path, capsys, flag, config):
     assert run_cli(["zeta", "--config", str(path), *flag]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out
+
+
+@pytest.mark.parametrize("cfg,where,expected,got", [
+    ([BASE_CONFIG], "top level", "object", "array"),
+    (dict(BASE_CONFIG, curves="E1"), "curves", "array", "string"),
+    (dict(BASE_CONFIG, curves=[BASE_CONFIG["curves"][0], 7]), "curves[1]",
+     "object", "number"),
+    (dict(BASE_CONFIG, groups={"family": "GL", "n": 2}), "groups", "array",
+     "object"),
+    (dict(BASE_CONFIG, groups=[{"family": "Gm", "n": 1}, "GL2"]),
+     "groups[1]", "object", "string"),
+    (dict(BASE_CONFIG, tv=[4]), "tv", "object", "array"),
+    (dict(BASE_CONFIG, tv={"q": 4, "beta": [1]}), "tv.beta", "object",
+     "array"),
+    (dict(BASE_CONFIG, tv={"q": 4, "beta": {}, "groups": {"deg": 1}}),
+     "tv.groups", "array", "object"),
+    (dict(BASE_CONFIG, tv={"q": 4, "beta": {}, "groups": [1]}),
+     "tv.groups[0]", "object", "number"),
+    (dict(BASE_CONFIG, output="csv"), "output", "object", "string"),
+    (dict(BASE_CONFIG, output=None, tv={"q": 4, "beta": None}), "tv.beta",
+     "object", "null"),
+], ids=["top-level", "curves", "curve-entry", "groups", "group-entry", "tv",
+        "tv-beta", "tv-groups", "tv-group-entry", "output", "null-beta"])
+def test_section_of_wrong_json_type_named(tmp_path, capsys, cfg, where,
+                                          expected, got):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["asymptote", "--config", str(path)]) == 1
+    if where == "top level":
+        where = f"config {path}: top level"
+    assert capsys.readouterr().err == \
+        f"error: {where}: expected a JSON {expected}, got {got}\n"

@@ -61,3 +61,20 @@ def test_no_dataclasses_import_in_package():
              or isinstance(node, ast.ImportFrom)
              and (node.module or "").split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_zeta_imports_nothing_from_curves():
+    # the zeta layer works on plain counts: it needs arith, not the models
+    path = pathlib.Path(bunzeta.__file__).parent / "zeta.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.startswith("bunzeta.curves")]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = [a.name for a in node.names]
+            if module in (".curves", "bunzeta.curves") or (
+                    module in (".", "bunzeta") and "curves" in names):
+                found.append(f"{module}: {', '.join(names)}")
+    assert found == []
