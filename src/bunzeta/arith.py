@@ -665,8 +665,3 @@ class FiniteField:
         if disc == 0:
             return 1
         return 2 if self.is_square_c(disc) else 0
-
-
-def ext_field(p: int, m: int) -> FiniteField:
-    """F_(p^m) with the canonical (lex-smallest) modulus over F_p."""
-    return FiniteField.of_order(p, m)

@@ -141,9 +141,6 @@ class TVData(Record):
                        for i, e in enumerate(groups))
         return cls(q=q, beta=beta, groups=gs)
 
-    def feasible(self) -> bool:
-        return tv_bound(self) <= 1
-
     def to_json_dict(self) -> dict:
         out = {"q": self.q,
                "beta": {str(m): format_rational(b) for m, b in self.beta}}

@@ -31,19 +31,18 @@ from .curves import (
     CurveModel,
     HyperellipticCurve,
     PlaneCurve,
-    PointCounts,
     ProjectiveLine,
 )
 from .groups import GroupSpec, group_spec_from_json
 from .mass import RouteMismatchError, mass_bun, semistable_mass
 from .zeta import (
-    InconsistentCountsError,
     ZetaData,
     class_number,
     counts_and_spectrum,
     quasi_residue,
     special_value,
-    zeta_from_counts,
+    # not used here: bench/test_bench.py calls it through this module
+    zeta_from_counts,  # noqa: F401
 )
 
 SCHEMA_VERSION = 1
@@ -108,6 +107,10 @@ def build_curve(entry: dict) -> CurveModel:
     def integer(key, value):
         return _integer(value, f"curves[{name}].{key}")
 
+    def integers(key, value):
+        return [integer(key, c)
+                for c in _typed(value, list, f"curves[{name}].{key}")]
+
     try:
         kind = entry["kind"]
         p = integer("p", entry["p"])
@@ -116,12 +119,12 @@ def build_curve(entry: dict) -> CurveModel:
         if kind == "projective-line":
             return ProjectiveLine(base, name=name)
         if kind == "hyperelliptic":
-            h = [integer("h", c) for c in entry.get("h", [])]
-            f = [integer("f", c) for c in entry["f"]]
+            h = integers("h", entry.get("h", []))
+            f = integers("f", entry["f"])
             return HyperellipticCurve.from_ints(base, h, f, name=name)
         if kind == "plane":
-            monomials = [[integer("monomials", c) for c in mono]
-                         for mono in entry["monomials"]]
+            monomials = [integers("monomials", mono) for mono in _typed(
+                entry["monomials"], list, f"curves[{name}].monomials")]
             degree = integer("degree", entry["degree"])
             return PlaneCurve.from_list(base, monomials, degree, name=name)
         raise ConfigError(f"curves[{name}]: unknown kind {kind!r}")
@@ -202,16 +205,11 @@ def _run_config(cfg: dict, opts: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def curve_zeta(model: CurveModel, budget: int,
-               trunc: int = 0) -> tuple[ZetaData, PointCounts]:
-    """P(T) of a validated model from its enumerated N_1..N_g, and the
-    enumerated counts; every error names the curve.  ``trunc > g`` adds the
-    guard N_(g+1) to the one ``counts`` call, so an over-limit guard fails
-    before N_1 is counted."""
+def curve_zeta(model: CurveModel, budget: int, trunc: int = 0) -> ZetaData:
+    """``model.zeta``, with the guard N_(g+1) when ``trunc > g``; every
+    error names the curve."""
     try:
-        g = model.genus()
-        enumerated = model.counts(g + (trunc > g), budget)
-        return zeta_from_counts(model.q, g, enumerated.counts[:g]), enumerated
+        return model.zeta(budget, trunc > model.genus())
     except Exception as e:
         raise ConfigError(f"curves[{model.name}]: {e}") from e
 
@@ -220,11 +218,11 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
     """Counts, spectrum and zeta invariants of every curve, to ``trunc``.
 
     P(T) is fixed by N_1..N_g and fixes every N_m with m > g, so only
-    N_1..N_g are enumerated, plus N_(g+1) when trunc > g; the report's
-    counts and spectrum come from P(T).  N_(g+1) is the one guard: when the
-    report shows it, the enumerated value must equal the regenerated one.
-    A count-kernel bug that shows only at m > g + 1 is therefore not caught
-    here; the count oracles of the test suite cover those degrees.
+    N_1..N_g are enumerated, plus the guard N_(g+1) when trunc > g, which
+    ``zeta_from_counts`` checks against P(T); the report's counts and
+    spectrum come from P(T).  A count-kernel bug that shows only at
+    m > g + 1 is therefore not caught here; the count oracles of the test
+    suite cover those degrees.
     """
     curves = build_curves(cfg)
     if not curves:
@@ -232,21 +230,14 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
     trunc, budget = run["trunc"], run["budget"]
 
     def one(model: CurveModel) -> dict:
-        z, enumerated = curve_zeta(model, budget, trunc)
-        g = z.g
+        z = curve_zeta(model, budget, trunc)
         try:
             counts, spec = counts_and_spectrum(z, trunc)
-            if trunc > g:
-                guard = enumerated.n(g + 1)
-                if guard != counts[g]:
-                    raise InconsistentCountsError(
-                        f"guard count N_{g + 1} = {guard} but "
-                        f"P(T) regenerates {counts[g]}")
             return {
                 "name": model.name,
                 "kind": model.kind,
                 "q": model.q,
-                "g": g,
+                "g": z.g,
                 "counts": counts,
                 "spectrum": spec,
                 "zeta": z.to_json_dict(),
@@ -306,7 +297,7 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
 
     rows = []
     for model in curves:  # one zeta per curve, shared by its groups
-        z, _ = curve_zeta(model, run["budget"])
+        z = curve_zeta(model, run["budget"])
         rows.extend(one(model, spec, z) for spec in groups)
     return {"schema": SCHEMA_VERSION, "command": "mass", "masses": rows}
 
@@ -319,8 +310,8 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
     trunc = run["trunc"]
     # the family path only concerns positive-genus members; genus-0 curves
     # in a shared config are simply not part of this section
-    family = [z for z, _ in (curve_zeta(c, run["budget"])
-                             for c in build_curves(cfg)) if z.g >= 1]
+    family = [z for z in (curve_zeta(c, run["budget"])
+                          for c in build_curves(cfg)) if z.g >= 1]
     if tv is None and not family:
         raise ConfigError("tv/curves: the asymptote command needs tv data "
                           "or a curve family of positive genus")

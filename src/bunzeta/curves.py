@@ -46,6 +46,10 @@ scan on tables also against the 2^20 table limit; the bit-sliced count is
 charged against the budget alone.  Each stage has one gate:
 ``CurveModel.counts(k)`` checks F_(q^k) before N_1, the plane certificate
 F_(q^D) before F_q, and the witness search each field before it scans it.
+``CurveModel.zeta`` is the one zeta entry point of a model: it asks
+``counts`` for N_1..N_g, and for the guard N_(g+1) when asked to, so the
+guard's field is gated before N_1, and ``zeta_from_counts`` checks the
+guard against P(T).
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .arith import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     FiniteField,
-    Record,
     _pc_add,
     _pc_deriv,
     _pc_eval,
@@ -66,6 +69,7 @@ from .arith import (
     _pc_trim,
     within_weil_bound,
 )
+from .zeta import ZetaData, zeta_from_counts
 
 
 class SingularModelError(ValueError):
@@ -85,26 +89,6 @@ class WeilViolationError(RuntimeError):
         super().__init__(
             f"N_{m} = {n_m} violates the Weil bound |N - q^m - 1| <= 2g q^(m/2) "
             f"for q={q}, g={g}")
-
-
-class PointCounts(Record):
-    """Counts N_m = #X(F_(q^m)) for m = 1..M, with the Weil bound enforced."""
-
-    q: int
-    g: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        for m, n_m in enumerate(self.counts, start=1):
-            if n_m < 0 or not within_weil_bound(n_m, self.q, self.g, m):
-                raise WeilViolationError(m, n_m, self.q, self.g)
-
-    def n(self, m: int) -> int:
-        """N_m (1-based)."""
-        return self.counts[m - 1]
-
-    def __len__(self):
-        return len(self.counts)
 
 
 def _coeff(cs, k: int) -> int:
@@ -369,7 +353,7 @@ class CurveModel:
         self._check_count(m, budget)
         return self._count(m, None)
 
-    def counts(self, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> PointCounts:
+    def counts(self, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
         """N_1..N_k of the validated model, Weil bound checked.
 
         The model is charged for F_(q^k), its largest field, before N_1 is
@@ -377,8 +361,20 @@ class CurveModel:
         """
         self.validate(budget)
         self._check_count(k, budget)
-        return PointCounts(q=self.q, g=self.genus(), counts=tuple(
-            self.count_points(m, budget) for m in range(1, k + 1)))
+        q, g = self.q, self.genus()
+        counts = [self.count_points(m, budget) for m in range(1, k + 1)]
+        for m, n_m in enumerate(counts, start=1):
+            if n_m < 0 or not within_weil_bound(n_m, q, g, m):
+                raise WeilViolationError(m, n_m, q, g)
+        return counts
+
+    def zeta(self, budget: int = DEFAULT_ENUM_BUDGET,
+             guard: bool = False) -> ZetaData:
+        """P(T) from N_1..N_g; ``guard`` also counts N_(g+1), which must
+        equal the count P(T) predicts.  Both come from one ``counts`` call,
+        so an over-limit guard is refused before N_1 is counted."""
+        g = self.genus()
+        return zeta_from_counts(self.q, g, self.counts(g + guard, budget))
 
     def __repr__(self):
         return f"<{self.kind} {self.name}>"

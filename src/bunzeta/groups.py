@@ -126,9 +126,11 @@ def group_spec_from_json(obj: dict) -> GroupSpec:
     if "family" in obj:
         return builtin_group(obj["family"], parse_integer(obj["n"], "n"),
                              obj.get("tamagawa"))
+    if type(degrees := obj["degrees"]) is not list:
+        raise ValueError(f"degrees: expected an array, got {degrees!r}")
     return GroupSpec(
         name=str(obj["name"]),
         dim=parse_integer(obj["dim"], "dim"),
-        degrees=tuple(parse_integer(d, "degrees") for d in obj["degrees"]),
+        degrees=tuple(parse_integer(d, "degrees") for d in degrees),
         tamagawa=parse_rational(obj.get("tamagawa", 1)),
     )

@@ -5,9 +5,10 @@ The zeta function of a curve of genus g over F_q is
 ``P(0) = 1`` and the functional equation ``a_(2g-i) = q^(g-i) a_i``.
 ``P`` is reconstructed from the minimal data N_1..N_g by Newton's
 identities on integers, and the counts beyond g are regenerated from ``P``
-in exact rational power-series arithmetic; any redundant counts the
-caller has are cross-checks, not inputs.  Inconsistent inputs fail loudly
-with the first violated identity; there are no repair heuristics.
+in exact rational power-series arithmetic.  One redundant count, the guard
+N_(g+1), may follow N_1..N_g; it is a cross-check, not an input, and the
+next Newton identity checks it.  Inconsistent inputs fail loudly with the
+first violated identity; there are no repair heuristics.
 """
 
 from __future__ import annotations
@@ -96,19 +97,23 @@ def _weil_checked(z: ZetaData, counts: list[int]) -> list[int]:
 
 
 def zeta_from_counts(q: int, g: int, counts) -> ZetaData:
-    """Reconstruct P(T) from exactly N_1..N_g.
+    """Reconstruct P(T) from N_1..N_g, checking the guard N_(g+1) if given.
 
     With the power sums ``s_m = q^m + 1 - N_m`` of the roots of P, Newton's
     identities ``s_k + a_1 s_(k-1) + ... + a_(k-1) s_1 + k a_k = 0`` give
     a_1..a_g, one exact division each; a_(g+1)..a_(2g) come from the
     functional equation.  Noninteger coefficients or P(1) <= 0 mean the
-    counts are not the counts of a genus-g curve over F_q.
+    counts are not the counts of a genus-g curve over F_q.  A guard
+    N_(g+1) is checked, after ZetaData's own validation, by the identity
+    at k = g+1, ``N_(g+1) = q^(g+1) + 1 + sum_(j<=g) a_j s_(g+1-j)
+    + (g+1) a_(g+1)`` with a_(g+1) = 0 at g = 0.
     """
     counts = list(counts)
     if g < 0:
         raise ValueError("genus must be >= 0")
-    if len(counts) != g:
-        raise ValueError(f"need exactly g = {g} leading counts, got {len(counts)}")
+    if len(counts) not in (g, g + 1):
+        raise ValueError(f"need g = {g} leading counts and at most the "
+                         f"guard N_{g + 1}, got {len(counts)}")
     if any(n < 0 for n in counts):
         raise InconsistentCountsError("negative point count")
     s = [q ** m + 1 - n for m, n in enumerate(counts, start=1)]
@@ -122,7 +127,16 @@ def zeta_from_counts(q: int, g: int, counts) -> ZetaData:
         a.append(t // k)
     for k in range(g + 1, 2 * g + 1):
         a.append(q ** (k - g) * a[2 * g - k])
-    return ZetaData(q=q, g=g, a=tuple(a))
+    z = ZetaData(q=q, g=g, a=tuple(a))
+    if len(counts) > g:
+        a_next = a[g + 1] if g else 0
+        n_next = (q ** (g + 1) + 1 + (g + 1) * a_next
+                  + sum(a[j] * s[g - j] for j in range(1, g + 1)))
+        if counts[g] != n_next:
+            raise InconsistentCountsError(
+                f"guard count N_{g + 1} = {counts[g]} but "
+                f"P(T) regenerates {n_next}")
+    return z
 
 
 def regenerate_counts(z: ZetaData, M: int, _validate: bool = True) -> list[int]:

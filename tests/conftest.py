@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bunzeta.arith import DEFAULT_ENUM_BUDGET, ext_field
+from bunzeta.arith import FiniteField
 from bunzeta.curves import (
     HyperellipticCurve,
     PlaneCurve,
@@ -38,12 +38,12 @@ def count_log(monkeypatch):
 
 @pytest.fixture(scope="session")
 def F2():
-    return ext_field(2, 1)
+    return FiniteField.prime(2)
 
 
 @pytest.fixture(scope="session")
 def F3():
-    return ext_field(3, 1)
+    return FiniteField.prime(3)
 
 
 @pytest.fixture(scope="session")
@@ -83,9 +83,7 @@ def zeta_catalog():
 def catalog_zeta(curve_catalog):
     """ZetaData of a catalog curve, from its enumerated N_1..N_g."""
     def build(name):
-        model = curve_catalog[name]
-        g = model.genus()
-        return zeta_from_counts(model.q, g, model.counts(g).counts)
+        return curve_catalog[name].zeta()
     return build
 
 
@@ -93,8 +91,7 @@ def catalog_zeta(curve_catalog):
 def genus6_zeta(F2):
     # y^2 + y = x^13 over F_2, genus 6
     model = HyperellipticCurve.from_ints(F2, [1], [0] * 13 + [1], name="C6")
-    counts = model.counts(6, DEFAULT_ENUM_BUDGET)
-    return zeta_from_counts(2, 6, counts.counts[:6])
+    return model.zeta()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from bunzeta.arith import (
     _pc_sub,
     _pc_trim,
     divisors,
-    ext_field,
     is_prime,
     is_prime_power,
     moebius,
@@ -68,17 +67,18 @@ CANONICAL_MODULI = {
 
 
 def test_find_irreducible_pinned():
-    assert ext_field(2, 1).modulus == (0, 1)        # x
-    assert ext_field(2, 2).modulus == (1, 1, 1)     # x^2+x+1
-    assert ext_field(3, 2).modulus == (1, 0, 1)     # x^2+1
-    assert {p: {m: "".join(map(str, ext_field(p, m).modulus)) for m in row}
+    assert FiniteField.prime(2).modulus == (0, 1)        # x
+    assert FiniteField.of_order(2, 2).modulus == (1, 1, 1)     # x^2+x+1
+    assert FiniteField.of_order(3, 2).modulus == (1, 0, 1)     # x^2+1
+    assert {p: {m: "".join(map(str, FiniteField.of_order(p, m).modulus))
+                for m in row}
             for p, row in CANONICAL_MODULI.items()} == CANONICAL_MODULI
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
 def test_find_irreducible_vs_trial_division(p, m):
-    B = ext_field(p, 1)
-    codes = list(ext_field(p, m).modulus)
+    B = FiniteField.prime(p)
+    codes = list(FiniteField.of_order(p, m).modulus)
     assert codes[-1] == 1
     assert trial_division_is_irreducible(B, codes)
     # minimality: every lexicographically smaller monic vector is reducible
@@ -93,7 +93,7 @@ def test_find_irreducible_vs_trial_division(p, m):
                                       ((2, 2), 4)],
                          ids=["F2", "F3", "F5", "F4"])
 def test_is_irreducible_matches_trial_division(base, top):
-    B = ext_field(*base)
+    B = FiniteField.of_order(*base)
     for m in range(1, top + 1):
         for lower in itertools.product(range(B.order), repeat=m):
             f = list(lower) + [1]
@@ -113,7 +113,7 @@ def plain_ben_or_search(B, m):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_modulus_search_matches_plain_ben_or(p):
     # skipping constant term 0 and roots in F_p changes no modulus
-    B = ext_field(p, 1)
+    B = FiniteField.prime(p)
     for m in range(2, 17):
         if p ** m <= 1 << 16:
             assert _lex_smallest_irreducible_codes(B, m) == \
@@ -122,7 +122,7 @@ def test_modulus_search_matches_plain_ben_or(p):
 
 def test_find_irreducible_rejects_degree_zero():
     with pytest.raises(ValueError):
-        ext_field(2, 0)
+        FiniteField.of_order(2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_find_irreducible_rejects_degree_zero():
 
 
 def test_field_elements_f2():
-    F2 = ext_field(2, 1)
+    F2 = FiniteField.prime(2)
     assert [[F2.mul_c(a, b) for b in range(2)] for a in range(2)] == \
         [[0, 0], [0, 1]]
     assert [[F2.add_c(a, b) for b in range(2)] for a in range(2)] == \
@@ -139,21 +139,21 @@ def test_field_elements_f2():
 
 
 def test_field_elements_f4_frobenius():
-    F4 = ext_field(2, 2)
+    F4 = FiniteField.of_order(2, 2)
     for e in range(4):
         sq = F4.mul_c(e, e)
         assert F4.mul_c(sq, sq) == e
 
 
 def test_f9_has_four_nonzero_squares():
-    F9 = ext_field(3, 2)
+    F9 = FiniteField.of_order(3, 2)
     squares = {F9.mul_c(e, e) for e in range(1, 9)}
     assert len(squares) == 4
 
 
 def test_field_elements_budget():
     # a count over F_(2^20) enumerates the field; the budget stops it first
-    E1 = HyperellipticCurve.from_ints(ext_field(2, 1), [1], [0, 0, 0, 1])
+    E1 = HyperellipticCurve.from_ints(FiniteField.prime(2), [1], [0, 0, 0, 1])
     with pytest.raises(BudgetExceededError) as exc:
         E1.count_points(20, budget=1 << 10)
     assert exc.value.size == 1 << 20
@@ -161,7 +161,7 @@ def test_field_elements_budget():
 
 @pytest.mark.parametrize("p,m", [(2, 12), (3, 5), (5, 3), (7, 2), (2, 6)])
 def test_frobenius_identity_exhaustive(p, m):
-    F = ext_field(p, m)
+    F = FiniteField.of_order(p, m)
     assert F.order == p ** m <= 1 << 12
     F.build_tables()  # the counting kernels run with tables; so does this
     assert all(F.pow_c(a, F.order) == a for a in range(F.order))
@@ -173,7 +173,7 @@ def test_frobenius_identity_exhaustive(p, m):
        st.integers(min_value=0, max_value=10 ** 9),
        st.integers(min_value=0, max_value=10 ** 9))
 def test_field_axioms_sampled(pm, x, y, z):
-    F = ext_field(*pm)
+    F = FiniteField.of_order(*pm)
     a, b, c = x % F.order, y % F.order, z % F.order
     assert F.add_c(a, b) == F.add_c(b, a)
     assert F.mul_c(a, b) == F.mul_c(b, a)
@@ -186,7 +186,7 @@ def test_field_axioms_sampled(pm, x, y, z):
 
 
 def test_relative_tower_is_a_field():
-    F9 = ext_field(3, 2)
+    F9 = FiniteField.of_order(3, 2)
     F81 = FiniteField.extension(F9, 2)
     assert F81.order == 81
     assert all(F81.pow_c(a, 81) == a for a in range(81))
@@ -247,7 +247,7 @@ PRIME_BASE_UP_TO_2_12 = [(p, m) for p in (2, 3, 5, 7)
                          ids=[f"F{p}^{m}" for p, m in PRIME_BASE_UP_TO_2_12]
                          + ["F64/F4", "F64/F8", "F81/F9", "F729/F9"])
 def test_tables_match_mul_c_walk(p, m, over):
-    F = FiniteField.extension(ext_field(p, over), m)
+    F = FiniteField.extension(FiniteField.of_order(p, over), m)
     expected = mul_c_walk_tables(F)
     F.build_tables()
     zech = None if F._zech is None else list(F._zech)
@@ -258,7 +258,7 @@ def test_tables_match_mul_c_walk(p, m, over):
                                       (7, 2, 1), (3, 2, 2)],
                          ids=["F9", "F27", "F25", "F49", "F81/F9"])
 def test_zech_addition_matches_digit_walk(p, m, over, monkeypatch):
-    F = FiniteField.extension(ext_field(p, over), m)
+    F = FiniteField.extension(FiniteField.of_order(p, over), m)
     oracle = digit_walk_copy(F)
     assert oracle._exp is None
     pairs = list(itertools.product(range(F.order), repeat=2))
@@ -276,7 +276,7 @@ def test_zech_addition_matches_digit_walk(p, m, over, monkeypatch):
                                       (3, 2, 2)],
                          ids=["F16", "F27", "F64/F4", "F81/F9"])
 def test_table_less_arithmetic_matches_tables(p, m, over, monkeypatch):
-    F = FiniteField.extension(ext_field(p, over), m)
+    F = FiniteField.extension(FiniteField.of_order(p, over), m)
     oracle = digit_walk_copy(F)
     assert oracle._exp is None
     elements = range(F.order)
@@ -310,15 +310,15 @@ def check_zech_addition_sampled(F, monkeypatch, seed):
 
 
 def test_zech_addition_sampled_in_f3_9(monkeypatch):
-    check_zech_addition_sampled(ext_field(3, 9), monkeypatch, 9)
+    check_zech_addition_sampled(FiniteField.of_order(3, 9), monkeypatch, 9)
 
 
 def test_zech_addition_sampled_in_f3_11(monkeypatch):
-    check_zech_addition_sampled(ext_field(3, 11), monkeypatch, 11)
+    check_zech_addition_sampled(FiniteField.of_order(3, 11), monkeypatch, 11)
 
 
 def test_explicit_modulus_validation():
-    F2 = ext_field(2, 1)
+    F2 = FiniteField.prime(2)
     with pytest.raises(ValueError):
         FiniteField.extension(F2, 2, modulus=(1, 0, 1))  # (x+1)^2, reducible
     F4 = FiniteField.extension(F2, 2, modulus=(1, 1, 1))
@@ -327,7 +327,7 @@ def test_explicit_modulus_validation():
 
 def test_quadratic_root_counts_match_enumeration():
     for pm in [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)]:
-        F = ext_field(*pm)
+        F = FiniteField.of_order(*pm)
         F.build_tables()
         for a in range(F.order):
             for c in range(F.order):
@@ -365,7 +365,7 @@ def test_rational_normalization(x):
 
 
 def test_dense_poly_normalizes_leading_zeroes():
-    F3 = ext_field(3, 1)
+    F3 = FiniteField.prime(3)
     assert _pc_trim([1, 0, 0]) == [1]
     assert _pc_trim([]) == [] and _pc_trim([0, 0]) == []
     assert _pc_add(F3, [0, 0, 1], [0, 0, 2]) == []  # x^2 - x^2 = 0
@@ -377,7 +377,7 @@ F9_polys = st.lists(st.integers(min_value=0, max_value=8), max_size=6)
 @settings(max_examples=80, deadline=None)
 @given(F9_polys, F9_polys, st.integers(min_value=0, max_value=8))
 def test_poly_evaluation_is_ring_homomorphism(a, b, x):
-    F = ext_field(3, 2)
+    F = FiniteField.of_order(3, 2)
 
     def ev(cs):
         return _pc_eval(F, cs, x)
@@ -388,7 +388,7 @@ def test_poly_evaluation_is_ring_homomorphism(a, b, x):
 
 
 def test_poly_evaluation_over_field_elements():
-    F9 = ext_field(3, 2)
+    F9 = FiniteField.of_order(3, 2)
     pa, pb = [1, 2, 0, 1], [2, 2]
     for x in range(9):
         ea, eb = _pc_eval(F9, pa, x), _pc_eval(F9, pb, x)
@@ -397,10 +397,10 @@ def test_poly_evaluation_over_field_elements():
 
 
 def test_poly_derivative():
-    F7 = ext_field(7, 1)
+    F7 = FiniteField.prime(7)
     assert _pc_deriv(F7, [5, 3, 0, 2]) == [3, 0, 6]
     # derivative kills p-th powers in characteristic p
-    F2 = ext_field(2, 1)
+    F2 = FiniteField.prime(2)
     assert _pc_deriv(F2, [1, 0, 1]) == []  # 1 + x^2
 
 

@@ -236,6 +236,23 @@ def test_non_integer_curve_field_names_curve(key, entry):
         build_curve({"name": "bad-int", **entry})
 
 
+@pytest.mark.parametrize("key,entry,got", [
+    ("h", {"kind": "hyperelliptic", "p": 2, "h": 1, "f": [0, 0, 0, 1]},
+     "number"),
+    ("f", {"kind": "hyperelliptic", "p": 2, "h": [1], "f": 5}, "number"),
+    ("f", {"kind": "hyperelliptic", "p": 2, "h": [1], "f": "x^3"}, "string"),
+    ("monomials", {"kind": "plane", "p": 2, "degree": 4, "monomials": 3},
+     "number"),
+    ("monomials", {"kind": "plane", "p": 2, "degree": 4,
+                   "monomials": [[3, 1, 0, 1], {"x": 3}]}, "object"),
+], ids=["number-h", "number-f", "string-f", "number-monomials",
+        "object-monomial"])
+def test_non_array_curve_field_names_curve(key, entry, got):
+    message = rf"^curves\[bad-array\]\.{key}: expected a JSON array, got {got}$"
+    with pytest.raises(ConfigError, match=message):
+        build_curve({"name": "bad-array", **entry})
+
+
 @pytest.mark.parametrize("key,value", [("trunc", 4.5), ("trunc", True),
                                        ("budget", "1024")])
 def test_non_integer_run_field_rejected(tmp_path, capsys, key, value):
@@ -263,6 +280,8 @@ NOT_DIGITS = "expected decimal digits"
      NOT_AN_INTEGER),
     ([{"name": "G2", "dim": 14, "degrees": [2, "6"]}], None,
      "groups[0]: degrees", NOT_AN_INTEGER),
+    ([{"name": "G2", "dim": 14, "degrees": 2}], None, "groups[0]: degrees",
+     "expected an array, got 2"),
     (None, dict(TV_GENERAL, q=4.7), "tv.q", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, q="4"), "tv.q", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, groups=[{"deg": 1.5, "gamma": "1", "L": "3/4"}]),
@@ -285,8 +304,8 @@ NOT_DIGITS = "expected decimal digits"
      NOT_DIGITS),
     (None, dict(TV_GENERAL, beta={"1.0": "1"}), "tv: beta: key '1.0'",
      NOT_DIGITS),
-], ids=["float-n", "bool-n", "float-dim", "string-degree", "float-q",
-        "string-q", "float-deg", "float-d_bound", "bool-tamagawa",
+], ids=["float-n", "bool-n", "float-dim", "string-degree", "number-degrees",
+        "float-q", "string-q", "float-deg", "float-d_bound", "bool-tamagawa",
         "bool-raw-tamagawa", "bool-beta", "bool-gamma", "bool-L",
         "underscore-key", "space-key", "decimal-point-key"])
 def test_non_integer_group_or_tv_field_rejected(tmp_path, capsys, groups, tv,
@@ -424,7 +443,7 @@ def test_guard_gate_charges_the_budget(tmp_path, capsys, count_log,
 def test_mass_builds_one_zeta_per_curve(monkeypatch):
     # the family config pairs 6 curves with 7 groups: 6 zetas, not 42, in
     # mass and in asymptote
-    from bunzeta import cli
+    from bunzeta import cli, curves
 
     family = Path(__file__).resolve().parents[1] / "bench" / "workloads" \
         / "family.json"
@@ -438,8 +457,8 @@ def test_mass_builds_one_zeta_per_curve(monkeypatch):
 
     monkeypatch.setattr(CurveModel, "counts",
                         counted("counts", CurveModel.counts))
-    monkeypatch.setattr(cli, "zeta_from_counts",
-                        counted("zeta_from_counts", cli.zeta_from_counts))
+    monkeypatch.setattr(curves, "zeta_from_counts",
+                        counted("zeta_from_counts", curves.zeta_from_counts))
     monkeypatch.setattr(ZetaData, "__post_init__",
                         counted("ZetaData", ZetaData.__post_init__))
     cfg = json.loads(family.read_text())

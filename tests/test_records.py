@@ -12,7 +12,6 @@ from bunzeta.asymptotics import (
     ReportRow,
     TVData,
 )
-from bunzeta.curves import PointCounts
 from bunzeta.groups import GroupSpec
 from bunzeta.mass import MassValue
 from bunzeta.zeta import ZetaData
@@ -37,7 +36,6 @@ def _dominance():
 
 # each class with its field names in order and a factory of one valid value
 CASES = {
-    PointCounts: (("q", "g", "counts"), lambda: PointCounts(2, 1, (5, 9))),
     ZetaData: (("q", "g", "a"), lambda: ZetaData(q=2, g=1, a=(1, 2, 2))),
     PlainRecord: (("q", "g", "B"), lambda: PlainRecord(2, 1, (5, 2))),
     GroupSpec: (("name", "dim", "degrees", "tamagawa"),
@@ -96,11 +94,9 @@ def test_frozen(cls):
 
 
 @pytest.mark.parametrize("a, b", [
-    (PointCounts(2, 1, (5, 9)), PlainRecord(2, 1, (5, 9))),
     (ZetaData(2, 1, (1, 2, 2)), PlainRecord(2, 1, (1, 2, 2))),
     (DominanceRow((1,), 1.0), ((1,), 1.0)),
-], ids=["PointCounts-PlainRecord", "ZetaData-PlainRecord",
-        "DominanceRow-tuple"])
+], ids=["ZetaData-PlainRecord", "DominanceRow-tuple"])
 def test_equal_only_within_a_class(a, b):
     assert a != b and b != a and not a == b
 

@@ -78,3 +78,40 @@ def test_zeta_imports_nothing_from_curves():
                     module in (".", "bunzeta") and "curves" in names):
                 found.append(f"{module}: {', '.join(names)}")
     assert found == []
+
+
+def test_cli_asks_models_for_zeta_not_counts():
+    # CurveModel.zeta is the one zeta entry point: the CLI counts no points
+    # and rebuilds no P(T).  Its zeta_from_counts import is a re-export that
+    # bench/test_bench.py calls through bunzeta.cli, used nowhere in cli.py
+    tree = ast.parse((pathlib.Path(bunzeta.__file__).parent
+                      / "cli.py").read_text())
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    imported = {a.asname or a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert attrs.isdisjoint({"counts", "count_points", "zeta_from_counts"})
+    assert names.isdisjoint({"zeta_from_counts", "PointCounts",
+                             "InconsistentCountsError"})
+    assert imported.isdisjoint({"PointCounts", "InconsistentCountsError"})
+
+
+def test_no_unused_module_level_imports():
+    # a name a module imports at its top level is used in that module, or
+    # is marked as a re-export with "# noqa: F401" on its line
+    src = pathlib.Path(bunzeta.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        tree, lines = ast.parse(text), text.splitlines()
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    bound = a.asname or a.name.split(".")[0]
+                    if bound not in used and \
+                            "noqa: F401" not in lines[a.lineno - 1]:
+                        unused.append(f"{path.name}:{a.lineno}: {bound}")
+    assert unused == []

@@ -59,10 +59,13 @@ def test_functional_equation_holds_and_is_enforced():
 
 
 def test_reconstruction_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        zeta_from_counts(2, 1, [3, 9])
-    with pytest.raises(ValueError):
-        zeta_from_counts(2, 2, [3])
+    # g or g + 1 counts: the last of g + 1 is the guard
+    for g, counts in ((1, [3, 9, 9]), (2, [3]), (0, [3, 5])):
+        with pytest.raises(ValueError, match="leading counts") as exc:
+            zeta_from_counts(2, g, counts)
+        assert type(exc.value) is ValueError
+    assert zeta_from_counts(2, 1, [3, 9]) == zeta_from_counts(2, 1, [3])
+    assert zeta_from_counts(3, 0, [4]) == zeta_from_counts(3, 0, [])
 
 
 def test_inconsistent_counts_rejected():
@@ -70,10 +73,18 @@ def test_inconsistent_counts_rejected():
     with pytest.raises(InconsistentCountsError) as exc:
         zeta_from_counts(2, 2, [3, 4])
     assert "not an integer" in str(exc.value)
-    # class number would be nonpositive
-    with pytest.raises(InconsistentCountsError) as exc:
-        zeta_from_counts(2, 2, [1, 1])
-    assert "P(1)" in str(exc.value)
+    # class number would be nonpositive, checked before any guard
+    for counts in ([1, 1], [1, 1, 0]):
+        with pytest.raises(InconsistentCountsError) as exc:
+            zeta_from_counts(2, 2, counts)
+        assert "P(1)" in str(exc.value)
+    # a guard off the next Newton identity: E1 has N_2 = 9, and the
+    # projective line N_1 = q + 1
+    for q, g, counts, want in ((2, 1, [3, 8], 9), (3, 0, [5], 4)):
+        with pytest.raises(InconsistentCountsError) as exc:
+            zeta_from_counts(q, g, counts)
+        assert str(exc.value) == (f"guard count N_{g + 1} = {counts[-1]} "
+                                  f"but P(T) regenerates {want}")
     # Weil-violating regenerated counts
     with pytest.raises(InconsistentCountsError):
         ZetaData(q=2, g=1, a=(1, 10, 2))
@@ -151,6 +162,23 @@ def test_newton_matches_exp_series_oracle():
             a = old  # integer coefficients: ZetaData must reject them alike
             old = _outcome(lambda: ZetaData(q=q, g=g, a=a).a)
         assert new == old, (q, g, counts)
+        if type(new) is tuple:
+            # the guard N_(g+1) against the log series: only the count P(T)
+            # regenerates passes, and only if it is not negative
+            n_next = regenerate_counts(ZetaData(q=q, g=g, a=new), g + 1,
+                                       _validate=False)[g]
+            for delta in (-1, 0, 1):
+                guard = n_next + delta
+                if guard < 0:
+                    want = "negative point count"
+                elif not delta:
+                    want = new
+                else:
+                    want = (f"guard count N_{g + 1} = {guard} but "
+                            f"P(T) regenerates {n_next}")
+                got = _outcome(
+                    lambda: zeta_from_counts(q, g, counts + [guard]).a)
+                assert got == want, (q, g, counts, guard)
         (accepted if type(new) is tuple else rejected).add((q, g, new))
     # both outcomes occur in bulk, and some P is accepted at every genus
     assert len(accepted) > 500 and len(rejected) > 5000
@@ -159,10 +187,8 @@ def test_newton_matches_exp_series_oracle():
 
 def test_round_trip_all_catalog_curves(curve_catalog):
     for model in curve_catalog.values():
-        g = model.genus()
-        counts = model.counts(max(g, 1))
-        z = zeta_from_counts(model.q, g, counts.counts[:g])
-        top = max(2 * g, 2)
+        z = model.zeta(guard=True)
+        top = max(2 * z.g, 2)
         assert regenerate_counts(z, top) == \
             [model.count_points(m) for m in range(1, top + 1)]
 
@@ -263,16 +289,16 @@ def test_degree_spectrum_pinned_p1():
 def test_degree_spectrum_e1(curve_catalog):
     # frozen off enumeration: N = (3, 9) so B = (3, 3)
     counts = curve_catalog["E1"].counts(2)
-    assert counts.counts == (3, 9)
-    assert degree_spectrum(counts.counts) == [3, 3]
+    assert counts == [3, 9]
+    assert degree_spectrum(counts) == [3, 3]
 
 
 def test_degree_spectrum_total_identity(curve_catalog):
     from bunzeta.arith import divisors
     counts = curve_catalog["C2"].counts(6)
-    spec = degree_spectrum(counts.counts)
+    spec = degree_spectrum(counts)
     for m in range(1, 7):
-        assert sum(d * spec[d - 1] for d in divisors(m)) == counts.n(m)
+        assert sum(d * spec[d - 1] for d in divisors(m)) == counts[m - 1]
 
 
 def test_degree_spectrum_rejects_inconsistent():
