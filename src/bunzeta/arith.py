@@ -127,12 +127,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-def within_weil_bound(n_m: int, q: int, g: int, m: int) -> bool:
-    """|N_m - q^m - 1| <= 2g q^(m/2), squared to stay in integers (exact)."""
-    dev = n_m - q ** m - 1
-    return dev * dev <= 4 * g * g * q ** m
-
-
 def parse_rational(s) -> Fraction:
     """Parse ``"p/q"`` / ``"p"`` strings (also accepts ints, not bools)
     into a Fraction."""
@@ -396,31 +390,21 @@ class FiniteField:
         return f
 
     @classmethod
-    def extension(cls, base: "FiniteField", m: int, modulus=None) -> "FiniteField":
-        """Degree-m extension of ``base``; modulus defaults to the
-        lexicographically smallest monic irreducible."""
+    def extension(cls, base: "FiniteField", m: int) -> "FiniteField":
+        """Degree-m extension of ``base`` by the lexicographically smallest
+        monic irreducible."""
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            if m == 1:
-                return base
-            cached = base._extensions.get(m)
-            if cached is not None:
-                return cached
-            modulus = _lex_smallest_irreducible_codes(base, m)
-            f = cls(_char=base.char, _order=base.order ** m,
-                    _degree=base.degree * m, _base=base, _rel_degree=m,
-                    _modulus=modulus)
-            base._extensions[m] = f
-            return f
-        modulus = tuple(modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of the stated degree")
-        if not _pc_is_irreducible(base, list(modulus)):
-            raise ValueError("modulus is not irreducible over the base field")
-        return cls(_char=base.char, _order=base.order ** m,
-                   _degree=base.degree * m, _base=base, _rel_degree=m,
-                   _modulus=modulus)
+        if m == 1:
+            return base
+        cached = base._extensions.get(m)
+        if cached is not None:
+            return cached
+        f = cls(_char=base.char, _order=base.order ** m,
+                _degree=base.degree * m, _base=base, _rel_degree=m,
+                _modulus=_lex_smallest_irreducible_codes(base, m))
+        base._extensions[m] = f
+        return f
 
     @classmethod
     def of_order(cls, p: int, m: int) -> "FiniteField":

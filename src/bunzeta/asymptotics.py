@@ -41,7 +41,7 @@ from .arith import (
 )
 from .groups import GroupSpec, builtin_group, mass_ratio
 from .mass import RouteMismatchError, compositions, mass_bun, semistable_mass
-from .zeta import ZetaData, counts_and_spectrum
+from .zeta import ZetaData, degree_spectrum, regenerate_counts
 
 _SQRT_BITS = 64
 # Reported tails get a tiny outward nudge, plus an absolute floor whenever
@@ -404,7 +404,8 @@ def convergence_report(family: Sequence[ZetaData], spec: GroupSpec,
     genera = [z.g for z in zetas]
     if genera != sorted(genera):
         raise ValueError("family must be sorted by genus")
-    pairs = [(counts_and_spectrum(z, trunc)[1], z.g) for z in zetas]
+    pairs = [(degree_spectrum(regenerate_counts(z, trunc)), z.g)
+             for z in zetas]
     quotients = beta_quotients(pairs, trunc)
     tv = TVData.from_map(q, quotients[-1])
     bound = tv_bound(tv)

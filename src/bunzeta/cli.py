@@ -38,8 +38,9 @@ from .mass import RouteMismatchError, mass_bun, semistable_mass
 from .zeta import (
     ZetaData,
     class_number,
-    counts_and_spectrum,
+    degree_spectrum,
     quasi_residue,
+    regenerate_counts,
     special_value,
     # not used here: bench/test_bench.py calls it through this module
     zeta_from_counts,  # noqa: F401
@@ -232,14 +233,14 @@ def cmd_zeta(cfg: dict, run: dict) -> dict:
     def one(model: CurveModel) -> dict:
         z = curve_zeta(model, budget, trunc)
         try:
-            counts, spec = counts_and_spectrum(z, trunc)
+            counts = regenerate_counts(z, trunc)
             return {
                 "name": model.name,
                 "kind": model.kind,
                 "q": model.q,
                 "g": z.g,
                 "counts": counts,
-                "spectrum": spec,
+                "spectrum": degree_spectrum(counts),
                 "zeta": z.to_json_dict(),
                 "class_number": str(class_number(z)),
                 "quasi_residue": format_rational(quasi_residue(z)),

@@ -49,7 +49,9 @@ F_(q^D) before F_q, and the witness search each field before it scans it.
 ``CurveModel.zeta`` is the one zeta entry point of a model: it asks
 ``counts`` for N_1..N_g, and for the guard N_(g+1) when asked to, so the
 guard's field is gated before N_1, and ``zeta_from_counts`` checks the
-guard against P(T).
+guard against P(T).  ``counts`` passes what it enumerates through
+``zeta.checked_counts``, the rule that regenerated counts pass too: every
+N_m is nonnegative and lies in its Weil interval.
 """
 
 from __future__ import annotations
@@ -67,9 +69,8 @@ from .arith import (
     _pc_powmod,
     _pc_sub,
     _pc_trim,
-    within_weil_bound,
 )
-from .zeta import ZetaData, zeta_from_counts
+from .zeta import ZetaData, checked_counts, zeta_from_counts
 
 
 class SingularModelError(ValueError):
@@ -79,16 +80,6 @@ class SingularModelError(ValueError):
         self.witness = witness
         msg = message or f"{model_name} is singular; witness common zero {witness}"
         super().__init__(msg)
-
-
-class WeilViolationError(RuntimeError):
-    """A computed point count left the Weil interval (bad model or bug)."""
-
-    def __init__(self, m: int, n_m: int, q: int, g: int):
-        self.m = m
-        super().__init__(
-            f"N_{m} = {n_m} violates the Weil bound |N - q^m - 1| <= 2g q^(m/2) "
-            f"for q={q}, g={g}")
 
 
 def _coeff(cs, k: int) -> int:
@@ -354,19 +345,15 @@ class CurveModel:
         return self._count(m, None)
 
     def counts(self, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
-        """N_1..N_k of the validated model, Weil bound checked.
+        """N_1..N_k of the validated model, through ``checked_counts``.
 
         The model is charged for F_(q^k), its largest field, before N_1 is
         counted, so an over-limit k is refused before any count runs.
         """
         self.validate(budget)
         self._check_count(k, budget)
-        q, g = self.q, self.genus()
-        counts = [self.count_points(m, budget) for m in range(1, k + 1)]
-        for m, n_m in enumerate(counts, start=1):
-            if n_m < 0 or not within_weil_bound(n_m, q, g, m):
-                raise WeilViolationError(m, n_m, q, g)
-        return counts
+        return checked_counts(self.q, self.genus(), [
+            self.count_points(m, budget) for m in range(1, k + 1)])
 
     def zeta(self, budget: int = DEFAULT_ENUM_BUDGET,
              guard: bool = False) -> ZetaData:

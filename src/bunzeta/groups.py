@@ -1,10 +1,10 @@
-"""Split reductive group data and their point counts over F_(q^r).
+"""Split reductive group data and their mass ratios over F_(q^r).
 
 A group is described by its dimension, the multiset of degrees of its
 generating invariants (degree-1 entries count the rank of the central
 torus), and a Tamagawa constant used by the mass formula.  For a split
-group the number of F_Q-points is the product formula
-``Q^dim * prod_j (1 - Q^(-d_j))``, which is exact integer arithmetic here.
+group the mass ratio ``|G(F_Q)| / Q^dim = prod_j (1 - Q^(-d_j))`` is
+computed exactly.
 
 Degree tables are hard-coded for the classical families; user-defined
 specs (e.g. G_2: dim 14, degrees {2, 6}) can be supplied via
@@ -95,17 +95,6 @@ def builtin_group(family: str, n: int, tamagawa=None) -> GroupSpec:
         return GroupSpec(f"SO{2 * n}", 2 * n * n - n,
                          tuple(range(2, 2 * n - 1, 2)) + (n,), tau)
     raise ValueError(f"unsupported family {family!r}; known: {FAMILIES}")
-
-
-def group_order(spec: GroupSpec, q: int, r: int = 1) -> int:
-    """|G(F_(q^r))| = Q^dim * prod_j (1 - Q^(-d_j)) with Q = q^r, exact."""
-    Q = q ** r
-    val = mass_ratio(spec, q, r) * Q ** spec.dim
-    if val.denominator != 1 or val <= 0:
-        raise ValueError(
-            f"{spec.name}: order {val} at q^r = {Q} is not a positive integer; "
-            "malformed GroupSpec")
-    return val.numerator
 
 
 def mass_ratio(spec: GroupSpec, q: int, r: int = 1) -> Fraction:

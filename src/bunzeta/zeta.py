@@ -9,23 +9,36 @@ in exact rational power-series arithmetic.  One redundant count, the guard
 N_(g+1), may follow N_1..N_g; it is a cross-check, not an input, and the
 next Newton identity checks it.  Inconsistent inputs fail loudly with the
 first violated identity; there are no repair heuristics.
+
+``checked_counts`` is the one admissibility rule for point counts: every
+N_m, enumerated by a model or regenerated from ``P``, is nonnegative and
+lies in its Weil interval ``|N_m - q^m - 1| <= 2g q^(m/2)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import (
-    Record,
-    divisors,
-    is_prime_power,
-    moebius,
-    within_weil_bound,
-)
+from .arith import Record, divisors, is_prime_power, moebius
 
 
 class InconsistentCountsError(ValueError):
     """Point-count data does not come from a curve of the stated (q, g)."""
+
+
+def checked_counts(q: int, g: int, counts, what: str = "N") -> list[int]:
+    """N_1..N_k, once each is >= 0 and in its Weil interval
+    |N_m - q^m - 1| <= 2g q^(m/2), compared squared so the test is exact."""
+    counts = list(counts)
+    for m, n_m in enumerate(counts, start=1):
+        if n_m < 0:
+            raise InconsistentCountsError(f"{what}_{m} = {n_m} < 0")
+        dev = n_m - q ** m - 1
+        if dev * dev > 4 * g * g * q ** m:
+            raise InconsistentCountsError(
+                f"{what}_{m} = {n_m} violates the Weil bound "
+                f"|N - q^m - 1| <= 2g q^(m/2) for q={q}, g={g}")
+    return counts
 
 
 # -- exact power-series helpers (coefficient lists of Fractions) -------------
@@ -79,21 +92,11 @@ class ZetaData(Record):
                     f"a_{2 * g - i} = {a[2 * g - i]} != q^{g - i} * a_{i}")
         if sum(a) <= 0:
             raise InconsistentCountsError(f"P(1) = {sum(a)} <= 0")
-        # Weil-interval sanity on the counts this P regenerates
-        _weil_checked(self, regenerate_counts(self, 2 * g + 4,
-                                              _validate=False))
+        # the counts this P regenerates must be admissible
+        regenerate_counts(self, 2 * g + 4)
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "g": self.g, "a": [str(c) for c in self.a]}
-
-
-def _weil_checked(z: ZetaData, counts: list[int]) -> list[int]:
-    """The counts regenerated from z, once each lies in its Weil interval."""
-    for m, n_m in enumerate(counts, start=1):
-        if not within_weil_bound(n_m, z.q, z.g, m):
-            raise InconsistentCountsError(
-                f"regenerated N_{m} = {n_m} violates the Weil bound")
-    return counts
 
 
 def zeta_from_counts(q: int, g: int, counts) -> ZetaData:
@@ -139,8 +142,9 @@ def zeta_from_counts(q: int, g: int, counts) -> ZetaData:
     return z
 
 
-def regenerate_counts(z: ZetaData, M: int, _validate: bool = True) -> list[int]:
-    """N_1..N_M predicted by Z(T) = P(T)/((1-T)(1-qT)), exactly."""
+def regenerate_counts(z: ZetaData, M: int) -> list[int]:
+    """N_1..N_M predicted by Z(T) = P(T)/((1-T)(1-qT)), exactly, each
+    passed through ``checked_counts``."""
     q = z.q
     zser = [Fraction(c) for c in z.a] + [Fraction(0)] * max(0, M + 1 - len(z.a))
     geom1 = [Fraction(1)] * (M + 1)
@@ -152,16 +156,8 @@ def regenerate_counts(z: ZetaData, M: int, _validate: bool = True) -> list[int]:
         n_m = m * lg[m]
         if n_m.denominator != 1:
             raise InconsistentCountsError(f"regenerated N_{m} is not an integer")
-        if _validate and n_m < 0:
-            raise InconsistentCountsError(f"regenerated N_{m} = {n_m} < 0")
         out.append(n_m.numerator)
-    return out
-
-
-def counts_and_spectrum(z: ZetaData, M: int) -> tuple[list[int], list[int]]:
-    """N_1..N_M regenerated from P(T), and the closed points B_1..B_M."""
-    counts = _weil_checked(z, regenerate_counts(z, M))
-    return counts, degree_spectrum(counts)
+    return checked_counts(q, z.g, out, "regenerated N")
 
 
 def class_number(z: ZetaData) -> int:

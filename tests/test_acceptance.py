@@ -25,7 +25,7 @@ from bunzeta.asymptotics import (
     tv_bound,
     tv_sum_term,
 )
-from bunzeta.groups import builtin_group, group_order
+from bunzeta.groups import builtin_group
 from bunzeta.mass import hn_ss_mass, mass_bun, zagier_ss_mass
 from bunzeta.zeta import regenerate_counts, zeta_from_counts
 
@@ -33,6 +33,7 @@ from test_groups import (
     brute_force_gl_order,
     brute_force_sl_order,
     brute_force_sp4_order,
+    group_order,
 )
 from test_mass import p1_rank2_semistable_mass, p1_rank2_split_bundle_mass
 

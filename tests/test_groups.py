@@ -6,10 +6,22 @@ import pytest
 from bunzeta.groups import (
     GroupSpec,
     builtin_group,
-    group_order,
     group_spec_from_json,
     mass_ratio,
 )
+
+
+def group_order(spec, q, r=1):
+    """|G(F_(q^r))| = Q^dim * prod_j (1 - Q^(-d_j)) with Q = q^r, exact:
+    the mass ratio scaled back to a count, which must be a positive
+    integer for a well-formed spec."""
+    Q = q ** r
+    val = mass_ratio(spec, q, r) * Q ** spec.dim
+    if val.denominator != 1 or val <= 0:
+        raise ValueError(
+            f"{spec.name}: order {val} at q^r = {Q} is not a positive integer; "
+            "malformed GroupSpec")
+    return val.numerator
 
 
 def brute_force_gl_order(n, p):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bunzeta import mass
-from bunzeta.groups import FAMILIES, builtin_group, group_order
+from bunzeta.groups import FAMILIES, builtin_group
 from bunzeta.mass import (
     MassValue,
     compositions,
@@ -18,6 +18,7 @@ from bunzeta.mass import (
     zagier_ss_mass,
 )
 from bunzeta.zeta import class_number, quasi_residue, zeta_from_counts
+from test_groups import group_order
 from test_zeta import quasi_residue_oracle, special_value_oracle
 
 

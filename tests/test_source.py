@@ -115,3 +115,27 @@ def test_no_unused_module_level_imports():
                             "noqa: F401" not in lines[a.lineno - 1]:
                         unused.append(f"{path.name}:{a.lineno}: {bound}")
     assert unused == []
+
+
+def test_count_admissibility_decided_once():
+    # zeta.checked_counts is the one rule that enumerated and regenerated
+    # counts pass: no other function in the package words a Weil
+    # violation, and the curve models import the rule, not a copy of it
+    src = pathlib.Path(bunzeta.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        funcs = [n for n in ast.walk(ast.parse(text))
+                 if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "violates the Weil bound" in line:
+                owners = [f for f in funcs
+                          if f.lineno <= lineno <= f.end_lineno]
+                inner = max(owners, key=lambda f: f.lineno, default=None)
+                hits.append((path.name, inner and inner.name))
+    assert hits == [("zeta.py", "checked_counts")]
+    curves = ast.parse((src / "curves.py").read_text())
+    assert any(isinstance(n, ast.ImportFrom) and n.level == 1
+               and n.module == "zeta"
+               and "checked_counts" in {a.name for a in n.names}
+               for n in curves.body)

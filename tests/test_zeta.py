@@ -88,6 +88,14 @@ def test_inconsistent_counts_rejected():
     # Weil-violating regenerated counts
     with pytest.raises(InconsistentCountsError):
         ZetaData(q=2, g=1, a=(1, 10, 2))
+    # P(T) = 1 + 2T + 5T^2 + 4T^3 + 4T^4 has integer coefficients, the
+    # functional equation and P(1) > 0, and N_1, N_2 = 5, 11 lie in their
+    # Weil intervals, but it regenerates N_3 = -1
+    for build in (lambda: zeta_from_counts(2, 2, [5, 11]),
+                  lambda: ZetaData(q=2, g=2, a=(1, 2, 5, 4, 4))):
+        with pytest.raises(InconsistentCountsError,
+                           match="regenerated N_3 = -1 < 0"):
+            build()
 
 
 def exp_series_oracle(q, g, counts):
@@ -165,8 +173,7 @@ def test_newton_matches_exp_series_oracle():
         if type(new) is tuple:
             # the guard N_(g+1) against the log series: only the count P(T)
             # regenerates passes, and only if it is not negative
-            n_next = regenerate_counts(ZetaData(q=q, g=g, a=new), g + 1,
-                                       _validate=False)[g]
+            n_next = regenerate_counts(ZetaData(q=q, g=g, a=new), g + 1)[g]
             for delta in (-1, 0, 1):
                 guard = n_next + delta
                 if guard < 0:
