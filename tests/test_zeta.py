@@ -1,14 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bunzeta import cli, zeta
 from bunzeta.zeta import (
     InconsistentCountsError,
     ZetaData,
+    checked_counts,
     class_number,
     degree_spectrum,
+    power_sums,
     quasi_residue,
     regenerate_counts,
     special_value,
@@ -78,13 +82,22 @@ def test_inconsistent_counts_rejected():
         with pytest.raises(InconsistentCountsError) as exc:
             zeta_from_counts(2, 2, counts)
         assert "P(1)" in str(exc.value)
-    # a guard off the next Newton identity: E1 has N_2 = 9, and the
-    # projective line N_1 = q + 1
-    for q, g, counts, want in ((2, 1, [3, 8], 9), (3, 0, [5], 4)):
+    # a guard off the next Newton identity: E1 has N_2 = 9
+    with pytest.raises(InconsistentCountsError) as exc:
+        zeta_from_counts(2, 1, [3, 8])
+    assert str(exc.value) == "guard count N_2 = 8 but P(T) regenerates 9"
+    # the guard passes checked_counts first; at g = 0 its Weil interval is
+    # the one count q + 1, so a wrong guard of the projective line fails there
+    with pytest.raises(InconsistentCountsError) as exc:
+        zeta_from_counts(3, 0, [5])
+    assert str(exc.value) == ("N_1 = 5 violates the Weil bound "
+                              "|N - q^m - 1| <= 2g q^(m/2) for q=3, g=0")
+    # negative and Weil-violating given counts, with checked_counts' text
+    for counts, want in (([3, -1], "N_2 = -1 < 0"),
+                         ([3, 5, 30], "N_3 = 30 violates the Weil bound")):
         with pytest.raises(InconsistentCountsError) as exc:
-            zeta_from_counts(q, g, counts)
-        assert str(exc.value) == (f"guard count N_{g + 1} = {counts[-1]} "
-                                  f"but P(T) regenerates {want}")
+            zeta_from_counts(2, 2, counts)
+        assert str(exc.value).startswith(want)
     # Weil-violating regenerated counts
     with pytest.raises(InconsistentCountsError):
         ZetaData(q=2, g=1, a=(1, 10, 2))
@@ -110,11 +123,10 @@ def exp_series_oracle(q, g, counts):
 
 
 def reconstruction_oracle(q, g, counts):
-    """The a of zeta_from_counts by the exp series: a negative count or the
-    first noninteger a_k raises, and the functional equation gives
-    a_(g+1)..a_(2g)."""
-    if any(n < 0 for n in counts):
-        raise InconsistentCountsError("negative point count")
+    """The a of zeta_from_counts by the exp series: a count that fails
+    ``checked_counts`` or the first noninteger a_k raises, and the
+    functional equation gives a_(g+1)..a_(2g)."""
+    checked_counts(q, g, counts)
     a = []
     for k, c in enumerate(exp_series_oracle(q, g, counts)):
         if c.denominator != 1:
@@ -124,6 +136,15 @@ def reconstruction_oracle(q, g, counts):
         a.append(c.numerator)
     return tuple(a + [q ** (k - g) * a[2 * g - k]
                       for k in range(g + 1, 2 * g + 1)])
+
+
+def log_series_counts(z, M):
+    """N_1..N_M as m times the coefficients of log Z(T), with Z(T) from
+    zeta_series_oracle: the Fraction route regenerate_counts takes past
+    2g + 4."""
+    lg = zeta._series_log(zeta_series_oracle(z, M), M)
+    assert all((m * lg[m]).denominator == 1 for m in range(1, M + 1))
+    return [int(m * lg[m]) for m in range(1, M + 1)]
 
 
 def _outcome(compute):
@@ -171,18 +192,19 @@ def test_newton_matches_exp_series_oracle():
             old = _outcome(lambda: ZetaData(q=q, g=g, a=a).a)
         assert new == old, (q, g, counts)
         if type(new) is tuple:
-            # the guard N_(g+1) against the log series: only the count P(T)
-            # regenerates passes, and only if it is not negative
-            n_next = regenerate_counts(ZetaData(q=q, g=g, a=new), g + 1)[g]
+            # the integer power sums against the log series, and the guard
+            # N_(g+1): an admissible guard passes only if P(T) regenerates it
+            series = log_series_counts(ZetaData(q=q, g=g, a=new), 2 * g + 4)
+            assert [q ** m + 1 - s for m, s in enumerate(
+                power_sums(new, 2 * g + 4), start=1)] == series, (q, g, new)
+            n_next = series[g]
             for delta in (-1, 0, 1):
                 guard = n_next + delta
-                if guard < 0:
-                    want = "negative point count"
-                elif not delta:
-                    want = new
-                else:
-                    want = (f"guard count N_{g + 1} = {guard} but "
-                            f"P(T) regenerates {n_next}")
+                want = _outcome(lambda: checked_counts(q, g, counts + [guard]))
+                if type(want) is not str:
+                    want = new if not delta else (
+                        f"guard count N_{g + 1} = {guard} but "
+                        f"P(T) regenerates {n_next}")
                 got = _outcome(
                     lambda: zeta_from_counts(q, g, counts + [guard]).a)
                 assert got == want, (q, g, counts, guard)
@@ -190,6 +212,33 @@ def test_newton_matches_exp_series_oracle():
     # both outcomes occur in bulk, and some P is accepted at every genus
     assert len(accepted) > 500 and len(rejected) > 5000
     assert {g for _, g, _ in accepted} == set(range(9))
+
+
+def test_integer_checks_run_without_the_series(monkeypatch, capsys):
+    # ZetaData, the guard, regenerations to 2g + 4 and the mass report never
+    # call the Fraction series
+    def refuse(*args):
+        raise AssertionError("the Fraction log series ran")
+
+    monkeypatch.setattr(zeta, "_series_log", refuse)
+    assert zeta_from_counts(2, 1, [3]).a == (1, 0, 2)
+    assert zeta_from_counts(2, 1, [3, 9]).a == (1, 0, 2)
+    z = ZetaData(q=2, g=2, a=(1, 0, 0, 0, 4))
+    assert regenerate_counts(z, 8) == [3, 5, 9, 33, 33, 65, 129, 193]
+    with pytest.raises(AssertionError, match="series ran"):
+        regenerate_counts(z, 9)
+    demo = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+    assert cli.main(["mass", "--config", str(demo)]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("a,k", [((1, Fraction(1, 2), 2), 1),
+                                 ((1, 1.0, 2), 1),
+                                 ((True, 2, 2), 0)])
+def test_zeta_data_rejects_non_int_coefficients(a, k):
+    with pytest.raises(InconsistentCountsError,
+                       match=rf"^a_{k} = .* is not an int$"):
+        ZetaData(q=2, g=1, a=a)
 
 
 def test_round_trip_all_catalog_curves(curve_catalog):
