@@ -56,10 +56,11 @@ class BudgetExceededError(RuntimeError):
 
 
 class Record:
-    """Base of the frozen value types; it behaves as a frozen standard data
-    class.  The fields are the annotated names in order, set by position or
-    keyword, with class-level defaults.  ``__post_init__`` runs on
-    construction and may normalize a field with ``object.__setattr__``;
+    """Base of the frozen, validated value types; it behaves as a frozen
+    standard data class.  The fields are the annotated names in order, set
+    by position or keyword, with class-level defaults.  ``__post_init__``
+    runs on construction, checks the fields (every subclass in the package
+    defines it) and may normalize a field with ``object.__setattr__``;
     after it, assignment and deletion raise ``AttributeError`` and the field
     tuple is stored once, for equality (within one class only) and hashing.
     The repr is ``Name(field=value, ...)``.
@@ -152,6 +153,12 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_float(x: float) -> str:
+    """Render a binary64 value with 17 significant digits, which re-parse to
+    the same value."""
+    return f"{x:.17g}"
 
 
 def moebius(n: int) -> int:

@@ -21,6 +21,10 @@ Square roots of non-square integers are handled by outward-rounded
 rational enclosures, never floating point, so the feasibility bound
 ``sum_m m beta_m / (q^(m/2) - 1) <= 1`` is exact at perfect squares and
 certified from above otherwise.
+
+:func:`dominance_check` and :func:`convergence_report` return their
+sections of the ``asymptote`` report as JSON-ready dicts, with binary64
+values as 17-digit strings (``arith.format_float``).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from math import isqrt
 
 from .arith import (
     Record,
+    format_float,
     format_rational,
     is_prime_power,
     parse_integer,
@@ -98,8 +103,8 @@ class TVData(Record):
     ``beta`` maps a degree m to the nonnegative rational density beta_m
     (finitely supported).  ``groups`` optionally lists
     (degree, weight, local value at the edge) triples for the general
-    evaluator.  Feasibility with respect to the square-root bound is a
-    flag, not a hard error.
+    evaluator; every local value is positive.  Feasibility with respect to
+    the square-root bound is a flag, not a hard error.
     """
 
     q: int
@@ -121,10 +126,12 @@ class TVData(Record):
         object.__setattr__(
             self, "beta", tuple(sorted((m, Fraction(b)) for m, b in self.beta)))
         if self.groups is not None:
-            object.__setattr__(
-                self, "groups",
-                tuple((int(r), Fraction(gam), Fraction(L))
-                      for r, gam, L in self.groups))
+            groups = tuple((int(r), Fraction(gam), Fraction(L))
+                           for r, gam, L in self.groups)
+            for i, (_, _, L) in enumerate(groups):
+                if L <= 0:
+                    raise ValueError(f"groups[{i}]: L must be > 0, got {L}")
+            object.__setattr__(self, "groups", groups)
 
     @classmethod
     def from_map(cls, q: int, beta_map: dict, groups=None) -> "TVData":
@@ -244,14 +251,12 @@ def rhs_general(groups, q: int, d_bound: int) -> GeneralResult:
     The flag reports whether every |log_q L(r)| respects the decay
     envelope ``3 d_bound q^(-deg/2)`` expected of stalks with weights
     <= 1/2 and total dimension < d_bound; a False flag is a warning that
-    the supplied local data is inconsistent with those hypotheses.
+    the supplied local data is inconsistent with those hypotheses.  A
+    nonpositive local value is a ValueError.
     """
     if d_bound < 1:
         raise ValueError("d_bound must be >= 1")
     triples = [(int(r), Fraction(gam), Fraction(L)) for r, gam, L in groups]
-    for r, _, L in triples:
-        if L <= 0:
-            raise ValueError(f"nonpositive local value L({r}) = {L}")
     pairs = [(gam, L) for _, gam, L in triples]
     value = math.fsum(_neglog_q_terms(q, pairs))
     ok = all(abs(log_q_fraction(L, q))
@@ -273,7 +278,7 @@ def lhs_sequence(family: Sequence[ZetaData], spec: GroupSpec):
     for z in family:
         if z.g < 1:
             raise ValueError("genus-0 member: the normalized log is undefined")
-        mass = mass_bun(spec, z).value
+        mass = mass_bun(spec, z)
         out.append((z.g, log_q_fraction(mass, z.q) / z.g))
     return out
 
@@ -290,25 +295,10 @@ def beta_quotients(family: Sequence[tuple[Sequence[int], int]], M: int):
     return out
 
 
-class DominanceRow(Record):
-    composition: tuple[int, ...]
-    exponent: float
-
-
-class DominanceResult(Record):
-    rows: tuple[DominanceRow, ...]
-    dominant: bool
-
-    def to_json_dict(self) -> dict:
-        return {"rows": [{"composition": list(r.composition),
-                          "exponent": f"{r.exponent:.17g}"}
-                         for r in self.rows],
-                "dominant": self.dominant}
-
-
-def dominance_check(tv: TVData, n: int, trunc: int) -> DominanceResult:
-    """Growth exponents of the composition terms of the rank-n semistable
-    sum: ``sum_(i<j) n_i n_j + sum_j rhs_group(GL_(n_j))``.
+def dominance_check(tv: TVData, n: int, trunc: int) -> dict:
+    """The report's dominance table: the growth exponent of each
+    composition term of the rank-n semistable sum,
+    ``sum_(i<j) n_i n_j + sum_j rhs_group(GL_(n_j))``, and ``dominant``.
 
     ``dominant`` is True iff the one-part composition (n) attains the
     strict maximum ((n) having the largest exponent is what makes the
@@ -321,80 +311,26 @@ def dominance_check(tv: TVData, n: int, trunc: int) -> DominanceResult:
             f"composition table limited to n <= {DOMINANCE_MAX_RANK}")
     values = {m: rhs_group(tv, builtin_group("GL", m), trunc).value
               for m in range(1, n + 1)}
-    rows = []
+    exponents = {}
     for comp in compositions(n):
         cross = sum(comp[i] * comp[j]
                     for i in range(len(comp)) for j in range(i + 1, len(comp)))
-        expo = float(cross) + math.fsum(values[p] for p in comp)
-        rows.append(DominanceRow(tuple(comp), expo))
-    trivial = next(r.exponent for r in rows if r.composition == (n,))
-    others = [r.exponent for r in rows if r.composition != (n,)]
-    dominant = all(x < trivial for x in others)
-    return DominanceResult(tuple(rows), dominant)
-
-
-class ReportRow(Record):
-    index: int
-    genus: int
-    lhs: float
-    gap: float
-    ss_lhs: float | None = None
-    ss_gap: float | None = None
-
-
-class ConvergenceReport(Record):
-    """Finite-level comparison of both sides of the limit formula.
-
-    The rows carry log_q(mass)/g per member; rhs/tail come from the last
-    member's empirical densities.  Finite gaps at finite genus are data,
-    not a verification of the limit: the limit statement itself concerns
-    genus going to infinity and is out of reach of any fixed family.
-    """
-
-    q: int
-    group: GroupSpec
-    rows: tuple[ReportRow, ...]
-    rhs_value: float
-    rhs_tail: float
-    tv: TVData
-    tv_bound_value: Fraction
-    tv_feasible: bool
-    member_quotients: tuple
-    dominance: DominanceResult | None
-    note: str = ("finite-genus data only; the genus-to-infinity limit is not "
-                 "verifiable at this scale")
-
-    def to_json_dict(self) -> dict:
-        rows = []
-        for r in self.rows:
-            entry = {"index": r.index, "genus": r.genus,
-                     "lhs": f"{r.lhs:.17g}", "gap": f"{r.gap:.17g}"}
-            if r.ss_lhs is not None:
-                entry["ss_lhs"] = f"{r.ss_lhs:.17g}"
-                entry["ss_gap"] = f"{r.ss_gap:.17g}"
-            rows.append(entry)
-        return {
-            "q": self.q,
-            "group": self.group.to_json_dict(),
-            "rows": rows,
-            "rhs": {"value": f"{self.rhs_value:.17g}",
-                    "tail": f"{self.rhs_tail:.17g}"},
-            "tv": self.tv.to_json_dict(),
-            "tv_bound": format_rational(self.tv_bound_value),
-            "tv_feasible": self.tv_feasible,
-            "member_quotients": [
-                {str(m): format_rational(b) for m, b in quo.items()}
-                for quo in self.member_quotients],
-            "dominance": self.dominance.to_json_dict() if self.dominance else None,
-            "note": self.note,
-        }
+        exponents[comp] = float(cross) + math.fsum(values[p] for p in comp)
+    trivial = exponents[(n,)]
+    return {"rows": [{"composition": list(comp), "exponent": format_float(x)}
+                     for comp, x in exponents.items()],
+            "dominant": all(x < trivial for comp, x in exponents.items()
+                            if comp != (n,))}
 
 
 def convergence_report(family: Sequence[ZetaData], spec: GroupSpec,
-                       trunc: int) -> ConvergenceReport:
-    """Zeta data -> spectra -> empirical densities -> rhs with tail,
-    per-member lhs and gaps, plus, for GL_n, the degree-0 semistable mass
-    per member and the dominance table (None for n > DOMINANCE_MAX_RANK)."""
+                       trunc: int) -> dict:
+    """The report's family section: zeta data -> spectra -> empirical
+    densities -> rhs with tail from the last member's densities, per-member
+    lhs log_q(mass)/g and gaps, plus, for GL_n, the degree-0 semistable
+    mass per member and the dominance table (None for
+    n > DOMINANCE_MAX_RANK).  Finite gaps at finite genus are data, not a
+    verification of the genus-to-infinity limit."""
     zetas = list(family)
     if not zetas:
         raise ValueError("empty family")
@@ -413,24 +349,28 @@ def convergence_report(family: Sequence[ZetaData], spec: GroupSpec,
     gl_rank = spec.is_gl()
     rows = []
     for i, (z, (g, lhs)) in enumerate(zip(zetas, lhs_sequence(zetas, spec))):
-        row = {"index": i, "genus": g, "lhs": lhs,
-               "gap": abs(lhs - rhs.value)}
+        row = {"index": i, "genus": g, "lhs": format_float(lhs),
+               "gap": format_float(abs(lhs - rhs.value))}
         if gl_rank is not None:
             try:
-                ss = semistable_mass(gl_rank, 0, z).value
+                ss = semistable_mass(gl_rank, 0, z)
             except RouteMismatchError as e:
                 raise RouteMismatchError(
                     f"family member {i} (g = {g}): {e}") from e
             if ss > 0:
                 ss_lhs = log_q_fraction(ss, q) / g
-                row["ss_lhs"] = ss_lhs
-                row["ss_gap"] = abs(ss_lhs - lhs)
-        rows.append(ReportRow(**row))
+                row["ss_lhs"] = format_float(ss_lhs)
+                row["ss_gap"] = format_float(abs(ss_lhs - lhs))
+        rows.append(row)
     dom = None
     if gl_rank is not None and gl_rank <= DOMINANCE_MAX_RANK:
         dom = dominance_check(tv, gl_rank, trunc)
-    return ConvergenceReport(
-        q=q, group=spec, rows=tuple(rows), rhs_value=rhs.value,
-        rhs_tail=rhs.tail, tv=tv, tv_bound_value=bound,
-        tv_feasible=bound <= 1, member_quotients=tuple(quotients),
-        dominance=dom)
+    return {"q": q, "group": spec.to_json_dict(), "rows": rows,
+            "rhs": {"value": format_float(rhs.value),
+                    "tail": format_float(rhs.tail)},
+            "tv": tv.to_json_dict(), "tv_bound": format_rational(bound),
+            "tv_feasible": bound <= 1, "dominance": dom,
+            "member_quotients": [{str(m): format_rational(b)
+                                  for m, b in quo.items()} for quo in quotients],
+            "note": "finite-genus data only; the genus-to-infinity limit is "
+                    "not verifiable at this scale"}

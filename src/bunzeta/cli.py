@@ -14,6 +14,7 @@ import sys
 from .arith import (
     DEFAULT_ENUM_BUDGET,
     FiniteField,
+    format_float,
     format_rational,
     parse_integer,
 )
@@ -52,10 +53,6 @@ DEFAULT_TRUNC = 8
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; the message names the element."""
-
-
-def _f17(x: float) -> str:
-    return f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +128,9 @@ def build_curve(entry: dict) -> CurveModel:
         raise ConfigError(f"curves[{name}]: unknown kind {kind!r}")
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as e:
+    except KeyError as e:
+        raise ConfigError(f"curves[{name}]: missing key {e}") from e
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"curves[{name}]: {e}") from e
 
 
@@ -159,23 +158,32 @@ def build_groups(cfg: dict) -> list[GroupSpec]:
     for i, entry in enumerate(_entries(cfg, "groups")):
         try:
             out.append(group_spec_from_json(entry))
-        except (KeyError, ValueError, TypeError) as e:
+        except KeyError as e:
+            raise ConfigError(f"groups[{i}]: missing key {e}") from e
+        except (ValueError, TypeError) as e:
             raise ConfigError(f"groups[{i}]: {e}") from e
     return out
 
 
-def build_tv(cfg: dict) -> TVData | None:
+def build_tv(cfg: dict) -> tuple[TVData, int] | None:
+    """The ``tv`` section as TVData with its ``d_bound``, or None when it
+    is absent."""
     entry = cfg.get("tv")
     if entry is None:
         return None
     q = _integer(_typed(entry, dict, "tv").get("q"), "tv.q")
     beta = _typed(entry.get("beta", {}), dict, "tv.beta")
+    if (d_bound := _integer(entry.get("d_bound", 1), "tv.d_bound")) < 1:
+        raise ConfigError("tv.d_bound: must be >= 1")
     if (groups := entry.get("groups")) is not None:
         for i, row in enumerate(_typed(groups, list, "tv.groups")):
             _typed(row, dict, f"tv.groups[{i}]")
+            for key in ("deg", "gamma", "L"):
+                if key not in row:
+                    raise ConfigError(f"tv.groups[{i}]: missing key {key!r}")
     try:
-        return TVData.from_map(q, beta, groups)
-    except (KeyError, ValueError, TypeError) as e:
+        return TVData.from_map(q, beta, groups), d_bound
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"tv: {e}") from e
 
 
@@ -271,14 +279,14 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
             row = {
                 "curve": model.name,
                 "group": spec.name,
-                "mass": format_rational(total.value),
-                "log_q_mass": _f17(log_q_fraction(total.value, model.q)),
+                "mass": format_rational(total),
+                "log_q_mass": format_float(log_q_fraction(total, model.q)),
             }
             n = spec.is_gl()
             if n is not None:
                 ss = []
                 for d in range(n):
-                    value = semistable_mass(n, d, z).value
+                    value = semistable_mass(n, d, z)
                     entry = {
                         "d": d,
                         "zagier": format_rational(value),
@@ -286,7 +294,7 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
                         "agree": True,
                     }
                     if value > 0:
-                        entry["log_q_mass"] = _f17(
+                        entry["log_q_mass"] = format_float(
                             log_q_fraction(value, model.q))
                     ss.append(entry)
                 row["semistable"] = ss
@@ -305,7 +313,7 @@ def cmd_mass(cfg: dict, run: dict) -> dict:
 
 def cmd_asymptote(cfg: dict, run: dict) -> dict:
     groups = build_groups(cfg)
-    tv = build_tv(cfg)
+    tv, d_bound = build_tv(cfg) or (None, None)
     if not groups:
         raise ConfigError("groups: the asymptote command needs at least one group")
     trunc = run["trunc"]
@@ -324,29 +332,28 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
         for spec in groups:
             r = rhs_group(tv, spec, trunc)
             entry = {"group": spec.name,
-                     "rhs": {"value": _f17(r.value), "tail": _f17(r.tail)}}
+                     "rhs": {"value": format_float(r.value),
+                             "tail": format_float(r.tail)}}
             n = spec.is_gl()
             if n is not None and n <= DOMINANCE_MAX_RANK:
-                entry["dominance"] = dominance_check(tv, n, trunc).to_json_dict()
+                entry["dominance"] = dominance_check(tv, n, trunc)
             entries.append(entry)
         report["tv"] = tv.to_json_dict()
         report["tv_bound"] = format_rational(bound)
         report["tv_feasible"] = bound <= 1
         report["groups"] = entries
         if tv.groups:
-            d_bound = _integer(cfg["tv"].get("d_bound", 1), "tv.d_bound")
             general = rhs_general(tv.groups, tv.q, d_bound)
-            report["general"] = {"value": _f17(general.value),
+            report["general"] = {"value": format_float(general.value),
                                  "weight_envelope_ok": general.envelope_ok,
                                  "d_bound": d_bound}
     if family:
         fam_reports = []
         for spec in groups:
             try:
-                rep = convergence_report(family, spec, trunc)
+                fam_reports.append(convergence_report(family, spec, trunc))
             except Exception as e:
                 raise ConfigError(f"family x groups[{spec.name}]: {e}") from e
-            fam_reports.append(rep.to_json_dict())
         report["family"] = fam_reports
     return report
 

@@ -41,8 +41,9 @@ independent routes compute the semistable mass M^ss(n, d):
   :func:`semistable_mass` runs both and raises RouteMismatchError when
   they differ.
 
-Every mass is built as one integer numerator and one integer denominator.
-The GL_n totals and both routes' masses are memoized per (n, zeta data);
+Every mass is built as one integer numerator and one integer denominator
+and returned as a ``Fraction``; :func:`mass_bun` raises ValueError on a
+negative total.  The GL_n totals and both routes' masses are memoized per (n, zeta data);
 masses are invariant under d -> d + n (twisting by a degree-1 line bundle).
 """
 
@@ -53,24 +54,12 @@ import functools
 import math
 from fractions import Fraction
 
-from .arith import Record
 from .groups import GroupSpec, builtin_group
 from .zeta import ZetaData, class_number, special_value_parts
 
 
 class RouteMismatchError(ArithmeticError):
     """The Zagier and HN routes gave different semistable masses."""
-
-
-class MassValue(Record):
-    """An exact stacky point count together with what it counts."""
-
-    value: Fraction
-    context: tuple
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"negative mass {self.value} for {self.context}")
 
 
 def compositions(n: int):
@@ -82,8 +71,9 @@ def compositions(n: int):
             yield (first,) + rest
 
 
-def mass_bun(spec: GroupSpec, z: ZetaData) -> MassValue:
-    """Total mass of the trivial-bundle component for a split group."""
+def mass_bun(spec: GroupSpec, z: ZetaData) -> Fraction:
+    """Total mass of the trivial-bundle component for a split group;
+    ValueError if it comes out negative."""
     q, g = z.q, z.g
     c1 = spec.degrees.count(1)
     # rho = h q^(1-g) / (q - 1): its q-powers join the (g-1) dim G ones
@@ -93,12 +83,14 @@ def mass_bun(spec: GroupSpec, z: ZetaData) -> MassValue:
         a, b = special_value_parts(z, d)
         num, den = num * a, den * b
     e = (g - 1) * (spec.dim - c1)
-    return MassValue(Fraction(num * q ** max(e, 0), den * q ** max(-e, 0)),
-                     (spec, z))
+    mass = Fraction(num * q ** max(e, 0), den * q ** max(-e, 0))
+    if mass < 0:
+        raise ValueError(f"{spec.name}: negative mass {mass}")
+    return mass
 
 
 @functools.cache
-def mass_gl_component(n: int, z: ZetaData) -> MassValue:
+def mass_gl_component(n: int, z: ZetaData) -> Fraction:
     """Mass of one connected component of the GL_n moduli stack (tau = 1).
 
     Independent of the component's degree: twisting by a line bundle of
@@ -106,15 +98,15 @@ def mass_gl_component(n: int, z: ZetaData) -> MassValue:
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    return MassValue(mass_bun(builtin_group("GL", n), z).value, ((n, None), z))
+    return mass_bun(builtin_group("GL", n), z)
 
 
-def zagier_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
+def zagier_ss_mass(n: int, d: int, z: ZetaData) -> Fraction:
     """Semistable mass of the degree-d component of the GL_n stack, by the
     closed-form composition sum."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    return MassValue(_zagier_masses(n, z)[d % n], ((n, d), z))
+    return _zagier_masses(n, z)[d % n]
 
 
 @functools.cache
@@ -129,7 +121,7 @@ def _zagier_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
     per d over the lcm of the boundary products of its prefixes.
     """
     q, g = z.q, z.g
-    vals = [mass_gl_component(m, z).value for m in range(1, n + 1)]
+    vals = [mass_gl_component(m, z) for m in range(1, n + 1)]
     lcm = math.lcm(*(v.denominator for v in vals))
     # over lcm^n q^(3 n n), part m after s brings M(m) lcm^m and q to its
     # exponent plus 3 n m, which is nonnegative
@@ -154,27 +146,27 @@ def _zagier_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
         for d in range(n))
 
 
-def hn_ss_mass(n: int, d: int, z: ZetaData) -> MassValue:
+def hn_ss_mass(n: int, d: int, z: ZetaData) -> Fraction:
     """Semistable mass of the degree-d component of the GL_n stack, by
     solving the slope-stratification identity (exact; no truncation)."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    return MassValue(_hn_masses(n, z)[d % n], ((n, d), z))
+    return _hn_masses(n, z)[d % n]
 
 
-def semistable_mass(n: int, d: int, z: ZetaData) -> MassValue:
+def semistable_mass(n: int, d: int, z: ZetaData) -> Fraction:
     """M^ss(n, d) by both routes; RouteMismatchError if they differ."""
     zg, hn = zagier_ss_mass(n, d, z), hn_ss_mass(n, d, z)
-    if zg.value != hn.value:
-        raise RouteMismatchError(f"M^ss({n}, {d}) is {zg.value} by Zagier "
-                                 f"but {hn.value} by HN")
+    if zg != hn:
+        raise RouteMismatchError(f"M^ss({n}, {d}) is {zg} by Zagier "
+                                 f"but {hn} by HN")
     return zg
 
 
 @functools.cache
 def _hn_masses(n: int, z: ZetaData) -> tuple[Fraction, ...]:
     """(M^ss(n, 0), ..., M^ss(n, n - 1)) from the stratification identity."""
-    total = mass_gl_component(n, z).value
+    total = mass_gl_component(n, z)
     if n == 1:
         return (total,)
     out = tuple(total - strata for strata in _hn_strata_sums(n, z))

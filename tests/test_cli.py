@@ -319,16 +319,57 @@ def test_non_integer_group_or_tv_field_rejected(tmp_path, capsys, groups, tv,
     assert err.startswith(f"error: {where}: {message}"), err
 
 
-def test_mass_route_mismatch_fails(config_path, monkeypatch, capsys):
-    from bunzeta import cli
-    from bunzeta.mass import MassValue, RouteMismatchError
+TV_ROW = {"deg": 1, "gamma": "1", "L": "3/4"}
 
-    from bunzeta import mass
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("zeta", {"curves": [{"name": "X", "kind": "hyperelliptic", "p": 2,
+                          "h": [1]}]}, "curves[X]: missing key 'f'"),
+    ("zeta", {"curves": [{"name": "X", "p": 2}]},
+     "curves[X]: missing key 'kind'"),
+    ("asymptote", {"groups": [{"family": "GL"}]},
+     "groups[0]: missing key 'n'"),
+    ("asymptote", {"groups": [{"family": "Gm", "n": 1},
+                              {"name": "G2", "dim": 14}]},
+     "groups[1]: missing key 'degrees'"),
+    ("asymptote", {"tv": dict(TV_GENERAL, groups=[{"gamma": "1", "L": "1"}])},
+     "tv.groups[0]: missing key 'deg'"),
+    ("asymptote", {"tv": dict(TV_GENERAL, groups=[TV_ROW, {"deg": 2,
+                                                           "gamma": "1"}])},
+     "tv.groups[1]: missing key 'L'"),
+], ids=["curve-f", "curve-kind", "group-n", "group-degrees", "tv-deg",
+        "tv-L"])
+def test_missing_required_key_named(tmp_path, capsys, command, cfg, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "curves": [], **cfg}))
+    assert run_cli([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("tv,message", [
+    (dict(TV_GENERAL, d_bound=0), "tv.d_bound: must be >= 1"),
+    ({"q": 4, "beta": {}, "d_bound": -3}, "tv.d_bound: must be >= 1"),
+    (dict(TV_GENERAL, groups=[dict(TV_ROW, L="0")]),
+     "tv: groups[0]: L must be > 0, got 0"),
+    (dict(TV_GENERAL, groups=[TV_ROW, dict(TV_ROW, deg=2, L="-3/4")]),
+     "tv: groups[1]: L must be > 0, got -3/4"),
+], ids=["d_bound-zero", "d_bound-without-groups", "L-zero", "L-negative"])
+def test_tv_value_out_of_range_named(tmp_path, capsys, tv, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, curves=[], tv=tv)))
+    assert run_cli(["asymptote", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_mass_route_mismatch_fails(config_path, monkeypatch, capsys):
+    from bunzeta import cli, mass
+    from bunzeta.mass import RouteMismatchError
 
     hn = mass.hn_ss_mass
 
     def skewed(n, d, z):
-        return MassValue(hn(n, d, z).value + (d == 1), ((n, d), z))
+        return hn(n, d, z) + (d == 1)
 
     monkeypatch.setattr(mass, "hn_ss_mass", skewed)
     run = {"trunc": 4, "budget": 1 << 20, "format": "json", "out": None}

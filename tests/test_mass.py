@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bunzeta import mass
 from bunzeta.groups import FAMILIES, builtin_group
 from bunzeta.mass import (
-    MassValue,
     compositions,
     hn_ss_mass,
     mass_bun,
@@ -58,16 +57,16 @@ def p1_sl2_split_bundle_mass(q):
 
 def test_mass_bun_p1_oracles(zeta_catalog):
     zp2 = zeta_catalog["P1/F2"]
-    assert mass_bun(builtin_group("Gm", 1), zp2).value == 1
-    assert mass_bun(builtin_group("GL", 2), zp2).value == Fraction(1, 3)
-    assert mass_bun(builtin_group("GL", 2), zp2).value == \
+    assert mass_bun(builtin_group("Gm", 1), zp2) == 1
+    assert mass_bun(builtin_group("GL", 2), zp2) == Fraction(1, 3)
+    assert mass_bun(builtin_group("GL", 2), zp2) == \
         p1_rank2_split_bundle_mass(2)
-    assert mass_bun(builtin_group("SL", 2), zp2).value == \
+    assert mass_bun(builtin_group("SL", 2), zp2) == \
         p1_sl2_split_bundle_mass(2) == Fraction(1, 3)
     zp3 = zeta_catalog["P1/F3"]
-    assert mass_bun(builtin_group("GL", 2), zp3).value == \
+    assert mass_bun(builtin_group("GL", 2), zp3) == \
         p1_rank2_split_bundle_mass(3)
-    assert mass_bun(builtin_group("SL", 2), zp3).value == \
+    assert mass_bun(builtin_group("SL", 2), zp3) == \
         p1_sl2_split_bundle_mass(3)
 
 
@@ -75,7 +74,7 @@ def test_gm_mass_is_pic0_weighted_count(zeta_catalog):
     # Pic^0 has h points, each with automorphism group F_q^*
     for key, z in zeta_catalog.items():
         expected = Fraction(class_number(z), z.q - 1)
-        got = mass_bun(builtin_group("Gm", 1), z).value
+        got = mass_bun(builtin_group("Gm", 1), z)
         assert got == expected == quasi_residue(z) * Fraction(z.q) ** (z.g - 1)
 
 
@@ -108,35 +107,35 @@ def test_mass_bun_matches_fraction_oracle(zeta_catalog, genus6_zeta,
     for family, n in BUILTIN_SPECS:
         spec = builtin_group(family, n, tamagawa)
         for z in zetas:
-            assert mass_bun(spec, z).value == mass_bun_oracle(spec, z), \
+            assert mass_bun(spec, z) == mass_bun_oracle(spec, z), \
                 (spec.name, z)
 
 
 def test_mass_gl_component_pinned(zeta_catalog):
-    assert mass_gl_component(1, zeta_catalog["P1/F2"]).value == 1
-    assert mass_gl_component(1, zeta_catalog["E1"]).value == 3
-    assert mass_gl_component(2, zeta_catalog["P1/F2"]).value == Fraction(1, 3)
+    assert mass_gl_component(1, zeta_catalog["P1/F2"]) == 1
+    assert mass_gl_component(1, zeta_catalog["E1"]) == 3
+    assert mass_gl_component(2, zeta_catalog["P1/F2"]) == Fraction(1, 3)
 
 
 def test_mass_gl_component_matches_mass_bun(zeta_catalog):
     for z in zeta_catalog.values():
         for n in (1, 2, 3):
-            assert mass_gl_component(n, z).value == \
-                mass_bun(builtin_group("GL", n), z).value
+            assert mass_gl_component(n, z) == \
+                mass_bun(builtin_group("GL", n), z)
 
 
 def test_zagier_pinned(zeta_catalog):
     zp2 = zeta_catalog["P1/F2"]
-    assert zagier_ss_mass(1, 5, zp2).value == mass_gl_component(1, zp2).value
-    assert zagier_ss_mass(2, 0, zp2).value == Fraction(1, 6)
-    assert zagier_ss_mass(2, 1, zp2).value == 0
+    assert zagier_ss_mass(1, 5, zp2) == mass_gl_component(1, zp2)
+    assert zagier_ss_mass(2, 0, zp2) == Fraction(1, 6)
+    assert zagier_ss_mass(2, 1, zp2) == 0
 
 
 def test_hn_pinned(zeta_catalog):
     zp2 = zeta_catalog["P1/F2"]
-    assert hn_ss_mass(1, 3, zp2).value == mass_gl_component(1, zp2).value
-    assert hn_ss_mass(2, 0, zp2).value == Fraction(1, 6)
-    assert hn_ss_mass(2, 1, zp2).value == 0
+    assert hn_ss_mass(1, 3, zp2) == mass_gl_component(1, zp2)
+    assert hn_ss_mass(2, 0, zp2) == Fraction(1, 6)
+    assert hn_ss_mass(2, 1, zp2) == 0
 
 
 def test_hn_stratum_structure_p1():
@@ -151,7 +150,7 @@ def test_semistable_matches_split_bundle_oracle(zeta_catalog):
     for key, q in (("P1/F2", 2), ("P1/F3", 3)):
         z = zeta_catalog[key]
         for d in (0, 1):
-            assert zagier_ss_mass(2, d, z).value == p1_rank2_semistable_mass(q, d)
+            assert zagier_ss_mass(2, d, z) == p1_rank2_semistable_mass(q, d)
 
 
 def _zagier_per_d(n, d, z):
@@ -171,7 +170,7 @@ def _zagier_per_d(n, d, z):
         assert num % n == 0
         term = Fraction(q) ** ((g - 1) * cross + num // n) / denom
         for part in comp:
-            term *= mass_gl_component(part, z).value
+            term *= mass_gl_component(part, z)
         total += term
     return total
 
@@ -179,7 +178,7 @@ def _zagier_per_d(n, d, z):
 @functools.cache
 def _transfer_hn_masses(n, z):
     """Oracle: M^ss(n, 0..n-1) by the residue-class transfer below."""
-    total = mass_gl_component(n, z).value
+    total = mass_gl_component(n, z)
     if n == 1:
         return (total,)
     return tuple(total - strata for strata in _transfer_strata_sums(n, z))
@@ -234,7 +233,7 @@ def _transfer_part_factor(n_i, r, coeff, z):
 @functools.cache
 def _composition_hn_masses(n, z):
     """Oracle: M^ss(n, 0..n-1) by the per-composition sum below."""
-    total = mass_gl_component(n, z).value
+    total = mass_gl_component(n, z)
     if n == 1:
         return (total,)
     return tuple(total - strata for strata in _composition_strata_sums(n, z))
@@ -326,10 +325,10 @@ def test_integer_routes_match_fraction_oracles(zeta_catalog, genus6_zeta,
 def test_zagier_equals_hn_exactly(zeta_catalog):
     for key, z in zeta_catalog.items():
         for n in range(1, 17 if key == "E1" else 9):
-            total = mass_gl_component(n, z).value
+            total = mass_gl_component(n, z)
             for d in range(n):
-                a = zagier_ss_mass(n, d, z).value
-                b = hn_ss_mass(n, d, z).value
+                a = zagier_ss_mass(n, d, z)
+                b = hn_ss_mass(n, d, z)
                 assert a == b, (z.q, z.g, n, d)
                 assert 0 <= a <= total
 
@@ -353,18 +352,18 @@ def test_zagier_equals_hn_on_random_curves(q, raw1, raw2):
         assume(False)
     for n in range(2, 8):
         for d in range(n):
-            assert zagier_ss_mass(n, d, z).value == hn_ss_mass(n, d, z).value
+            assert zagier_ss_mass(n, d, z) == hn_ss_mass(n, d, z)
 
 
 def test_periodicity_in_degree(zeta_catalog):
     for z in (zeta_catalog["P1/F2"], zeta_catalog["E1"]):
         for n in (2, 3):
             for d in range(n):
-                assert zagier_ss_mass(n, d, z).value == \
-                    zagier_ss_mass(n, d + n, z).value == \
-                    zagier_ss_mass(n, d - n, z).value
-                assert hn_ss_mass(n, d, z).value == \
-                    hn_ss_mass(n, d + n, z).value
+                assert zagier_ss_mass(n, d, z) == \
+                    zagier_ss_mass(n, d + n, z) == \
+                    zagier_ss_mass(n, d - n, z)
+                assert hn_ss_mass(n, d, z) == \
+                    hn_ss_mass(n, d + n, z)
 
 
 def test_coprime_type_on_elliptic_curves_counts_stable_bundles():
@@ -376,8 +375,8 @@ def test_coprime_type_on_elliptic_curves_counts_stable_bundles():
         z = zeta_from_counts(q, 1, [n1])
         h = class_number(z)
         for n, d in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)]:
-            assert hn_ss_mass(n, d, z).value == Fraction(h, q - 1), (q, n1, n, d)
-            assert zagier_ss_mass(n, d, z).value == Fraction(h, q - 1)
+            assert hn_ss_mass(n, d, z) == Fraction(h, q - 1), (q, n1, n, d)
+            assert zagier_ss_mass(n, d, z) == Fraction(h, q - 1)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -385,16 +384,16 @@ def test_trivial_component_on_p1(zeta_catalog, n):
     # on the projective line only O(a)^n is semistable: mass 1/|GL_n(F_q)|
     # in degree 0 and 0 in degrees not divisible by n
     zp2 = zeta_catalog["P1/F2"]
-    assert hn_ss_mass(n, 0, zp2).value == \
+    assert hn_ss_mass(n, 0, zp2) == \
         Fraction(1, group_order(builtin_group("GL", n), 2))
     for d in range(1, n):
-        assert hn_ss_mass(n, d, zp2).value == 0
-        assert zagier_ss_mass(n, d, zp2).value == 0
+        assert hn_ss_mass(n, d, zp2) == 0
+        assert zagier_ss_mass(n, d, zp2) == 0
 
 
 def test_hn_rejects_mass_outside_total(zeta_catalog, monkeypatch):
     z = zeta_catalog["E1"]
-    total = mass_gl_component(2, z).value
+    total = mass_gl_component(2, z)
     monkeypatch.setattr(mass, "_hn_strata_sums",
                         lambda n, z: [2 * total] * n)
     mass._hn_masses.cache_clear()  # a failed call caches nothing
@@ -406,7 +405,7 @@ def test_tamagawa_scaling(zeta_catalog):
     z = zeta_catalog["E1"]
     doubled = builtin_group("Sp", 2, tamagawa=Fraction(2))
     single = builtin_group("Sp", 2)
-    assert mass_bun(doubled, z).value == 2 * mass_bun(single, z).value
+    assert mass_bun(doubled, z) == 2 * mass_bun(single, z)
 
 
 def test_compositions_enumeration():
@@ -415,9 +414,13 @@ def test_compositions_enumeration():
     assert list(compositions(0)) == [()]
 
 
-def test_mass_value_rejects_negative(zeta_catalog):
-    with pytest.raises(ValueError):
-        MassValue(Fraction(-1), ((1, 0), zeta_catalog["P1/F2"]))
+def test_mass_bun_rejects_negative(zeta_catalog, monkeypatch):
+    # a negative special value stands for a defect upstream of the product
+    monkeypatch.setattr(mass, "special_value_parts", lambda z, d: (-1, 1))
+    with pytest.raises(ValueError, match="SL2: negative mass -"):
+        mass_bun(builtin_group("SL", 2), zeta_catalog["E1"])
+    # Gm has no degree >= 2, so no special value enters its mass
+    assert mass_bun(builtin_group("Gm", 1), zeta_catalog["E1"]) == 3
 
 
 def test_invalid_rank_rejected(zeta_catalog):

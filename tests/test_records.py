@@ -1,19 +1,14 @@
-"""The contract of the frozen value types built on ``arith.Record``."""
+"""The contract of the frozen value types built on ``arith.Record``: the
+validated values ``ZetaData``, ``GroupSpec`` and ``TVData``, and a plain
+subclass that checks the base class alone."""
 
 from fractions import Fraction
 
 import pytest
 
 from bunzeta.arith import Record
-from bunzeta.asymptotics import (
-    ConvergenceReport,
-    DominanceResult,
-    DominanceRow,
-    ReportRow,
-    TVData,
-)
+from bunzeta.asymptotics import TVData
 from bunzeta.groups import GroupSpec
-from bunzeta.mass import MassValue
 from bunzeta.zeta import ZetaData
 
 
@@ -29,32 +24,13 @@ def _tv():
     return TVData(q=4, beta=((2, Fraction(1, 3)), (1, 1)))
 
 
-def _dominance():
-    rows = (DominanceRow((2,), 1.5), DominanceRow((1, 1), 1.0))
-    return DominanceResult(rows, True)
-
-
 # each class with its field names in order and a factory of one valid value
 CASES = {
     ZetaData: (("q", "g", "a"), lambda: ZetaData(q=2, g=1, a=(1, 2, 2))),
     PlainRecord: (("q", "g", "B"), lambda: PlainRecord(2, 1, (5, 2))),
     GroupSpec: (("name", "dim", "degrees", "tamagawa"),
                 lambda: GroupSpec("GL2", 4, (2, 1))),
-    MassValue: (("value", "context"),
-                lambda: MassValue(Fraction(1, 2), ((2, 0), "E1"))),
     TVData: (("q", "beta", "groups"), _tv),
-    DominanceRow: (("composition", "exponent"),
-                   lambda: DominanceRow((1, 1), 1.0)),
-    DominanceResult: (("rows", "dominant"), _dominance),
-    ReportRow: (("index", "genus", "lhs", "gap", "ss_lhs", "ss_gap"),
-                lambda: ReportRow(0, 1, 2.5, 0.5, ss_lhs=2.0)),
-    ConvergenceReport: (
-        ("q", "group", "rows", "rhs_value", "rhs_tail", "tv",
-         "tv_bound_value", "tv_feasible", "member_quotients", "dominance",
-         "note"),
-        lambda: ConvergenceReport(
-            4, GroupSpec("Gm", 1, (1,)), (ReportRow(0, 1, 2.5, 0.5),), 2.0,
-            0.0, _tv(), Fraction(1), True, ((1, "1/2"),), _dominance())),
 }
 CLASSES = list(CASES)
 
@@ -95,8 +71,8 @@ def test_frozen(cls):
 
 @pytest.mark.parametrize("a, b", [
     (ZetaData(2, 1, (1, 2, 2)), PlainRecord(2, 1, (1, 2, 2))),
-    (DominanceRow((1,), 1.0), ((1,), 1.0)),
-], ids=["ZetaData-PlainRecord", "DominanceRow-tuple"])
+    (GroupSpec("Gm", 1, (1,)), ("Gm", 1, (1,), Fraction(1))),
+], ids=["ZetaData-PlainRecord", "GroupSpec-tuple"])
 def test_equal_only_within_a_class(a, b):
     assert a != b and b != a and not a == b
 
@@ -115,9 +91,6 @@ def test_arguments_checked():
 def test_defaults_and_validation():
     assert GroupSpec("GL2", 4, (1, 2)).tamagawa == Fraction(1)
     assert TVData(q=4, beta=()).groups is None
-    row = ReportRow(0, 1, 2.5, 0.5)
-    assert (row.ss_lhs, row.ss_gap) == (None, None)
-    assert CASES[ConvergenceReport][1]().note.startswith("finite-genus data")
     with pytest.raises(ValueError, match="dim must be positive"):
         GroupSpec("bad", 0, ())
 

@@ -139,3 +139,20 @@ def test_count_admissibility_decided_once():
                and n.module == "zeta"
                and "checked_counts" in {a.name for a in n.names}
                for n in curves.body)
+
+
+def test_every_record_subclass_validates():
+    # a Record is a validated value: a class that checks nothing on
+    # construction is a plain dict or tuple in disguise
+    src = pathlib.Path(bunzeta.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "Record"
+                    for b in node.bases):
+                methods = {n.name for n in node.body
+                           if isinstance(n, ast.FunctionDef)}
+                found.append((node.name, "__post_init__" in methods))
+    assert sorted(found) == [("GroupSpec", True), ("TVData", True),
+                             ("ZetaData", True)]
