@@ -39,8 +39,8 @@ DEFAULT_ENUM_BUDGET = 1 << 26
 # 2-core Intel Xeon.  Beyond it fields fall back to the ``_pc_*`` helpers on
 # digit polynomials over the base field, about 250 times slower per element
 # scanned, so no scan on tables runs there (``CurveModel._check_scan``
-# refuses it); the fallback serves moduli, table builds and the hyperelliptic
-# gcd certificate.  The bit-sliced count of hyperelliptic models over F_2
+# refuses it); the fallback serves moduli, table builds and the gcd
+# certificates.  The bit-sliced count of hyperelliptic models over F_2
 # builds no tables, and only the budget binds it.
 _TABLE_MAX_ORDER = 1 << 20
 
@@ -136,7 +136,10 @@ def parse_rational(s) -> Fraction:
     if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s.strip())
+        try:
+            return Fraction(s.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     raise ValueError(f"cannot parse rational from {s!r}")
 
 
@@ -286,6 +289,26 @@ def _pc_mod(B, a, mod):
             if mi:
                 a[k - dm + i] = B.sub_c(a[k - dm + i], B.mul_c(c, mi))
     return _pc_trim(a[:dm])
+
+
+def _pc_quo(B, a, b):
+    """Quotient of a by a nonzero polynomial b, the remainder dropped.
+
+    It repeats the loop of ``_pc_mod``, which stays apart because it is the
+    hot step of modulus searches and table-less field products: keeping the
+    quotient there costs about 8% a call.
+    """
+    a = list(a)
+    db = len(b) - 1
+    inv = B.inv_c(b[-1])
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        if a[k]:
+            quo[k - db] = c = B.mul_c(a[k], inv)
+            for i, bi in enumerate(b[:db]):
+                if bi:
+                    a[k - db + i] = B.sub_c(a[k - db + i], B.mul_c(c, bi))
+    return _pc_trim(quo)
 
 
 def _pc_mulmod(B, a, b, mod):

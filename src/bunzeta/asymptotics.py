@@ -97,6 +97,14 @@ def ln_lower(q: int, tol: Fraction = Fraction(1, 1 << 60)) -> Fraction:
     return 2 * acc
 
 
+def _rational(value, where: str) -> Fraction:
+    """``parse_rational(value)``, with ``where`` before its error."""
+    try:
+        return parse_rational(value)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
 class TVData(Record):
     """Per-degree limit densities of closed points along a family.
 
@@ -112,16 +120,18 @@ class TVData(Record):
     groups: tuple[tuple[int, Fraction, Fraction], ...] | None = None
 
     def __post_init__(self):
+        # an error starts with the path of its value in the JSON ``tv``
+        # section: q, beta.m, groups[i].L
         if not is_prime_power(self.q):
-            raise ValueError(f"q = {self.q} is not a prime power")
+            raise ValueError(f"q: must be a prime power, got {self.q}")
         seen = set()
         for m, b in self.beta:
             if m < 1:
-                raise ValueError(f"degree {m} < 1 in beta")
+                raise ValueError(f"beta.{m}: degree must be >= 1")
             if m in seen:
-                raise ValueError(f"duplicate degree {m} in beta")
+                raise ValueError(f"beta.{m}: duplicate degree")
             if b < 0:
-                raise ValueError(f"beta_{m} = {b} < 0")
+                raise ValueError(f"beta.{m}: must be >= 0, got {b}")
             seen.add(m)
         object.__setattr__(
             self, "beta", tuple(sorted((m, Fraction(b)) for m, b in self.beta)))
@@ -130,7 +140,7 @@ class TVData(Record):
                            for r, gam, L in self.groups)
             for i, (_, _, L) in enumerate(groups):
                 if L <= 0:
-                    raise ValueError(f"groups[{i}]: L must be > 0, got {L}")
+                    raise ValueError(f"groups[{i}].L: must be > 0, got {L}")
             object.__setattr__(self, "groups", groups)
 
     @classmethod
@@ -139,12 +149,13 @@ class TVData(Record):
             if type(m) is not int and not (
                     isinstance(m, str) and m.isascii() and m.isdigit()):
                 raise ValueError(f"beta: key {m!r}: expected decimal digits")
-        beta = tuple((int(m), parse_rational(b)) for m, b in beta_map.items()
-                     if parse_rational(b) != 0)
+        beta = tuple((int(m), b) for m, v in beta_map.items()
+                     if (b := _rational(v, f"beta.{m}")))
         gs = None
         if groups is not None:
             gs = tuple((parse_integer(e["deg"], f"groups[{i}].deg"),
-                        parse_rational(e["gamma"]), parse_rational(e["L"]))
+                        _rational(e["gamma"], f"groups[{i}].gamma"),
+                        _rational(e["L"], f"groups[{i}].L"))
                        for i, e in enumerate(groups))
         return cls(q=q, beta=beta, groups=gs)
 

@@ -184,7 +184,7 @@ def build_tv(cfg: dict) -> tuple[TVData, int] | None:
     try:
         return TVData.from_map(q, beta, groups), d_bound
     except (ValueError, TypeError) as e:
-        raise ConfigError(f"tv: {e}") from e
+        raise ConfigError(f"tv.{e}") from e
 
 
 def _run_config(cfg: dict, opts: dict) -> dict:

@@ -12,22 +12,47 @@ points at infinity of the smooth projective model:
 
 Counting is deterministic.  Hyperelliptic models get an exact smoothness
 certificate, a gcd of polynomials on the affine chart and the same
-criterion on the chart at infinity.  Plane models are counted and
-certified on univariate slices of F and its partials, F(x, Y, 1) for each
-x in F_(q^m) and F(X, 1, 0): a slice P has deg gcd(P, Y^Q - Y) roots in
-F_Q, and a common root of the four slices is a singular point.  Slices for
-m <= D = d(d-1)/2 are a complete certificate: a reduced curve has <= D
-singular points (genus formula plus Bezout), so each Frobenius orbit of
-them has <= D; a non-reduced one is singular at a point of degree <= d/2.
+criterion on the chart at infinity.  Plane models are counted on
+univariate slices of F, F(x, Y, 1) for each x in F_(q^m) and F(X, 1, 0):
+a slice P has deg gcd(P, Y^Q - Y) roots in F_Q.
 
-Every per-x kernel on a tabled field (the hyperelliptic count, the plane
-count and the plane certificate) visits one x per orbit of the Frobenius
-x -> x^q on F_(q^m), the first in code order, and weights it by the orbit
-size.  This is exact: h, f and the plane columns have coefficients in
-F_q, so the data at x^q is the Frobenius image of the data at x, and
-Frobenius, an automorphism of F_(q^m), preserves root counts and common
-roots.  The certificate's witness does not move either: the first
-singular x in code order is the first element of its orbit.
+Plane models are certified by elimination over F_q, with no field
+scanned.  On z = 0 the gcd of the slices at (X, 1, 0) of F and its
+partials has the singular X as its roots, and (1:0:0) is looked at
+directly.  On z = 1 a point is singular iff F = F_x = F_y = 0 there, as
+Euler's identity x F_x + y F_y + z F_z = d F gives F_z = 0.  Take a and b
+in F_q[x][Y] of Y-degrees r, s with r + s >= 1.  The rows of their
+Sylvester matrix hold the coefficients of Y^i a (i < s) and Y^j b
+(j < r), so a common zero (x0, y0) puts (1, y0, ..., y0^(r+s-1)) in the
+kernel of the matrix at x0, and Res_Y(a, b)(x0) = 0.  This holds where a
+leading coefficient vanishes at x0 as well.  A Y-free a = c(x) vanishes
+at x0 itself, and Res_Y(c, b) = c^s has the same roots, so c stands for
+itself; for F_x = d x^(d-1) of the Fermat curve that is x^(d-1).  The
+eliminant R is the gcd of these polynomials for the pairs (F_x, F_y),
+(F, F_y) and (F, F_x), and every singular x0 is a root of R:
+
+* R a nonzero constant: z = 1 has no singular point.
+* R = 0: F has positive Y-degree, and each of F_y, F_x is 0 or shares
+  with F an irreducible factor of positive Y-degree (F_y = 0 when every
+  power of y in F is a multiple of p).  If one factor H of F of positive
+  Y-degree divides both, as a repeated component does, every point of
+  H = 0 on z = 1 is singular, and there are infinitely many.  Otherwise
+  F_y and F_x share distinct components of F, which meet (Bezout) in a
+  singular point, on z = 1 since z = 0 passed.
+* Otherwise R is split by its distinct-degree factorization, and the
+  slices of F, F_y, F_x and F_z are tested at the roots of each part at
+  once (``PlaneCurve._singular_above``): over x0 they have a common
+  zero iff their gcd is 0 or not constant.
+
+Only a singular model is scanned, for its witness: the first (m, x, y) in
+code order over the smallest F_(q^m) that holds one, with x a root of R.
+
+Every per-x kernel on a tabled field (the hyperelliptic count and the
+plane count) visits one x per orbit of the Frobenius x -> x^q on F_(q^m),
+the first in code order, and weights it by the orbit size.  This is
+exact: h, f and the plane columns have coefficients in F_q, so the data
+at x^q is the Frobenius image of the data at x, and Frobenius, an
+automorphism of F_(q^m), preserves root counts.
 
 Hyperelliptic models over the prime field F_2 are counted without tables,
 on every x at once.  Over x with h(x) = c != 0, y = c z turns
@@ -44,8 +69,9 @@ is 2^m + #{h(x) != 0} - 2 #{Tr(f(x)/h(x)^2) = 1}: for h = 1 that is
 A scan of F_(q^m) is charged its q^m elements against the budget, and a
 scan on tables also against the 2^20 table limit; the bit-sliced count is
 charged against the budget alone.  Each stage has one gate:
-``CurveModel.counts(k)`` checks F_(q^k) before N_1, the plane certificate
-F_(q^D) before F_q, and the witness search each field before it scans it.
+``CurveModel.counts(k)`` checks F_(q^k) before N_1, and a witness search
+each field before it scans it; a certificate that passes is charged
+nothing.
 ``CurveModel.zeta`` is the one zeta entry point of a model: it asks
 ``counts`` for N_1..N_g, and for the guard N_(g+1) when asked to, so the
 guard's field is gated before N_1, and ``zeta_from_counts`` checks the
@@ -56,6 +82,8 @@ N_m is nonnegative and lies in its Weil interval.
 
 from __future__ import annotations
 
+import itertools
+
 from .arith import (
     _TABLE_MAX_ORDER,
     DEFAULT_ENUM_BUDGET,
@@ -65,8 +93,10 @@ from .arith import (
     _pc_deriv,
     _pc_eval,
     _pc_gcd,
+    _pc_mod,
     _pc_mul,
     _pc_powmod,
+    _pc_quo,
     _pc_sub,
     _pc_trim,
 )
@@ -122,6 +152,72 @@ def _common_factor(B: FiniteField, polys):
         if len(G) == 1:
             break
     return G
+
+
+def _resultant(B: FiniteField, a, b):
+    """Res_Y(a, b), up to a sign, of polynomials in Y of Y-degree >= 1 whose
+    coefficients are code polynomials in x over B: the determinant of their
+    Sylvester matrix by fraction-free (Bareiss) elimination, in which every
+    division is exact."""
+    da, db = len(a) - 1, len(b) - 1
+    n = da + db
+    rows = [[[]] * i + list(a) + [[]] * (db - 1 - i) for i in range(db)] + \
+        [[[]] * i + list(b) + [[]] * (da - 1 - i) for i in range(da)]
+    prev = [1]
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return []
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                v = _pc_sub(B, _pc_mul(B, top[k], row[j]),
+                            _pc_mul(B, lead, top[j]))
+                row[j] = _pc_quo(B, v, prev) if k else v
+        prev = top[k]
+    return rows[-1][-1]
+
+
+def _eliminant(B: FiniteField, a, b):
+    """A code polynomial in x that vanishes at every x0 over which the
+    polynomials a and b in Y have a common zero (x0, y0): Res_Y(a, b) when
+    both have Y-degree >= 1, else the gcd of the Y-free ones, the zero
+    polynomial included."""
+    free = [P[0] if P else [] for P in (a, b) if len(P) <= 1]
+    return _common_factor(B, free) if free else _resultant(B, a, b)
+
+
+class _NonUnit(ArithmeticError):
+    """A gcd over a _RootAlgebra met a leading coefficient, ``args[0]``,
+    that is a zero divisor."""
+
+
+class _RootAlgebra(FiniteField):
+    """B[x]/(M), for M squarefree with irreducible factors of degrees
+    dividing k: one field F_q[x]/(P) inside F_(q^k) per factor P, in which
+    x is a root of P.
+
+    Its arithmetic is that of a FiniteField on digit polynomials mod M, so
+    the code-polynomial routines run over it unchanged.  A Euclidean step
+    inverts a leading coefficient, and ``inv_c`` raises _NonUnit for a
+    nonzero code that is not a unit: a^(q^k - 1) is 1 at exactly the
+    factors where a is not 0.
+    """
+
+    def __init__(self, B: FiniteField, M, k: int):
+        n = len(M) - 1
+        super().__init__(_char=B.char, _order=B.order ** n,
+                         _degree=B.degree * n, _base=B, _rel_degree=n,
+                         _modulus=tuple(M))
+        self._unit_order = B.order ** k - 1
+
+    def inv_c(self, a: int) -> int:
+        inv = self.pow_c(a, self._unit_order - 1)
+        if self.mul_c(a, inv) != 1:
+            raise _NonUnit(a)
+        return inv
 
 
 # The bit-sliced count runs x through F_(2^m) in blocks of 2^_BLOCK_BITS
@@ -294,8 +390,8 @@ class CurveModel:
     def scan_field(self, m: int, budget: int, stage: str) -> FiniteField:
         """F_(q^m) with its tables, for a stage that scans its elements.
 
-        Every scan (a count, the plane certificate, a witness search) gets
-        its field here, through the one gate ``_check_scan``.
+        Every scan (a count or a witness search) gets its field here,
+        through the one gate ``_check_scan``.
         """
         self._check_scan(m, budget, stage)
         E = FiniteField.extension(self.base, m)
@@ -523,10 +619,16 @@ class PlaneCurve(CurveModel):
         # slice at z = 1 is the derivative of F's, the likeliest coprime pair
         forms = [(degree, self.monomials)] + \
             [(degree - 1, self._derive(axis)) for axis in (1, 0, 2)]
-        # at z = 1: the coefficient of Y^j, a polynomial in x, for each j
-        self._columns = [[_pc_trim([form.get((i, j, e - i - j), 0)
-                                    for i in range(e - j + 1)])
-                          for j in range(e + 1)] for e, form in forms]
+        # at z = 1: the coefficient of Y^j, a polynomial in x, for each j up
+        # to the Y-degree
+        self._columns = []
+        for e, form in forms:
+            columns = [_pc_trim([form.get((i, j, e - i - j), 0)
+                                 for i in range(e - j + 1)])
+                       for j in range(e + 1)]
+            while columns and not columns[-1]:
+                columns.pop()
+            self._columns.append(columns)
         # at z = 0: the polynomial F(X, 1, 0), and the value at (1:0:0)
         self._line = [_pc_trim([form.get((i, e - i, 0), 0) for i in range(e + 1)])
                       for e, form in forms]
@@ -554,25 +656,72 @@ class PlaneCurve(CurveModel):
 
     def _check_smooth(self, budget: int) -> None:
         """On z = 0, one gcd over the base field decides every (X:1:0), and
-        (1:0:0) is looked at directly; on z = 1, x runs over one element of
-        each Frobenius orbit of F_(q^m), m <= D."""
+        (1:0:0) is looked at directly; on z = 1, the eliminant R decides
+        (see the module docstring).  Only a singular model pays for a scan:
+        the witness search."""
         G = _common_factor(self.base, self._line)
         if len(G) != 1:  # G = 0: every point of z = 0 is singular
             raise SingularModelError(self.name,
                                      self._first_root(G, budget) + (1, 0))
         if not any(self._corner):
             raise SingularModelError(self.name, (1, 1, 0, 0))
-        D = self.degree * (self.degree - 1) // 2
-        # the largest field is gated first, so no scan starts that cannot
-        # end; each field is built only once the smaller ones hold no witness
-        self._check_scan(D, budget, "smoothness certificate")
-        for m in range(1, D + 1):
+        B = self.base
+        F, F_y, F_x = self._columns[:3]
+        R = _common_factor(B, (_eliminant(B, a, b) for a, b in
+                               ((F_x, F_y), (F, F_y), (F, F_x))))
+        if len(R) == 1 or (R and not self._singular_above(R)):
+            return
+        raise SingularModelError(self.name, self._affine_witness(R, budget))
+
+    def _singular_above(self, R) -> bool:
+        """Whether a root of R carries a singular point of z = 1.
+
+        Distinct-degree factorization splits R: S starts at R, and for
+        k = 1, 2, ... the part M = gcd(S, x^(q^k) - x), squarefree with
+        factors of degrees dividing k, is divided out of S.  Over B[x]/(M)
+        the slices have coefficients in a product of fields, one per
+        factor, and a Euclidean gcd whose leading coefficients are units
+        runs in every field at once, with the same degrees.  A lead that is
+        a zero divisor splits M into the factors where it is 0 and those
+        where it is not, and each part is tried again.
+        """
+        B, parts = self.base, []
+        S, h, k = R, [0, 1], 0
+        while len(S) > 1:
+            k += 1
+            h = _pc_powmod(B, h, self.q, S)
+            M = _pc_gcd(B, S, _pc_sub(B, h, [0, 1]))
+            if len(M) > 1:
+                parts.append((M, k))
+                S = _pc_quo(B, S, M)
+        while parts:
+            M, k = parts.pop()
+            A = _RootAlgebra(B, M, k)
+            try:
+                G = _common_factor(A, (
+                    _pc_trim([A.encode(_pc_mod(B, c, M)) for c in columns])
+                    for columns in self._columns))
+            except _NonUnit as e:
+                zero = _pc_gcd(B, M, _pc_trim(list(A.decode(e.args[0]))))
+                parts += [(zero, k), (_pc_quo(B, M, zero), k)]
+                continue
+            if len(G) != 1:  # G = 0: every y over each root is singular
+                return True
+        return False
+
+    def _affine_witness(self, R, budget: int):
+        """The first singular (m, x, y, 1) in code order over the smallest
+        F_(q^m) that has one; x runs over the roots of R (every x for
+        R = 0), and each field is gated before it is scanned."""
+        for m in itertools.count(1):
             E = self.scan_field(m, budget, "smoothness certificate")
-            for x, _ in _frobenius_orbits(E, self.q):
+            for x in range(E.order):
+                if R and _pc_eval(E, R, x):
+                    continue
                 G = _common_factor(E, (self._slice(E, columns, x)
                                        for columns in self._columns))
                 if len(G) != 1 and (y := _first_root_in(E, G)) is not None:
-                    raise SingularModelError(self.name, (m, x, y, 1))
+                    return m, x, y, 1
 
     def _count(self, m: int, E: FiniteField) -> int:
         """Roots of F(x, Y, 1) for every x, roots of F(X, 1, 0), and the

@@ -89,7 +89,7 @@ def test_tvdata_validation():
     with pytest.raises(ValueError):
         TVData(q=4, beta=((1, Fraction(1)), (1, Fraction(2))))
     for L in (Fraction(0), Fraction(-3, 4)):
-        with pytest.raises(ValueError, match=r"groups\[1\]: L must be > 0"):
+        with pytest.raises(ValueError, match=r"groups\[1\]\.L: must be > 0"):
             TVData(q=4, beta=(), groups=((1, 1, Fraction(1, 2)), (2, 1, L)))
 
 

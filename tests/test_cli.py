@@ -263,6 +263,7 @@ def test_non_integer_run_field_rejected(tmp_path, capsys, key, value):
     assert f"{key}: expected an integer" in capsys.readouterr().err
 
 
+TV_ROW = {"deg": 1, "gamma": "1", "L": "3/4"}
 TV_GENERAL = {"q": 4, "beta": {"1": "1"},
               "groups": [{"deg": 1, "gamma": "1", "L": "3/4"}], "d_bound": 2}
 
@@ -285,7 +286,7 @@ NOT_DIGITS = "expected decimal digits"
     (None, dict(TV_GENERAL, q=4.7), "tv.q", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, q="4"), "tv.q", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, groups=[{"deg": 1.5, "gamma": "1", "L": "3/4"}]),
-     "tv: groups[0].deg", NOT_AN_INTEGER),
+     "tv.groups[0].deg", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, d_bound=1.9), "tv.d_bound", NOT_AN_INTEGER),
     # bool is an int subclass, and int() reads "1_0" as 10
     ([{"family": "GL", "n": 2, "tamagawa": True}], None, "groups[0]",
@@ -293,21 +294,28 @@ NOT_DIGITS = "expected decimal digits"
     ([{"family": "Gm", "n": 1},
       {"name": "G2", "dim": 14, "degrees": [2, 6], "tamagawa": True}], None,
      "groups[1]", NOT_A_RATIONAL),
-    (None, dict(TV_GENERAL, beta={"1": True}), "tv", NOT_A_RATIONAL),
+    ([{"family": "GL", "n": 2, "tamagawa": "1/0"}], None, "groups[0]",
+     "zero denominator in '1/0'"),
+    (None, dict(TV_GENERAL, beta={"1": True}), "tv.beta.1", NOT_A_RATIONAL),
     (None, dict(TV_GENERAL, groups=[{"deg": 1, "gamma": True, "L": "3/4"}]),
-     "tv", NOT_A_RATIONAL),
-    (None, dict(TV_GENERAL, groups=[{"deg": 1, "gamma": "1", "L": False}]),
-     "tv", NOT_A_RATIONAL),
-    (None, dict(TV_GENERAL, beta={"1_0": "1"}), "tv: beta: key '1_0'",
+     "tv.groups[0].gamma", NOT_A_RATIONAL),
+    (None, dict(TV_GENERAL, groups=[TV_ROW, {"deg": 2, "gamma": "1",
+                                             "L": False}]),
+     "tv.groups[1].L", NOT_A_RATIONAL),
+    (None, dict(TV_GENERAL, beta={"2": "1/0"}), "tv.beta.2",
+     "zero denominator in '1/0'"),
+    (None, dict(TV_GENERAL, beta={"1_0": "1"}), "tv.beta: key '1_0'",
      NOT_DIGITS),
-    (None, dict(TV_GENERAL, beta={" 1": "1"}), "tv: beta: key ' 1'",
+    (None, dict(TV_GENERAL, beta={" 1": "1"}), "tv.beta: key ' 1'",
      NOT_DIGITS),
-    (None, dict(TV_GENERAL, beta={"1.0": "1"}), "tv: beta: key '1.0'",
+    (None, dict(TV_GENERAL, beta={"1.0": "1"}), "tv.beta: key '1.0'",
      NOT_DIGITS),
 ], ids=["float-n", "bool-n", "float-dim", "string-degree", "number-degrees",
         "float-q", "string-q", "float-deg", "float-d_bound", "bool-tamagawa",
-        "bool-raw-tamagawa", "bool-beta", "bool-gamma", "bool-L",
-        "underscore-key", "space-key", "decimal-point-key"])
+        "bool-raw-tamagawa", "zero-denominator-tamagawa", "bool-beta",
+        "bool-gamma", "bool-L",
+        "zero-denominator-beta", "underscore-key", "space-key",
+        "decimal-point-key"])
 def test_non_integer_group_or_tv_field_rejected(tmp_path, capsys, groups, tv,
                                                 where, message):
     cfg = {"schema": 1, "groups": groups or [{"family": "Gm", "n": 1}],
@@ -317,9 +325,6 @@ def test_non_integer_group_or_tv_field_rejected(tmp_path, capsys, groups, tv,
     assert run_cli(["asymptote", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: {message}"), err
-
-
-TV_ROW = {"deg": 1, "gamma": "1", "L": "3/4"}
 
 
 @pytest.mark.parametrize("command,cfg,message", [
@@ -350,10 +355,17 @@ def test_missing_required_key_named(tmp_path, capsys, command, cfg, message):
     (dict(TV_GENERAL, d_bound=0), "tv.d_bound: must be >= 1"),
     ({"q": 4, "beta": {}, "d_bound": -3}, "tv.d_bound: must be >= 1"),
     (dict(TV_GENERAL, groups=[dict(TV_ROW, L="0")]),
-     "tv: groups[0]: L must be > 0, got 0"),
+     "tv.groups[0].L: must be > 0, got 0"),
     (dict(TV_GENERAL, groups=[TV_ROW, dict(TV_ROW, deg=2, L="-3/4")]),
-     "tv: groups[1]: L must be > 0, got -3/4"),
-], ids=["d_bound-zero", "d_bound-without-groups", "L-zero", "L-negative"])
+     "tv.groups[1].L: must be > 0, got -3/4"),
+    (dict(TV_GENERAL, q=6), "tv.q: must be a prime power, got 6"),
+    (dict(TV_GENERAL, beta={"1": "-1"}), "tv.beta.1: must be >= 0, got -1"),
+    (dict(TV_GENERAL, beta={"0": "1"}), "tv.beta.0: degree must be >= 1"),
+    (dict(TV_GENERAL, beta={"1": "1", "01": "2"}),
+     "tv.beta.1: duplicate degree"),
+], ids=["d_bound-zero", "d_bound-without-groups", "L-zero", "L-negative",
+        "q-not-prime-power", "beta-negative", "beta-degree-zero",
+        "beta-duplicate-degree"])
 def test_tv_value_out_of_range_named(tmp_path, capsys, tv, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, curves=[], tv=tv)))

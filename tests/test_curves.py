@@ -188,13 +188,44 @@ def plane_enumerated_count(model, m):
                for _, pw in projective_points(E, model.degree))
 
 
-def random_plane_models(seed, n):
-    """Forms over F_2 and F_3 of degree 1..3, each monomial present with
-    probability 1/2 and a random nonzero coefficient."""
+def plane_scan_oracle(model):
+    """Oracle (the former production certificate): the first singular point
+    in the certificate's order, or None.
+
+    Points (X:1:0) over F_(q^m), m <= d, and then (1:0:0) are tested one by
+    one; a singular X is a root of F(X, 1, 0), of degree <= d, unless every
+    X is.  On z = 1, x runs over one element of each Frobenius orbit of
+    F_(q^m), m <= D = d(d-1)/2, and y over the roots in F_(q^m) of the gcd
+    of the slices at x.  D is complete: a reduced curve has <= D singular
+    points (genus formula and Bezout), so an orbit of them has <= D, and a
+    non-reduced one is singular at a point of degree <= d/2.
+    """
+    d = model.degree
+    for m in range(1, d + 1):
+        E = tabled_field(model.base, m)
+        for x in range(E.order):
+            if plane_singular_at(model, E, (x, 1, 0)):
+                return m, x, 1, 0
+    if plane_singular_at(model, model.base, (1, 0, 0)):
+        return 1, 1, 0, 0
+    for m in range(1, d * (d - 1) // 2 + 1):
+        E = tabled_field(model.base, m)
+        for x, _ in _frobenius_orbits(E, model.q):
+            G = curves._common_factor(E, (model._slice(E, columns, x)
+                                          for columns in model._columns))
+            if len(G) != 1 and (y := curves._first_root_in(E, G)) is not None:
+                return m, x, y, 1
+    return None
+
+
+def random_plane_models(seed, n, fields=(2, 3), degrees=(1, 2, 3)):
+    """Forms over the prime fields F_p, p in ``fields``, of a degree in
+    ``degrees``, each monomial present with probability 1/2 and a random
+    nonzero coefficient."""
     rng = random.Random(seed)
     out = []
     while len(out) < n:
-        p, d = rng.choice((2, 3)), rng.choice((1, 2, 3))
+        p, d = rng.choice(fields), rng.choice(degrees)
         entries = [(i, j, d - i - j, rng.randrange(1, p))
                    for i in range(d + 1) for j in range(d + 1 - i)
                    if rng.random() < 0.5]
@@ -221,6 +252,40 @@ NORM_QUINTIC = [(0, 0, 5, 1), (0, 3, 2, 1), (0, 5, 0, 1), (1, 1, 3, 1),
 # the norm of a line over F_8: three conjugate singular points of degree 3
 NORM_CUBIC = [(3, 0, 0, 1), (2, 1, 0, 1), (2, 0, 1, 1), (1, 1, 1, 1),
               (0, 3, 0, 1), (0, 2, 1, 1), (0, 0, 3, 1)]
+
+
+def fermat(d):
+    return [(d, 0, 0, 1), (0, d, 0, 1), (0, 0, d, 1)]
+
+
+# (p, degree, entries) of forms whose eliminant R on z = 1 degenerates
+DEGENERATE_FORMS = {
+    # F_y = 0: forms in y^2 over F_2, so Res_Y(F, F_y) = 0; R is F_x where
+    # it is Y-free (the quartic) and Res_Y(F, F_x) where not (the quintic)
+    "y2-quartic": (2, 4, [(0, 4, 0, 1), (1, 0, 3, 1), (2, 0, 2, 1),
+                          (3, 0, 1, 1), (4, 0, 0, 1)]),
+    "y2-quintic": (2, 5, [(0, 4, 1, 1), (1, 2, 2, 1), (5, 0, 0, 1),
+                          (0, 0, 5, 1), (2, 0, 3, 1)]),
+    # (x^2 + yz)^2: the conic divides F and its partials, so R = 0; it
+    # meets z = 0, where its singular points are found first
+    "squared-conic/F3": (3, 4, [(4, 0, 0, 1), (2, 1, 1, 2), (0, 2, 2, 1)]),
+    "squared-conic/F5": (5, 4, [(4, 0, 0, 1), (2, 1, 1, 2), (0, 2, 2, 1)]),
+    # the leading Y-coefficient of F is a multiple of x, and x divides R:
+    # smooth over F_3 and F_5, and singular over F_27 above x = 0
+    "lc-root/F3": (3, 5, [(0, 1, 4, 2), (0, 2, 3, 1), (0, 3, 2, 1),
+                          (1, 2, 2, 2), (1, 3, 1, 1), (1, 4, 0, 2),
+                          (2, 0, 3, 1), (4, 0, 1, 2)]),
+    "lc-root/F5": (5, 4, [(0, 1, 3, 1), (0, 2, 2, 3), (1, 1, 2, 3),
+                          (1, 3, 0, 2), (2, 0, 2, 3), (2, 2, 0, 3),
+                          (3, 0, 1, 1), (4, 0, 0, 2)]),
+    "lc-root-singular/F3": (3, 4, [(1, 0, 3, 2), (1, 2, 1, 1), (1, 3, 0, 2),
+                                   (2, 0, 2, 1), (2, 2, 0, 2), (3, 1, 0, 2),
+                                   (4, 0, 0, 2)]),
+    "norm-quintic/F2": (2, 5, NORM_QUINTIC),
+    # Fermat: F_x = d x^(d-1) is Y-free; x^d + y^d + z^d is (x + y + z)^d
+    # when p = d, and smooth otherwise
+    **{f"fermat{d}/F{p}": (p, d, fermat(d)) for p in (2, 3, 5) for d in (4, 5)},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -659,16 +724,17 @@ def test_f2_count_charged_against_the_budget_alone(F2, count_log):
 
 
 def test_plane_certificate_above_table_limit_refused_fast():
-    # the Fermat sextic over F_5 needs slices over F_(5^m), m <= D = 15
-    # (5^9 > 2^20); the certificate refuses F_(5^15) before it scans F_5
-    model = PlaneCurve.from_list(
-        FiniteField.prime(5), [(6, 0, 0, 1), (0, 6, 0, 1), (0, 0, 6, 1)],
-        6, name="fermat6")
+    # the Fermat sextic over F_5 (g = 10) is certified smooth with no field
+    # scanned; its point counts are held to the table limit, and counts(11)
+    # is refused before N_1 is counted
+    model = PlaneCurve.from_list(FiniteField.prime(5), fermat(6), 6,
+                                 name="fermat6")
     start = time.perf_counter()
+    model.validate()
     with pytest.raises(BudgetExceededError,
-                       match=r"smoothness certificate for fermat6 over "
-                             r"GF\(5\^15\) .* exceeds the table limit"):
-        model.validate()
+                       match=r"point count for fermat6 over GF\(5\^11\) .* "
+                             r"exceeds the table limit"):
+        model.counts(11)
     assert time.perf_counter() - start < 1.0
 
 
@@ -705,46 +771,50 @@ def test_curve_over_extension_base_field(curve_catalog):
     assert e4.count_points(1) == brute_affine_solutions(e4, 1) + 1
 
 
-def test_klein_smoothness_certificate_is_complete(F2, monkeypatch):
-    # slices at x in F_(2^m), m <= d(d-1)/2 = 6, certify a plane quartic
-    degrees = []
-    extension = FiniteField.extension.__func__
+def test_klein_certificate_builds_no_field(F2, monkeypatch):
+    # R = gcd(Res_Y(F_x, F_y), Res_Y(F, F_y)) = gcd(x^7 + 1, x^2) = 1
+    def refused(*args, **kw):
+        raise AssertionError("validate() built a field or a table")
 
-    def recorded(cls, base, m):
-        degrees.append(m)
-        return extension(cls, base, m)
-
-    monkeypatch.setattr(FiniteField, "extension", classmethod(recorded))
+    monkeypatch.setattr(FiniteField, "extension", classmethod(refused))
+    monkeypatch.setattr(FiniteField, "build_tables", refused)
     PlaneCurve.from_list(F2, KLEIN, 4, name="klein-cert").validate()
-    assert max(degrees) == 6
 
 
 def test_plane_certificate_budget_names_model(F2):
-    model = PlaneCurve.from_list(F2, KLEIN, 4, name="klein-budget")
-    with pytest.raises(BudgetExceededError, match="smoothness certificate "
-                                                  "for klein-budget"):
-        model.validate(budget=32)
+    # the quintic's singular points lie over F_32: the witness search scans
+    # F_2..F_16 and is refused at F_32
+    model = PlaneCurve.from_list(F2, NORM_QUINTIC, 5, name="norm-budget")
+    with pytest.raises(BudgetExceededError, match=r"smoothness certificate "
+                                                  r"for norm-budget over "
+                                                  r"GF\(2\^5\)"):
+        model.validate(budget=16)
 
 
 def test_plane_certificate_agrees_with_scan_oracle():
-    # the scan runs to the Bezout bound (d-1)^2 >= d(d-1)/2
-    models = random_plane_models(2026, 320) + random_quartics(2026, 4)
+    # degree-5 forms over F_5 are left out: the oracle would scan F_(5^10),
+    # above the table limit
+    models = random_plane_models(2026, 320) + random_quartics(2026, 4) + \
+        random_plane_models(2026, 24, (2, 3, 5), (4,)) + \
+        random_plane_models(2026, 8, (2, 3), (5,)) + \
+        [PlaneCurve.from_list(FiniteField.prime(p), entries, d, name=name)
+         for name, (p, d, entries) in DEGENERATE_FORMS.items()]
     singular = 0
     for model in models:
-        d = model.degree
-        oracle = plane_scan_verdict(model, (d - 1) ** 2)
-        cert = certificate_verdict(model)
-        assert (oracle is None) == (cert is None), (model.name, oracle, cert)
+        oracle, cert = plane_scan_oracle(model), certificate_verdict(model)
+        assert oracle == cert, (model.name, oracle, cert)
         if cert is None:
             for m in (1, 2, 3):
                 assert model.count_points(m) == \
                     plane_enumerated_count(model, m), (model.name, m)
             # `zeta` enumerates only to N_(g+1); the kernel beyond that is
-            # held to the counts P(T) regenerates, to N_(2g+2)
+            # held to the counts P(T) regenerates, to N_(2g+2), where that
+            # field is small
             g = model.genus()
-            counts = [model.count_points(m) for m in range(1, 2 * g + 3)]
-            z = zeta_from_counts(model.q, g, counts[:g])
-            assert counts == regenerate_counts(z, 2 * g + 2), model.name
+            if model.q ** (2 * g + 2) <= 1 << 14:
+                counts = [model.count_points(m) for m in range(1, 2 * g + 3)]
+                z = zeta_from_counts(model.q, g, counts[:g])
+                assert counts == regenerate_counts(z, 2 * g + 2), model.name
         else:
             singular += 1
             E = FiniteField.extension(model.base, cert[0])
