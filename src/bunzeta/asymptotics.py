@@ -97,14 +97,6 @@ def ln_lower(q: int, tol: Fraction = Fraction(1, 1 << 60)) -> Fraction:
     return 2 * acc
 
 
-def _rational(value, where: str) -> Fraction:
-    """``parse_rational(value)``, with ``where`` before its error."""
-    try:
-        return parse_rational(value)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
-
-
 class TVData(Record):
     """Per-degree limit densities of closed points along a family.
 
@@ -150,12 +142,12 @@ class TVData(Record):
                     isinstance(m, str) and m.isascii() and m.isdigit()):
                 raise ValueError(f"beta: key {m!r}: expected decimal digits")
         beta = tuple((int(m), b) for m, v in beta_map.items()
-                     if (b := _rational(v, f"beta.{m}")))
+                     if (b := parse_rational(v, f"beta.{m}")))
         gs = None
         if groups is not None:
             gs = tuple((parse_integer(e["deg"], f"groups[{i}].deg"),
-                        _rational(e["gamma"], f"groups[{i}].gamma"),
-                        _rational(e["L"], f"groups[{i}].L"))
+                        parse_rational(e["gamma"], f"groups[{i}].gamma"),
+                        parse_rational(e["L"], f"groups[{i}].L"))
                        for i, e in enumerate(groups))
         return cls(q=q, beta=beta, groups=gs)
 

@@ -157,11 +157,11 @@ def build_groups(cfg: dict) -> list[GroupSpec]:
     out = []
     for i, entry in enumerate(_entries(cfg, "groups")):
         try:
-            out.append(group_spec_from_json(entry))
+            out.append(group_spec_from_json(entry, f"groups[{i}]"))
         except KeyError as e:
             raise ConfigError(f"groups[{i}]: missing key {e}") from e
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"groups[{i}]: {e}") from e
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     return out
 
 

@@ -48,11 +48,22 @@ Only a singular model is scanned, for its witness: the first (m, x, y) in
 code order over the smallest F_(q^m) that holds one, with x a root of R.
 
 Every per-x kernel on a tabled field (the hyperelliptic count and the
-plane count) visits one x per orbit of the Frobenius x -> x^q on F_(q^m),
-the first in code order, and weights it by the orbit size.  This is
-exact: h, f and the plane columns have coefficients in F_q, so the data
-at x^q is the Frobenius image of the data at x, and Frobenius, an
-automorphism of F_(q^m), preserves root counts.
+plane count) visits one x per orbit of the Frobenius x -> x^q on F_(q^m)
+and weights it by the orbit size.  This is exact: h, f and the plane
+columns have coefficients in F_q, so the data at x^q is the Frobenius
+image of the data at x, and Frobenius, an automorphism of F_(q^m),
+preserves root counts.  The orbits are read off the discrete logs: x = 0
+is one, and x = g^k goes to g^(kq), so the others are the cyclotomic
+cosets of k mod q^m - 1, whose least members are generated directly
+(``_cyclotomic_cosets``), with no field power per element.
+
+In odd characteristic y^2 + h(x) y = f(x) has 1 + chi(F(x)) roots y,
+with F = h^2 + 4f and chi the quadratic character, so the affine count is
+q^m + sum_x chi(F(x)), and it is computed on logs
+(``HyperellipticCurve._log_affine_count``): the term c_i x^i of F at
+x = g^k is g^(log c_i + ik), the terms are summed by Zech logarithms (by
+codes mod p over a prime field), and chi(g^a) = (-1)^a, the parity of the
+log.  No code of F(x) is formed, and no Euler power is taken.
 
 Hyperelliptic models over the prime field F_2 are counted without tables,
 on every x at once.  Over x with h(x) = c != 0, y = c z turns
@@ -63,8 +74,9 @@ in that kernel, since Tr(z^2) = Tr(z), and both have index 2).  So x has
 one root, as squaring is a bijection.  With the codes of F_(2^m) as bit
 vectors over F_2, every F_2-coordinate of h(x), f(x) and their quotient is
 one Python int with one bit per x (``_SlicedField``), and the affine count
-is 2^m + #{h(x) != 0} - 2 #{Tr(f(x)/h(x)^2) = 1}: for h = 1 that is
-2 (2^m - #{Tr f(x) = 1}).
+is 2^m + #{h(x) != 0} - 2 #{Tr(f(x)/h(x)^2) = 1}.  For h = 1, the
+Artin-Schreier form, that is 2 (2^m - #{Tr f(x) = 1}), and the count
+evaluates f alone and computes no inverse.
 
 A scan of F_(q^m) is charged its q^m elements against the budget, and a
 scan on tables also against the 2^20 table limit; the bit-sliced count is
@@ -116,19 +128,50 @@ def _coeff(cs, k: int) -> int:
     return cs[k] if k < len(cs) else 0
 
 
-def _frobenius_orbits(E: FiniteField, q: int):
-    """(x, orbit size) for the first x in code order of each orbit of
-    x -> x^q on E."""
-    seen = bytearray(E.order)
-    for x in range(E.order):
-        if seen[x]:
-            continue
-        size, y = 0, x
-        while not seen[y]:
-            seen[y] = 1
-            size += 1
-            y = E.pow_c(y, q)
-        yield x, size
+def _cyclotomic_cosets(q: int, m: int):
+    """(k, size) for the least k of each orbit of k -> kq mod n on [0, n),
+    n = q^m - 1, in increasing order of k.
+
+    With g a generator of F_(q^m), these orbits are the logs of the orbits
+    of x -> x^q on the nonzero x = g^k.  Multiplying by q rotates the m
+    base-q digits of k, so the least k of an orbit is a necklace, a digit
+    string least among its rotations, and its orbit size is the period of
+    the string.  The necklaces come from the FKM algorithm (Fredricksen,
+    Kessler and Maiorana; Ruskey, Savage and Wang, J. Algorithms 13, 1992):
+    it steps through the prenecklaces in lexicographic order, and a[1..m]
+    with longest Lyndon prefix a[1..p] is a necklace iff p divides m.  The
+    work is constant per prenecklace on average, and there are about
+    qn/((q - 1) m) of them, where a walk of the orbits touches every k.
+    The last necklace, all digits q - 1, is k = n, the same x as k = 0, and
+    is left out.
+    """
+    n = q ** m - 1
+    a = [0] * (m + 1)  # the digits a[1..m], most significant first
+    v = [0] * (m + 1)  # v[t]: the value of a[1..t]
+    p = 1
+    while True:
+        if m % p == 0 and v[m] != n:
+            yield v[m], p
+        j = m
+        while a[j] == q - 1:
+            j -= 1
+        if not j:
+            return
+        a[j] += 1
+        v[j] = v[j - 1] * q + a[j]
+        for t in range(j + 1, m + 1):
+            a[t] = a[t - j]
+            v[t] = v[t - 1] * q + a[t]
+        p = j
+
+
+def _orbit_reps(E: FiniteField, q: int, m: int):
+    """(x, orbit size) for one x of each orbit of x -> x^q on a tabled
+    E = F_(q^m): x = 0, and g^k for each cyclotomic coset of k."""
+    yield 0, 1
+    exp = E._exp
+    for k, size in _cyclotomic_cosets(q, m):
+        yield exp[k], size
 
 
 def _first_root_in(E: FiniteField, cs):
@@ -531,7 +574,7 @@ class HyperellipticCurve(CurveModel):
             at_infinity = h_top == 0 and B.mul_c(f_next, f_next) == \
                 B.mul_c(B.mul_c(h_g, h_g), f_top)
         else:
-            F = _pc_add(B, _pc_mul(B, h, h), _pc_mul(B, [B.embed_int(4)], f))
+            F = self._discriminant()
             G = _pc_gcd(B, F, _pc_deriv(B, F))
             at_infinity = len(F) <= 2 * g + 1
         if len(G) != 1:  # G = 0 makes every x a root
@@ -564,17 +607,55 @@ class HyperellipticCurve(CurveModel):
             # untabled: its modulus, and the two roots at infinity below
             E = FiniteField.extension(self.base, m)
             n = self._sliced_affine_count(E.modulus)
+        elif E.char == 2:
+            n = sum(size * E.quadratic_root_count(_pc_eval(E, self.h, x),
+                                                  _pc_eval(E, self.f, x))
+                    for x, size in _orbit_reps(E, self.q, m))
         else:
-            n = self._orbit_affine_count(E)
+            n = self._log_affine_count(E, m)
         g = self.genus()
         return n + E.quadratic_root_count(_coeff(self.h, g + 1),
                                           _coeff(self.f, 2 * g + 2))
 
-    def _orbit_affine_count(self, E: FiniteField) -> int:
-        """The affine count on a tabled E, one x per Frobenius orbit."""
-        return sum(size * E.quadratic_root_count(_pc_eval(E, self.h, x),
-                                                 _pc_eval(E, self.f, x))
-                   for x, size in _frobenius_orbits(E, self.q))
+    def _discriminant(self):
+        """F = h^2 + 4f, in odd characteristic."""
+        B, h = self.base, self.h
+        return _pc_add(B, _pc_mul(B, h, h),
+                       _pc_mul(B, [B.embed_int(4)], self.f))
+
+    def _log_affine_count(self, E: FiniteField, m: int) -> int:
+        """The affine count on a tabled E of odd characteristic,
+        Q + sum_x chi(F(x)), on discrete logs.
+
+        With F = sum c_i x^i, the term c_i x^i at x = g^k has the log
+        log c_i + ik, and the terms are summed on logs: g^a + g^b is
+        g^(a + zech[b - a]) in an extension, and the sum of the codes mod p
+        in a prime field.  chi(g^a) is (-1)^a, since the squares are the even
+        powers of g.  The sum runs over one k per cyclotomic coset, and x = 0
+        apart.
+        """
+        F = self._discriminant()
+        n, p = E.order - 1, E.char
+        exp, log, zech = E._exp, E._log, E._zech
+        terms = [(i, log[c]) for i, c in enumerate(F) if c]
+        total = E.order + (1 - 2 * (log[F[0]] & 1) if F[0] else 0)
+        for k, size in _cyclotomic_cosets(self.q, m):
+            if zech is None:
+                s = sum(exp[lc + i * k % n] for i, lc in terms) % p
+                a = log[s] if s else -1
+            else:
+                a = -1  # the log of the partial sum, -1 while it is 0
+                for i, lc in terms:
+                    t = (lc + i * k) % n
+                    if a < 0:
+                        a = t
+                    elif (z := zech[t - a]) < 0:
+                        a = -1
+                    else:
+                        a = (a + z) % n
+            if a >= 0:
+                total += -size if a & 1 else size
+        return total
 
     def _sliced_affine_count(self, modulus) -> int:
         """The affine count over F_2, on every x of a block at once: an x
@@ -582,12 +663,16 @@ class HyperellipticCurve(CurveModel):
         K = _SlicedField(modulus)
         count = 0
         for x, ones in K.blocks():
-            h, f = K.evaluate((self.h, self.f), x, ones)
-            nonzero = 0
-            for v in h:
-                nonzero |= v
-            # Tr(f/h^2) is 0 where h = 0, since there 1/h = 0
-            t = K.trace(K.mul(f, K.square(K.inverse(h))))
+            if self.h == (1,):  # Tr(f/h^2) = Tr(f): no inversion
+                f, = K.evaluate((self.f,), x, ones)
+                nonzero, t = ones, K.trace(f)
+            else:
+                h, f = K.evaluate((self.h, self.f), x, ones)
+                nonzero = 0
+                for v in h:
+                    nonzero |= v
+                # Tr(f/h^2) is 0 where h = 0, since there 1/h = 0
+                t = K.trace(K.mul(f, K.square(K.inverse(h))))
             codes = ones.bit_length()
             count += codes + nonzero.bit_count() - 2 * t.bit_count()
         return count
@@ -728,5 +813,5 @@ class PlaneCurve(CurveModel):
         point (1:0:0) when x^d has coefficient 0."""
         F = self._columns[0]
         n = sum(size * _root_count(E, self._slice(E, F, x))
-                for x, size in _frobenius_orbits(E, self.q))
+                for x, size in _orbit_reps(E, self.q, m))
         return n + _root_count(E, self._line[0]) + (self._corner[0] == 0)

@@ -106,20 +106,29 @@ def mass_ratio(spec: GroupSpec, q: int, r: int = 1) -> Fraction:
                     Q ** sum(spec.degrees))
 
 
-def group_spec_from_json(obj: dict) -> GroupSpec:
+def group_spec_from_json(obj: dict, where: str = "group") -> GroupSpec:
     """Build a GroupSpec from a config entry.
 
     Either ``{"family": "GL", "n": 2}`` (optional ``tamagawa``) or a raw
-    ``{"name", "dim", "degrees", "tamagawa"}`` spec.
+    ``{"name", "dim", "degrees", "tamagawa"}`` spec.  ``where`` names the
+    entry: an error about one value starts with its JSON path, as in
+    ``groups[0].n: expected an integer``, and any other error with
+    ``where``.
     """
     if "family" in obj:
-        return builtin_group(obj["family"], parse_integer(obj["n"], "n"),
-                             obj.get("tamagawa"))
-    if type(degrees := obj["degrees"]) is not list:
-        raise ValueError(f"degrees: expected an array, got {degrees!r}")
-    return GroupSpec(
-        name=str(obj["name"]),
-        dim=parse_integer(obj["dim"], "dim"),
-        degrees=tuple(parse_integer(d, "degrees") for d in degrees),
-        tamagawa=parse_rational(obj.get("tamagawa", 1)),
-    )
+        n = parse_integer(obj["n"], f"{where}.n")
+    else:
+        if type(degrees := obj["degrees"]) is not list:
+            raise ValueError(
+                f"{where}.degrees: expected an array, got {degrees!r}")
+        name = str(obj["name"])
+        dim = parse_integer(obj["dim"], f"{where}.dim")
+        degrees = tuple(parse_integer(d, f"{where}.degrees[{k}]")
+                        for k, d in enumerate(degrees))
+    tamagawa = parse_rational(obj.get("tamagawa", 1), f"{where}.tamagawa")
+    try:
+        if "family" in obj:
+            return builtin_group(obj["family"], n, tamagawa)
+        return GroupSpec(name, dim, degrees, tamagawa)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None

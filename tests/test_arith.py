@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bunzeta import arith
 from bunzeta.arith import (
     BudgetExceededError,
     FiniteField,
@@ -15,6 +16,7 @@ from bunzeta.arith import (
     _pc_eval,
     _pc_is_irreducible,
     _pc_mul,
+    _pc_powmod,
     _pc_sub,
     _pc_trim,
     divisors,
@@ -314,6 +316,80 @@ def test_zech_addition_sampled_in_f3_9(monkeypatch):
 
 def test_zech_addition_sampled_in_f3_11(monkeypatch):
     check_zech_addition_sampled(FiniteField.of_order(3, 11), monkeypatch, 11)
+
+
+# exponents below 2^19: a seeded a in F_(3^13) has order 797161 or twice
+# that (3^13 - 1 = 2 * 797161), so no partial power a^j, j > 1, equals a,
+# and a call with equal arguments is a squaring
+CHAIN_EXPONENTS = [1, 2, 3, 4, 7, 8, 243, 1000, (1 << 19) - 1, 1 << 18] + \
+    [random.Random(2032).getrandbits(19) for _ in range(4)]
+
+
+def chain_cost(e):
+    """(squarings, products) of a left-to-right chain for a^e."""
+    return e.bit_length() - 1, e.bit_count() - 1
+
+
+def test_pc_powmod_chain_cost_and_value(monkeypatch):
+    calls = []
+    mulmod = arith._pc_mulmod
+
+    def counted(B, a, b, mod):
+        calls.append(a is b)
+        return mulmod(B, a, b, mod)
+
+    monkeypatch.setattr(arith, "_pc_mulmod", counted)
+    rng = random.Random(2033)
+    B, p = FiniteField.prime(1009), 1009
+    F3 = FiniteField.prime(3)
+    F3_13 = FiniteField.of_order(3, 13)
+    for e in CHAIN_EXPONENTS:
+        # modulo x - c, a(x)^e is a(c)^e, an integer power mod p
+        a, c = [rng.randrange(p) for _ in range(4)], rng.randrange(p)
+        calls.clear()
+        assert _pc_powmod(B, a, e, [p - c, 1]) == \
+            _pc_trim([pow(_pc_eval(B, a, c), e, p)])
+        assert (calls.count(True), calls.count(False)) == chain_cost(e)
+        # modulo the modulus of F_(3^13), the digits of pow_c's power
+        x = rng.randrange(3, F3_13.order)
+        power = _pc_trim(list(F3_13.decode(F3_13.pow_c(x, e))))
+        calls.clear()
+        assert _pc_powmod(F3, list(F3_13.decode(x)), e, F3_13.modulus) == \
+            power
+        assert (calls.count(True), calls.count(False)) == chain_cost(e)
+    assert _pc_powmod(B, [5, 1], 0, [p - 2, 1]) == [1]
+
+
+def test_table_less_pow_c_chain_cost_and_value(monkeypatch):
+    big = FiniteField.prime(1000003)  # above the table limit
+    E = FiniteField.of_order(3, 13)
+    assert big._exp is None and E._exp is None
+    calls = []
+    mul_c = FiniteField.mul_c
+
+    def counted(self, a, b):
+        if self is E or self is big:
+            calls.append(a == b)
+        return mul_c(self, a, b)
+
+    monkeypatch.setattr(FiniteField, "mul_c", counted)
+    rng = random.Random(2034)
+    for e in CHAIN_EXPONENTS:
+        a = rng.randrange(2, big.order)
+        calls.clear()
+        assert big.pow_c(a, e) == pow(a, e, big.order)
+        assert (calls.count(True), calls.count(False)) == chain_cost(e)
+        x = rng.randrange(3, E.order)
+        calls.clear()
+        power = E.pow_c(x, e)
+        assert (calls.count(True), calls.count(False)) == chain_cost(e)
+        expected = 1  # right to left, one bit at a time
+        for k in range(e.bit_length()):
+            if e >> k & 1:
+                expected = mul_c(E, expected, x)
+            x = mul_c(E, x, x)
+        assert power == expected
+    assert E.pow_c(5, 0) == big.pow_c(5, 0) == 1
 
 
 def test_quadratic_root_counts_match_enumeration():

@@ -274,14 +274,14 @@ NOT_DIGITS = "expected decimal digits"
 
 
 @pytest.mark.parametrize("groups,tv,where,message", [
-    ([{"family": "GL", "n": 2.5}], None, "groups[0]: n", NOT_AN_INTEGER),
+    ([{"family": "GL", "n": 2.5}], None, "groups[0].n", NOT_AN_INTEGER),
     ([{"family": "Gm", "n": 1}, {"family": "GL", "n": True}], None,
-     "groups[1]: n", NOT_AN_INTEGER),
-    ([{"name": "G2", "dim": 14.0, "degrees": [2, 6]}], None, "groups[0]: dim",
+     "groups[1].n", NOT_AN_INTEGER),
+    ([{"name": "G2", "dim": 14.0, "degrees": [2, 6]}], None, "groups[0].dim",
      NOT_AN_INTEGER),
     ([{"name": "G2", "dim": 14, "degrees": [2, "6"]}], None,
-     "groups[0]: degrees", NOT_AN_INTEGER),
-    ([{"name": "G2", "dim": 14, "degrees": 2}], None, "groups[0]: degrees",
+     "groups[0].degrees[1]", NOT_AN_INTEGER),
+    ([{"name": "G2", "dim": 14, "degrees": 2}], None, "groups[0].degrees",
      "expected an array, got 2"),
     (None, dict(TV_GENERAL, q=4.7), "tv.q", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, q="4"), "tv.q", NOT_AN_INTEGER),
@@ -289,13 +289,13 @@ NOT_DIGITS = "expected decimal digits"
      "tv.groups[0].deg", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, d_bound=1.9), "tv.d_bound", NOT_AN_INTEGER),
     # bool is an int subclass, and int() reads "1_0" as 10
-    ([{"family": "GL", "n": 2, "tamagawa": True}], None, "groups[0]",
-     NOT_A_RATIONAL),
+    ([{"family": "GL", "n": 2, "tamagawa": True}], None,
+     "groups[0].tamagawa", NOT_A_RATIONAL),
     ([{"family": "Gm", "n": 1},
       {"name": "G2", "dim": 14, "degrees": [2, 6], "tamagawa": True}], None,
-     "groups[1]", NOT_A_RATIONAL),
-    ([{"family": "GL", "n": 2, "tamagawa": "1/0"}], None, "groups[0]",
-     "zero denominator in '1/0'"),
+     "groups[1].tamagawa", NOT_A_RATIONAL),
+    ([{"family": "GL", "n": 2, "tamagawa": "1/0"}], None,
+     "groups[0].tamagawa", "zero denominator in '1/0'"),
     (None, dict(TV_GENERAL, beta={"1": True}), "tv.beta.1", NOT_A_RATIONAL),
     (None, dict(TV_GENERAL, groups=[{"deg": 1, "gamma": True, "L": "3/4"}]),
      "tv.groups[0].gamma", NOT_A_RATIONAL),
@@ -372,6 +372,21 @@ def test_tv_value_out_of_range_named(tmp_path, capsys, tv, message):
     assert run_cli(["asymptote", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("groups,message", [
+    ([{"family": "GL", "n": 0}], "groups[0]: rank parameter must be positive"),
+    ([{"family": "Gm", "n": 1}, {"family": "E8", "n": 8}],
+     "groups[1]: unsupported family 'E8'"),
+    ([{"name": "G2", "dim": 0, "degrees": [2, 6]}],
+     "groups[0]: G2: dim must be positive"),
+], ids=["n-zero", "family", "dim-zero"])
+def test_group_value_out_of_range_named(tmp_path, capsys, groups, message):
+    # an error about the group as a whole names the entry, not a key
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, curves=[], groups=groups)))
+    assert run_cli(["asymptote", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_mass_route_mismatch_fails(config_path, monkeypatch, capsys):

@@ -7,20 +7,44 @@ import time
 import pytest
 
 from bunzeta import curves
-from bunzeta.arith import BudgetExceededError, FiniteField
+from bunzeta.arith import BudgetExceededError, FiniteField, _pc_eval
 from bunzeta.cli import build_curve
 from bunzeta.curves import (
     HyperellipticCurve,
     PlaneCurve,
     ProjectiveLine,
     SingularModelError,
-    _frobenius_orbits,
 )
 from bunzeta.zeta import (
     InconsistentCountsError,
     regenerate_counts,
     zeta_from_counts,
 )
+
+
+def _frobenius_orbits(E, q):
+    """Oracle (the former production orbit walk): (x, orbit size) for the
+    first x in code order of each orbit of x -> x^q on E, one field power
+    per element."""
+    seen = bytearray(E.order)
+    for x in range(E.order):
+        if seen[x]:
+            continue
+        size, y = 0, x
+        while not seen[y]:
+            seen[y] = 1
+            size += 1
+            y = E.pow_c(y, q)
+        yield x, size
+
+
+def orbit_affine_count(model, E):
+    """Oracle (the former production kernel): the affine count of a
+    hyperelliptic model over E, with h and f evaluated at one x per
+    Frobenius orbit and the roots in y counted by ``quadratic_root_count``."""
+    return sum(size * E.quadratic_root_count(_pc_eval(E, model.h, x),
+                                             _pc_eval(E, model.f, x))
+               for x, size in _frobenius_orbits(E, model.q))
 
 
 def _ev(E, cs, x):
@@ -367,12 +391,35 @@ def test_frobenius_orbits_partition_the_field(p, m, over):
     assert sum(size for _, size in orbits) == E.order
     assert all(m % size == 0 for _, size in orbits)
     assert len(orbits) == frobenius_orbit_count(q, m)
-    seen = set()
+    seen, partition = set(), set()
     for x, size in orbits:
         conjugates = {E.pow_c(x, q ** k) for k in range(m)}
         assert len(conjugates) == size and min(conjugates) == x
         assert not conjugates & seen
         seen |= conjugates
+        partition.add(frozenset(conjugates))
+    # the kernels' orbits, x = 0 and g^k over the cyclotomic cosets of k,
+    # are the same sets with the same sizes
+    reps = list(curves._orbit_reps(E, q, m))
+    assert {frozenset(E.pow_c(x, q ** k) for k in range(m))
+            for x, _ in reps} == partition
+    assert sorted(size for _, size in reps) == \
+        sorted(size for _, size in orbits)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 12), (3, 1), (3, 7), (4, 4),
+                                 (5, 5), (7, 2), (9, 3)])
+def test_cyclotomic_cosets_match_orbit_walk(q, m):
+    # every orbit of k -> kq mod n walked and marked, least k first
+    n = q ** m - 1
+    seen, walked = bytearray(n), []
+    for k in range(n):
+        if not seen[k]:
+            size, j = 0, k
+            while not seen[j]:
+                seen[j], size, j = 1, size + 1, j * q % n
+            walked.append((k, size))
+    assert list(curves._cyclotomic_cosets(q, m)) == walked
 
 
 @pytest.mark.parametrize("h,f", [([], [1, 1, 0, 0, 0, 1]),
@@ -388,19 +435,65 @@ def test_orbit_counts_match_pair_enumeration_over_f5(h, f):
 
 
 def test_count_evaluates_once_per_frobenius_orbit(F3, monkeypatch):
-    # h and f are evaluated at one x per orbit, never at every x
+    # F = h^2 + 4f is evaluated at x = 0 and at one x = g^k per cyclotomic
+    # coset of k, never at every x
     model = HyperellipticCurve.from_ints(F3, [], [0, 1, 0, 0, 0, 1])
     model.validate()
-    calls = []
-    evaluate = curves._pc_eval
+    reps = []
+    cosets = curves._cyclotomic_cosets
 
-    def counted(E, cs, x):
-        calls.append(x)
-        return evaluate(E, cs, x)
+    def recorded(q, m):
+        for k, size in cosets(q, m):
+            reps.append((k, size))
+            yield k, size
 
-    monkeypatch.setattr(curves, "_pc_eval", counted)
+    monkeypatch.setattr(curves, "_cyclotomic_cosets", recorded)
     model.count_points(6)
-    assert len(calls) == 2 * frobenius_orbit_count(3, 6) == 260
+    assert 1 + len(reps) == frobenius_orbit_count(3, 6) == 130
+    n = 3 ** 6 - 1
+    cosets = [{k * 3 ** i % n for i in range(6)} for k, _ in reps]
+    assert [len(c) for c in cosets] == [size for _, size in reps]
+    assert sorted(k for c in cosets for k in c) == list(range(n))
+
+
+def random_smooth_models(base, seed, h_degrees, genus=2):
+    """For each h degree (-1 for h = 0) and each deg f in {2g+1, 2g+2}, the
+    first smooth model with seeded random coefficients (codes of the base
+    field) and nonzero top coefficients."""
+    rng = random.Random(seed)
+    Q, g, out = base.order, genus, []
+    for deg_h in h_degrees:
+        for deg_f in (2 * g + 1, 2 * g + 2):
+            while True:
+                h = [rng.randrange(Q) for _ in range(deg_h)] + \
+                    [rng.randrange(1, Q)] if deg_h >= 0 else []
+                f = [rng.randrange(Q) for _ in range(deg_f)] + \
+                    [rng.randrange(1, Q)]
+                model = HyperellipticCurve(base, h, f, name=f"h={h} f={f}")
+                if certificate_verdict(model) is None:
+                    out.append(model)
+                    break
+    return out
+
+
+@pytest.mark.parametrize("p,e,top", [(3, 1, 6), (5, 1, 6), (7, 1, 6),
+                                     (3, 2, 5), (2, 2, 6)],
+                         ids=["F3", "F5", "F7", "F9", "F4"])
+def test_log_kernel_matches_orbit_oracle(p, e, top):
+    # odd characteristic counts on logs, and F_4 on the cosets, against the
+    # per-x kernel; h = 0, a constant h and h of degree 2, and deg f odd
+    # and even
+    base = FiniteField.of_order(p, e)
+    models = random_smooth_models(base, 2031 + base.order,
+                                  (0, 2) if p == 2 else (-1, 0, 2))
+    for model in models:
+        g = model.genus()
+        for m in range(1, top + 1):
+            E = tabled_field(base, m)
+            at_infinity = E.quadratic_root_count(
+                curves._coeff(model.h, g + 1), curves._coeff(model.f, 2 * g + 2))
+            assert model.count_points(m) == \
+                orbit_affine_count(model, E) + at_infinity, (model.name, m)
 
 
 def f2_config_curves():
