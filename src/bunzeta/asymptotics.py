@@ -41,8 +41,6 @@ from .arith import (
     format_float,
     format_rational,
     is_prime_power,
-    parse_integer,
-    parse_rational,
 )
 from .groups import GroupSpec, builtin_group, mass_ratio
 from .mass import RouteMismatchError, compositions, mass_bun, semistable_mass
@@ -134,22 +132,6 @@ class TVData(Record):
                 if L <= 0:
                     raise ValueError(f"groups[{i}].L: must be > 0, got {L}")
             object.__setattr__(self, "groups", groups)
-
-    @classmethod
-    def from_map(cls, q: int, beta_map: dict, groups=None) -> "TVData":
-        for m in beta_map:  # a JSON key must be plain digits: int("1_0") is 10
-            if type(m) is not int and not (
-                    isinstance(m, str) and m.isascii() and m.isdigit()):
-                raise ValueError(f"beta: key {m!r}: expected decimal digits")
-        beta = tuple((int(m), b) for m, v in beta_map.items()
-                     if (b := parse_rational(v, f"beta.{m}")))
-        gs = None
-        if groups is not None:
-            gs = tuple((parse_integer(e["deg"], f"groups[{i}].deg"),
-                        parse_rational(e["gamma"], f"groups[{i}].gamma"),
-                        parse_rational(e["L"], f"groups[{i}].L"))
-                       for i, e in enumerate(groups))
-        return cls(q=q, beta=beta, groups=gs)
 
     def to_json_dict(self) -> dict:
         out = {"q": self.q,
@@ -346,7 +328,7 @@ def convergence_report(family: Sequence[ZetaData], spec: GroupSpec,
     pairs = [(degree_spectrum(regenerate_counts(z, trunc)), z.g)
              for z in zetas]
     quotients = beta_quotients(pairs, trunc)
-    tv = TVData.from_map(q, quotients[-1])
+    tv = TVData(q, tuple((m, b) for m, b in quotients[-1].items() if b))
     bound = tv_bound(tv)
     rhs = rhs_group(tv, spec, trunc)
     gl_rank = spec.is_gl()

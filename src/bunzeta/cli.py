@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 
 from .arith import (
     DEFAULT_ENUM_BUDGET,
     FiniteField,
     format_float,
     format_rational,
-    parse_integer,
 )
 from .asymptotics import (
     DOMINANCE_MAX_RANK,
@@ -34,7 +34,7 @@ from .curves import (
     PlaneCurve,
     ProjectiveLine,
 )
-from .groups import GroupSpec, group_spec_from_json
+from .groups import GroupSpec, builtin_group
 from .mass import RouteMismatchError, mass_bun, semistable_mass
 from .zeta import (
     ZetaData,
@@ -65,12 +65,36 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
 
 
 def _typed(value, kind: type, where: str):
-    """``value`` if it is a JSON object (``kind`` dict) or array (list),
-    else a ConfigError naming ``where`` and the JSON type it has."""
+    """``value`` if it is a JSON object (``kind`` dict), array (list) or
+    string (str), else a ConfigError naming ``where`` and the JSON type it
+    has."""
     if type(value) is not kind:
         raise ConfigError(f"{where}: expected a JSON {_JSON_TYPES[kind]}, "
                           f"got {_JSON_TYPES[type(value)]}")
     return value
+
+
+def _integer(value, where: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string),
+    else a ConfigError naming ``where``."""
+    if type(value) is not int:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _rational(value, where: str) -> Fraction:
+    """``value`` as a Fraction if it is a JSON integer or a ``"p"`` or
+    ``"p/q"`` string, else a ConfigError naming ``where``."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is not str:
+        raise ConfigError(f"{where}: cannot parse rational from {value!r}")
+    try:
+        return Fraction(value.strip())
+    except ZeroDivisionError:
+        raise ConfigError(f"{where}: zero denominator in {value!r}") from None
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def load_config(path: str) -> dict:
@@ -82,19 +106,11 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path}: invalid JSON ({e})") from e
     _typed(cfg, dict, f"config {path}: top level")
-    if cfg.get("schema") != SCHEMA_VERSION:
+    schema = cfg.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ConfigError(
-            f"config {path}: schema must be {SCHEMA_VERSION}, "
-            f"got {cfg.get('schema')!r}")
+            f"config {path}: schema must be {SCHEMA_VERSION}, got {schema!r}")
     return cfg
-
-
-def _integer(value, where: str) -> int:
-    """``value`` if it is a JSON integer, else a ConfigError naming ``where``."""
-    try:
-        return parse_integer(value, where)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
 
 def build_curve(entry: dict) -> CurveModel:
@@ -134,19 +150,23 @@ def build_curve(entry: dict) -> CurveModel:
         raise ConfigError(f"curves[{name}]: {e}") from e
 
 
-def _entries(cfg: dict, key: str):
-    """The objects of the array ``cfg[key]`` in order, none when it is
-    absent or null; a wrong JSON type is a ConfigError naming the key or
-    the entry, raised when the iteration reaches it."""
-    entries = cfg.get(key)
+def _entries(entries, where: str):
+    """``(path, object)`` for each entry of the JSON array ``entries`` at
+    the path ``where``, none when ``entries`` is None (absent or null); a
+    wrong JSON type is a ConfigError naming the array or the entry, raised
+    when the iteration reaches it."""
     if entries is None:
         return
-    for i, entry in enumerate(_typed(entries, list, key)):
-        yield _typed(entry, dict, f"{key}[{i}]")
+    for i, entry in enumerate(_typed(entries, list, where)):
+        yield f"{where}[{i}]", _typed(entry, dict, f"{where}[{i}]")
 
 
 def build_curves(cfg: dict) -> list[CurveModel]:
-    curves = [build_curve(e) for e in _entries(cfg, "curves")]
+    curves = []
+    for where, entry in _entries(cfg.get("curves"), "curves"):
+        if (name := entry.get("name")) is not None:
+            _typed(name, str, f"{where}.name")
+        curves.append(build_curve(entry))
     for i, model in enumerate(curves):
         if any(c.name == model.name for c in curves[:i]):
             raise ConfigError(f"curves[{model.name}]: duplicate name")
@@ -154,14 +174,29 @@ def build_curves(cfg: dict) -> list[CurveModel]:
 
 
 def build_groups(cfg: dict) -> list[GroupSpec]:
+    """The specs of the ``groups`` entries: a ``family`` with ``n``, or a
+    raw ``name``, ``dim`` and ``degrees``, either with a ``tamagawa``."""
     out = []
-    for i, entry in enumerate(_entries(cfg, "groups")):
+    for where, entry in _entries(cfg.get("groups"), "groups"):
         try:
-            out.append(group_spec_from_json(entry, f"groups[{i}]"))
+            if "family" in entry:
+                n = _integer(entry["n"], f"{where}.n")
+            else:
+                degrees = _typed(entry["degrees"], list, f"{where}.degrees")
+                name = _typed(entry["name"], str, f"{where}.name")
+                dim = _integer(entry["dim"], f"{where}.dim")
+                degrees = tuple(_integer(d, f"{where}.degrees[{k}]")
+                                for k, d in enumerate(degrees))
+            tamagawa = _rational(entry.get("tamagawa", 1), f"{where}.tamagawa")
+            out.append(builtin_group(entry["family"], n, tamagawa)
+                       if "family" in entry else
+                       GroupSpec(name, dim, degrees, tamagawa))
+        except ConfigError:
+            raise
         except KeyError as e:
-            raise ConfigError(f"groups[{i}]: missing key {e}") from e
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+            raise ConfigError(f"{where}: missing key {e}") from e
+        except ValueError as e:  # about the group as a whole
+            raise ConfigError(f"{where}: {e}") from e
     return out
 
 
@@ -171,19 +206,30 @@ def build_tv(cfg: dict) -> tuple[TVData, int] | None:
     entry = cfg.get("tv")
     if entry is None:
         return None
-    q = _integer(_typed(entry, dict, "tv").get("q"), "tv.q")
+    if "q" not in _typed(entry, dict, "tv"):
+        raise ConfigError("tv: missing key 'q'")
+    q = _integer(entry["q"], "tv.q")
     beta = _typed(entry.get("beta", {}), dict, "tv.beta")
     if (d_bound := _integer(entry.get("d_bound", 1), "tv.d_bound")) < 1:
         raise ConfigError("tv.d_bound: must be >= 1")
-    if (groups := entry.get("groups")) is not None:
-        for i, row in enumerate(_typed(groups, list, "tv.groups")):
-            _typed(row, dict, f"tv.groups[{i}]")
-            for key in ("deg", "gamma", "L"):
-                if key not in row:
-                    raise ConfigError(f"tv.groups[{i}]: missing key {key!r}")
-    try:
-        return TVData.from_map(q, beta, groups), d_bound
-    except (ValueError, TypeError) as e:
+    for m in beta:  # a degree is plain digits: int() reads "1_0" as 10
+        if not (m.isascii() and m.isdigit()):
+            raise ConfigError(f"tv.beta: key {m!r}: expected decimal digits")
+    # a zero density is left out, as if its degree were not given
+    beta = tuple((int(m), b) for m, v in beta.items()
+                 if (b := _rational(v, f"tv.beta.{m}")))
+    groups = entry.get("groups")
+    rows = None if groups is None else []
+    for where, row in _entries(groups, "tv.groups"):
+        for key in ("deg", "gamma", "L"):
+            if key not in row:
+                raise ConfigError(f"{where}: missing key {key!r}")
+        rows.append((_integer(row["deg"], f"{where}.deg"),
+                     _rational(row["gamma"], f"{where}.gamma"),
+                     _rational(row["L"], f"{where}.L")))
+    try:  # TVData's messages start with the path inside the section
+        return TVData(q, beta, rows), d_bound
+    except ValueError as e:
         raise ConfigError(f"tv.{e}") from e
 
 
@@ -194,6 +240,8 @@ def _run_config(cfg: dict, opts: dict) -> dict:
     out_cfg = cfg.get("output")
     out_cfg = {} if out_cfg is None else _typed(out_cfg, dict, "output")
     run = {"out": opts["out"] or out_cfg.get("path")}
+    if run["out"] is not None:  # open() takes a number as a descriptor
+        _typed(run["out"], str, "output.path")
     for key, name, value in (
             ("trunc", "trunc", cfg.get("trunc", DEFAULT_TRUNC)),
             ("budget", "budget", cfg.get("budget", DEFAULT_ENUM_BUDGET)),

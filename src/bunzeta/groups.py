@@ -6,9 +6,9 @@ torus), and a Tamagawa constant used by the mass formula.  For a split
 group the mass ratio ``|G(F_Q)| / Q^dim = prod_j (1 - Q^(-d_j))`` is
 computed exactly.
 
-Degree tables are hard-coded for the classical families; user-defined
-specs (e.g. G_2: dim 14, degrees {2, 6}) can be supplied via
-:func:`group_spec_from_json`.
+Degree tables are hard-coded for the classical families; any other
+split group (e.g. G_2: dim 14, degrees {2, 6}) is a :class:`GroupSpec`
+built from its data.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import Record, format_rational, parse_integer, parse_rational
+from .arith import Record, format_rational
 
 FAMILIES = ("GL", "SL", "Sp", "SO-odd", "SO-even", "Gm")
 
@@ -72,7 +72,7 @@ def builtin_group(family: str, n: int, tamagawa=None) -> GroupSpec:
     """
     if n < 1:
         raise ValueError("rank parameter must be positive")
-    tau = Fraction(1) if tamagawa is None else parse_rational(tamagawa)
+    tau = Fraction(1 if tamagawa is None else tamagawa)
     if family == "GL":
         return GroupSpec(f"GL{n}", n * n, tuple(range(1, n + 1)), tau)
     if family == "SL":
@@ -105,30 +105,3 @@ def mass_ratio(spec: GroupSpec, q: int, r: int = 1) -> Fraction:
     return Fraction(math.prod(Q ** d - 1 for d in spec.degrees),
                     Q ** sum(spec.degrees))
 
-
-def group_spec_from_json(obj: dict, where: str = "group") -> GroupSpec:
-    """Build a GroupSpec from a config entry.
-
-    Either ``{"family": "GL", "n": 2}`` (optional ``tamagawa``) or a raw
-    ``{"name", "dim", "degrees", "tamagawa"}`` spec.  ``where`` names the
-    entry: an error about one value starts with its JSON path, as in
-    ``groups[0].n: expected an integer``, and any other error with
-    ``where``.
-    """
-    if "family" in obj:
-        n = parse_integer(obj["n"], f"{where}.n")
-    else:
-        if type(degrees := obj["degrees"]) is not list:
-            raise ValueError(
-                f"{where}.degrees: expected an array, got {degrees!r}")
-        name = str(obj["name"])
-        dim = parse_integer(obj["dim"], f"{where}.dim")
-        degrees = tuple(parse_integer(d, f"{where}.degrees[{k}]")
-                        for k, d in enumerate(degrees))
-    tamagawa = parse_rational(obj.get("tamagawa", 1), f"{where}.tamagawa")
-    try:
-        if "family" in obj:
-            return builtin_group(obj["family"], n, tamagawa)
-        return GroupSpec(name, dim, degrees, tamagawa)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None

@@ -52,11 +52,11 @@ def random_feasible_tv(rng, qs=(2, 3, 4, 5, 9), max_degree=25):
     support = rng.sample(range(1, max_degree + 1), k=rng.randint(1, 6))
     beta = {m: Fraction(rng.randint(1, 40), rng.randint(41, 500))
             for m in support}
-    tv = TVData.from_map(q, beta)
+    tv = TVData(q, tuple(beta.items()))
     bound = tv_bound(tv)
     if bound > 1:
         scale = Fraction(1, 2) / bound
-        tv = TVData.from_map(q, {m: b * scale for m, b in beta.items()})
+        tv = TVData(q, tuple((m, b * scale) for m, b in beta.items()))
     assert tv_bound(tv) <= 1
     return tv
 

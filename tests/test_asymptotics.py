@@ -29,11 +29,11 @@ def random_feasible_tv(rng, qs=(2, 3, 4, 5, 9), max_degree=25):
     support = rng.sample(range(1, max_degree + 1), k=rng.randint(1, 6))
     beta = {m: Fraction(rng.randint(1, 40), rng.randint(41, 500))
             for m in support}
-    tv = TVData.from_map(q, beta)
+    tv = TVData(q, tuple(beta.items()))
     bound = tv_bound(tv)
     if bound > 1:
         scale = Fraction(1, 2) / bound
-        tv = TVData.from_map(q, {m: b * scale for m, b in beta.items()})
+        tv = TVData(q, tuple((m, b * scale) for m, b in beta.items()))
     assert tv_bound(tv) <= 1
     return tv
 
@@ -211,8 +211,8 @@ def test_tail_is_the_support_bound_exactly():
     for _ in range(40):
         tv = random_feasible_tv(rng)
         if rng.random() < 0.5:
-            tv = TVData.from_map(tv.q, {m: b * rng.randint(50, 5000)
-                                        for m, b in tv.beta})
+            tv = TVData(tv.q, tuple((m, b * rng.randint(50, 5000))
+                                    for m, b in tv.beta))
         kinds.add(tv_bound(tv) <= 1)
         degrees = [m for m, _ in tv.beta]
         lo, hi = degrees[0], degrees[-1]
@@ -261,7 +261,8 @@ def test_lhs_sequence_rejects_genus_zero(zeta_catalog):
 
 def _density_estimate(q, fam, M):
     # the estimate convergence_report builds from its last member
-    return TVData.from_map(q, beta_quotients(fam, M)[-1])
+    beta = beta_quotients(fam, M)[-1]
+    return TVData(q, tuple((m, b) for m, b in beta.items() if b))
 
 
 def test_empirical_tv_synthetic():
@@ -384,7 +385,8 @@ def test_report_json_round_trip(catalog_zeta):
     assert json.loads(blob) == rep
     assert rep["rows"][0]["genus"] == 1
     # the exact and binary64 values re-parse from their strings
-    tv = TVData.from_map(2, rep["member_quotients"][-1])
+    tv = TVData(2, tuple((int(m), Fraction(b)) for m, b in
+                         rep["member_quotients"][-1].items() if Fraction(b)))
     assert Fraction(rep["tv_bound"]) == tv_bound(tv)
     assert float(rep["rhs"]["value"]) == \
         rhs_group(tv, builtin_group("GL", 2), 6).value

@@ -145,6 +145,16 @@ def test_bad_schema_rejected(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schema", [True, 1.0])
+def test_schema_must_be_json_integer(tmp_path, capsys, schema):
+    # True == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, schema=schema)))
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config {path}: schema must be 1, got {schema!r}\n"
+
+
 def test_missing_config(capsys):
     assert run_cli(["zeta", "--config", "/nonexistent/cfg.json"]) == 1
     assert "config" in capsys.readouterr().err
@@ -282,7 +292,7 @@ NOT_DIGITS = "expected decimal digits"
     ([{"name": "G2", "dim": 14, "degrees": [2, "6"]}], None,
      "groups[0].degrees[1]", NOT_AN_INTEGER),
     ([{"name": "G2", "dim": 14, "degrees": 2}], None, "groups[0].degrees",
-     "expected an array, got 2"),
+     "expected a JSON array, got number"),
     (None, dict(TV_GENERAL, q=4.7), "tv.q", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, q="4"), "tv.q", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, groups=[{"deg": 1.5, "gamma": "1", "L": "3/4"}]),
@@ -342,8 +352,9 @@ def test_non_integer_group_or_tv_field_rejected(tmp_path, capsys, groups, tv,
     ("asymptote", {"tv": dict(TV_GENERAL, groups=[TV_ROW, {"deg": 2,
                                                            "gamma": "1"}])},
      "tv.groups[1]: missing key 'L'"),
+    ("asymptote", {"tv": {"beta": {"1": "1"}}}, "tv: missing key 'q'"),
 ], ids=["curve-f", "curve-kind", "group-n", "group-degrees", "tv-deg",
-        "tv-L"])
+        "tv-L", "tv-q"])
 def test_missing_required_key_named(tmp_path, capsys, command, cfg, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({**BASE_CONFIG, "curves": [], **cfg}))
@@ -851,8 +862,14 @@ def test_good_flag_overrides_bad_config_value(tmp_path, capsys, flag, config):
     (dict(BASE_CONFIG, output="csv"), "output", "object", "string"),
     (dict(BASE_CONFIG, output=None, tv={"q": 4, "beta": None}), "tv.beta",
      "object", "null"),
+    (dict(BASE_CONFIG, curves=[dict(BASE_CONFIG["curves"][0], name=5)]),
+     "curves[0].name", "string", "number"),
+    (dict(BASE_CONFIG, groups=[{"family": "Gm", "n": 1},
+                               {"name": None, "dim": 14, "degrees": [2, 6]}]),
+     "groups[1].name", "string", "null"),
 ], ids=["top-level", "curves", "curve-entry", "groups", "group-entry", "tv",
-        "tv-beta", "tv-groups", "tv-group-entry", "output", "null-beta"])
+        "tv-beta", "tv-groups", "tv-group-entry", "output", "null-beta",
+        "curve-name", "group-name"])
 def test_section_of_wrong_json_type_named(tmp_path, capsys, cfg, where,
                                           expected, got):
     path = tmp_path / "run.json"
@@ -862,3 +879,25 @@ def test_section_of_wrong_json_type_named(tmp_path, capsys, cfg, where,
         where = f"config {path}: top level"
     assert capsys.readouterr().err == \
         f"error: {where}: expected a JSON {expected}, got {got}\n"
+
+
+@pytest.mark.parametrize("value,got", [(True, "boolean"), (7, "number")])
+def test_output_path_must_be_json_string(tmp_path, value, got):
+    # a child process: open() takes a number (True is 1) as a file
+    # descriptor, so a run that accepted one would write the report to a
+    # descriptor of the process and close it
+    import os
+    import subprocess
+    import sys
+
+    import bunzeta
+
+    path = tmp_path / "out.json"
+    path.write_text(json.dumps(dict(P1_ONLY, output={"path": value})))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(bunzeta.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "bunzeta.cli", "zeta",
+                           "--config", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"error: output.path: expected a JSON string, got {got}\n")

@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bunzeta.cli import build_groups
 from bunzeta.groups import (
     GroupSpec,
     builtin_group,
-    group_spec_from_json,
     mass_ratio,
 )
 
@@ -196,14 +196,14 @@ def test_mass_ratio_matches_fraction_oracle():
 # ---------------------------------------------------------------------------
 
 
-def test_group_spec_from_json_family():
-    spec = group_spec_from_json({"family": "GL", "n": 2})
+def test_build_groups_family():
+    [spec] = build_groups({"groups": [{"family": "GL", "n": 2}]})
     assert spec == builtin_group("GL", 2)
 
 
-def test_group_spec_from_json_raw_g2():
-    g2 = group_spec_from_json(
-        {"name": "G2", "dim": 14, "degrees": [2, 6], "tamagawa": "1"})
+def test_build_groups_raw_g2():
+    [g2] = build_groups({"groups": [
+        {"name": "G2", "dim": 14, "degrees": [2, 6], "tamagawa": "1"}]})
     # |G_2(F_2)| = 2^14 (1 - 2^-2)(1 - 2^-6) = 12096
     assert group_order(g2, 2) == 12096
     assert g2.tamagawa == 1

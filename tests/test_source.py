@@ -156,3 +156,20 @@ def test_every_record_subclass_validates():
                 found.append((node.name, "__post_init__" in methods))
     assert sorted(found) == [("GroupSpec", True), ("TVData", True),
                              ("ZetaData", True)]
+
+
+def test_config_values_read_once():
+    # cli.py is the one module that reads the config's JSON: no other
+    # module words a config value error, and the ConfigError readers are
+    # defined there alone
+    src = pathlib.Path(bunzeta.__file__).parent
+    wording = ("expected an integer", "expected a JSON", "expected an array",
+               "cannot parse rational", "ConfigError", "import json")
+    found = sorted({path.name for path in src.glob("*.py")
+                    for text in wording if text in path.read_text()})
+    assert found == ["cli.py"]
+    readers = {"_typed", "_integer", "_rational"}
+    defined = [(path.name, node.name) for path in sorted(src.glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name in readers]
+    assert sorted(defined) == [("cli.py", name) for name in sorted(readers)]
