@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from fractions import Fraction
-from operator import attrgetter
 
 DEFAULT_ENUM_BUDGET = 1 << 26
 
@@ -65,78 +64,32 @@ class BudgetExceededError(RuntimeError):
 
 
 class Record:
-    """Base of the frozen, validated value types; it behaves as a frozen
-    standard data class.  The fields are the annotated names in order, set
-    by position or keyword, with class-level defaults.  ``__post_init__``
-    runs on construction, checks the fields (every subclass in the package
-    defines it) and may normalize a field with ``object.__setattr__``;
-    after it, assignment and deletion raise ``AttributeError`` and the field
-    tuple is stored once, for equality (within one class only) and hashing.
-    The repr is ``Name(field=value, ...)``.
-
-    The standard data-class module is not used because every CLI run is a
-    fresh process: on a 2-core Intel Xeon with Python 3.11, importing it
-    (it loads ``inspect``, ``dis`` and ``ast``) takes 10-15 ms and
-    generating the methods of the three frozen classes (``ZetaData``,
-    ``GroupSpec`` and ``TVData``) 3.5 ms more, against 40-59 ms for all of
-    ``import bunzeta.cli``.
+    """Equality mixin of the validated value types, each declared
+    ``class Name(Record, namedtuple("Name", "field ..."))`` with
+    ``__slots__ = ()`` and a ``__new__`` that checks and normalizes the
+    fields.  A value equals only values of its own class, and ``_make``
+    (so ``_replace`` and ``copy.replace``) runs ``__new__``, as pickling
+    and copying already do.  ``dataclasses`` is not used: importing it
+    costs 10-15 ms of a 40-59 ms ``import bunzeta.cli`` (2-core Intel
+    Xeon, Python 3.11), and every CLI run is a fresh process.
     """
 
-    def __init_subclass__(cls):
-        cls._fields = tuple(cls.__annotations__)
-        cls._key_of = attrgetter(*cls._fields)
-
-    def __init__(self, *args, **kwargs):
-        names = self._fields
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
-        # set one by one, not through self.__dict__: a dict made visible
-        # makes every later attribute read about 30% slower (CPython 3.11)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-        object.__setattr__(self, "_key", self._key_of(self))
-
-    @classmethod
-    def _bind(cls, args, kwargs) -> list:
-        """The field values of a call that names fields by keyword or
-        leaves some to their defaults."""
-        names = cls._fields
-        rest = names[len(args):]
-        if len(args) > len(names) or not kwargs.keys() <= set(rest):
-            raise TypeError(f"{cls.__name__}() takes the fields {names}, "
-                            f"got {len(args)} positional and {list(kwargs)}")
-        values = list(args)
-        for name in rest:
-            if name in kwargs:
-                values.append(kwargs[name])
-            elif hasattr(cls, name):
-                values.append(getattr(cls, name))
-            else:
-                raise TypeError(f"{cls.__name__}() missing field {name!r}")
-        return values
-
-    def __post_init__(self):
-        pass
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
+            return tuple.__eq__(self, other)
+        # NotImplemented would let a plain tuple compare the fields
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._key)
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def format_rational(x: Fraction) -> str:
@@ -520,8 +473,7 @@ class FiniteField:
         return self.pow_c(a, self.order - 2)
 
     def pow_c(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow_c(self.inv_c(a), -e)
+        """a^e for e >= 0."""
         if a == 0:
             return 1 if e == 0 else 0
         if self._exp is not None:

@@ -47,6 +47,7 @@ from .mass import RouteMismatchError, compositions, mass_bun, semistable_mass
 from .zeta import ZetaData, degree_spectrum, regenerate_counts
 
 _SQRT_BITS = 64
+_LN_TOL = Fraction(1, 1 << 60)
 # Reported tails get a tiny outward nudge, plus an absolute floor whenever
 # something nonzero was actually discarded, to absorb binary64 evaluation
 # noise on the value itself.
@@ -57,16 +58,16 @@ _TAIL_FLOOR = Fraction(1, 1 << 40)
 DOMINANCE_MAX_RANK = 6
 
 
-def sqrt_enclosure(n: int, bits: int = _SQRT_BITS) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(n) <= hi with hi - lo <= 2^-bits; lo == hi exactly
-    when n is a perfect square."""
+def sqrt_enclosure(n: int) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(n) <= hi with hi - lo <= 2^-_SQRT_BITS; lo == hi
+    exactly when n is a perfect square."""
     if n < 0:
         raise ValueError("negative argument")
-    s = isqrt(n << (2 * bits))
-    lo = Fraction(s, 1 << bits)
+    s = isqrt(n << (2 * _SQRT_BITS))
+    lo = Fraction(s, 1 << _SQRT_BITS)
     if lo * lo == n:
         return lo, lo
-    return lo, Fraction(s + 1, 1 << bits)
+    return lo, Fraction(s + 1, 1 << _SQRT_BITS)
 
 
 def _sqrt_lower(n: int) -> Fraction:
@@ -75,9 +76,9 @@ def _sqrt_lower(n: int) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def ln_lower(q: int, tol: Fraction = Fraction(1, 1 << 60)) -> Fraction:
+def ln_lower(q: int) -> Fraction:
     """Rational lower bound of ln(q) via the atanh series (all terms > 0),
-    summed until the next term drops below ``tol``."""
+    summed until the next term drops below ``_LN_TOL``."""
     if q < 2:
         raise ValueError("q must be >= 2")
     u = Fraction(q - 1, q + 1)
@@ -88,34 +89,34 @@ def ln_lower(q: int, tol: Fraction = Fraction(1, 1 << 60)) -> Fraction:
     while True:
         term = power / (2 * j + 1)
         acc += term
-        if term < tol or j > 4000:
+        if term < _LN_TOL or j > 4000:
             break
         power *= u2
         j += 1
     return 2 * acc
 
 
-class TVData(Record):
+class TVData(Record, namedtuple("TVData", "q beta groups")):
     """Per-degree limit densities of closed points along a family.
 
     ``beta`` maps a degree m to the nonnegative rational density beta_m
     (finitely supported).  ``groups`` optionally lists
     (degree, weight, local value at the edge) triples for the general
-    evaluator; every local value is positive.  Feasibility with respect to
-    the square-root bound is a flag, not a hard error.
+    evaluator, with degrees >= 1 and local values > 0.  Feasibility with
+    respect to the square-root bound is a flag, not a hard error.
     """
 
-    q: int
-    beta: tuple[tuple[int, Fraction], ...]
-    groups: tuple[tuple[int, Fraction, Fraction], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, q: int, beta: tuple[tuple[int, Fraction], ...],
+                groups: tuple[tuple[int, Fraction, Fraction], ...]
+                | None = None):
         # an error starts with the path of its value in the JSON ``tv``
-        # section: q, beta.m, groups[i].L
-        if not is_prime_power(self.q):
-            raise ValueError(f"q: must be a prime power, got {self.q}")
+        # section: q, beta.m, groups[i].deg, groups[i].L
+        if not is_prime_power(q):
+            raise ValueError(f"q: must be a prime power, got {q}")
         seen = set()
-        for m, b in self.beta:
+        for m, b in beta:
             if m < 1:
                 raise ValueError(f"beta.{m}: degree must be >= 1")
             if m in seen:
@@ -123,15 +124,16 @@ class TVData(Record):
             if b < 0:
                 raise ValueError(f"beta.{m}: must be >= 0, got {b}")
             seen.add(m)
-        object.__setattr__(
-            self, "beta", tuple(sorted((m, Fraction(b)) for m, b in self.beta)))
-        if self.groups is not None:
+        beta = tuple(sorted((m, Fraction(b)) for m, b in beta))
+        if groups is not None:
             groups = tuple((int(r), Fraction(gam), Fraction(L))
-                           for r, gam, L in self.groups)
-            for i, (_, _, L) in enumerate(groups):
+                           for r, gam, L in groups)
+            for i, (r, _, L) in enumerate(groups):
+                if r < 1:
+                    raise ValueError(f"groups[{i}].deg: must be >= 1, got {r}")
                 if L <= 0:
                     raise ValueError(f"groups[{i}].L: must be > 0, got {L}")
-            object.__setattr__(self, "groups", groups)
+        return super().__new__(cls, q, beta, groups)
 
     def to_json_dict(self) -> dict:
         out = {"q": self.q,

@@ -114,9 +114,8 @@ def load_config(path: str) -> dict:
 
 
 def build_curve(entry: dict) -> CurveModel:
-    name = entry.get("name")
-    if not name:
-        raise ConfigError("curves[]: every curve needs a name")
+    """The model of a ``curves`` entry; ``build_curves`` checks its name."""
+    name = entry["name"]
 
     def integer(key, value):
         return _integer(value, f"curves[{name}].{key}")
@@ -166,6 +165,8 @@ def build_curves(cfg: dict) -> list[CurveModel]:
     for where, entry in _entries(cfg.get("curves"), "curves"):
         if (name := entry.get("name")) is not None:
             _typed(name, str, f"{where}.name")
+        if not name:
+            raise ConfigError(f"{where}: every curve needs a name")
         curves.append(build_curve(entry))
     for i, model in enumerate(curves):
         if any(c.name == model.name for c in curves[:i]):

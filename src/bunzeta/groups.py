@@ -14,6 +14,7 @@ built from its data.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import Record, format_rational
@@ -21,25 +22,22 @@ from .arith import Record, format_rational
 FAMILIES = ("GL", "SL", "Sp", "SO-odd", "SO-even", "Gm")
 
 
-class GroupSpec(Record):
+class GroupSpec(Record, namedtuple("GroupSpec", "name dim degrees tamagawa")):
     """name, dim G, invariant degrees (with multiplicity), Tamagawa constant."""
 
-    name: str
-    dim: int
-    degrees: tuple[int, ...]
-    tamagawa: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"{self.name}: dim must be positive")
-        if any(d < 1 for d in self.degrees):
-            raise ValueError(f"{self.name}: invariant degrees must be positive")
-        if len(self.degrees) > self.dim:
-            raise ValueError(
-                f"{self.name}: rank {len(self.degrees)} exceeds dim {self.dim}")
-        if self.tamagawa <= 0:
-            raise ValueError(f"{self.name}: Tamagawa constant must be positive")
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
+    def __new__(cls, name: str, dim: int, degrees: tuple[int, ...],
+                tamagawa: Fraction = Fraction(1)):
+        if dim < 1:
+            raise ValueError(f"{name}: dim must be positive")
+        if any(d < 1 for d in degrees):
+            raise ValueError(f"{name}: invariant degrees must be positive")
+        if len(degrees) > dim:
+            raise ValueError(f"{name}: rank {len(degrees)} exceeds dim {dim}")
+        if tamagawa <= 0:
+            raise ValueError(f"{name}: Tamagawa constant must be positive")
+        return super().__new__(cls, name, dim, tuple(sorted(degrees)), tamagawa)
 
     @property
     def rank(self) -> int:

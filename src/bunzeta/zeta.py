@@ -17,6 +17,7 @@ nonnegative and lies in its Weil interval ``|N_m - q^m - 1| <= 2g q^(m/2)``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import Record, divisors, is_prime_power, moebius
@@ -74,15 +75,14 @@ def _series_log(z, order):
     return lg
 
 
-class ZetaData(Record):
+class ZetaData(Record, namedtuple("ZetaData", "q g a")):
     """q, genus, and the exact integer coefficients a_0..a_2g of P(T)."""
 
-    q: int
-    g: int
-    a: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        q, g, a = self.q, self.g, self.a
+    def __new__(cls, q: int, g: int, a: tuple[int, ...]):
+        # built first: the check regenerates counts from the finished value
+        self = super().__new__(cls, q, g, a)
         if not is_prime_power(q):
             raise InconsistentCountsError(f"q = {q} is not a prime power")
         if len(a) != 2 * g + 1:
@@ -104,6 +104,7 @@ class ZetaData(Record):
             raise InconsistentCountsError(f"P(1) = {sum(a)} <= 0")
         # the counts this P regenerates must be admissible
         regenerate_counts(self, 2 * g + 4)
+        return self
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "g": self.g, "a": [str(c) for c in self.a]}

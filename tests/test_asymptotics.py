@@ -91,6 +91,10 @@ def test_tvdata_validation():
     for L in (Fraction(0), Fraction(-3, 4)):
         with pytest.raises(ValueError, match=r"groups\[1\]\.L: must be > 0"):
             TVData(q=4, beta=(), groups=((1, 1, Fraction(1, 2)), (2, 1, L)))
+    for r in (0, -1):
+        with pytest.raises(ValueError,
+                           match=rf"groups\[1\]\.deg: must be >= 1, got {r}"):
+            TVData(q=4, beta=(), groups=((1, 1, Fraction(1, 2)), (r, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -369,14 +369,18 @@ def test_missing_required_key_named(tmp_path, capsys, command, cfg, message):
      "tv.groups[0].L: must be > 0, got 0"),
     (dict(TV_GENERAL, groups=[TV_ROW, dict(TV_ROW, deg=2, L="-3/4")]),
      "tv.groups[1].L: must be > 0, got -3/4"),
+    (dict(TV_GENERAL, groups=[dict(TV_ROW, deg=0)]),
+     "tv.groups[0].deg: must be >= 1, got 0"),
+    (dict(TV_GENERAL, groups=[TV_ROW, dict(TV_ROW, deg=-1)]),
+     "tv.groups[1].deg: must be >= 1, got -1"),
     (dict(TV_GENERAL, q=6), "tv.q: must be a prime power, got 6"),
     (dict(TV_GENERAL, beta={"1": "-1"}), "tv.beta.1: must be >= 0, got -1"),
     (dict(TV_GENERAL, beta={"0": "1"}), "tv.beta.0: degree must be >= 1"),
     (dict(TV_GENERAL, beta={"1": "1", "01": "2"}),
      "tv.beta.1: duplicate degree"),
 ], ids=["d_bound-zero", "d_bound-without-groups", "L-zero", "L-negative",
-        "q-not-prime-power", "beta-negative", "beta-degree-zero",
-        "beta-duplicate-degree"])
+        "deg-zero", "deg-negative", "q-not-prime-power", "beta-negative",
+        "beta-degree-zero", "beta-duplicate-degree"])
 def test_tv_value_out_of_range_named(tmp_path, capsys, tv, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, curves=[], tv=tv)))
@@ -538,8 +542,8 @@ def test_mass_builds_one_zeta_per_curve(monkeypatch):
                         counted("counts", CurveModel.counts))
     monkeypatch.setattr(curves, "zeta_from_counts",
                         counted("zeta_from_counts", curves.zeta_from_counts))
-    monkeypatch.setattr(ZetaData, "__post_init__",
-                        counted("ZetaData", ZetaData.__post_init__))
+    monkeypatch.setattr(ZetaData, "__new__",
+                        counted("ZetaData", ZetaData.__new__))
     cfg = json.loads(family.read_text())
     run = {"trunc": 4, "budget": 1 << 20, "format": "json", "out": None}
     report = cli.cmd_mass(cfg, run)
@@ -879,6 +883,21 @@ def test_section_of_wrong_json_type_named(tmp_path, capsys, cfg, where,
         where = f"config {path}: top level"
     assert capsys.readouterr().err == \
         f"error: {where}: expected a JSON {expected}, got {got}\n"
+
+
+@pytest.mark.parametrize("name", ["missing", None, ""],
+                         ids=["missing", "null", "empty"])
+def test_curve_without_name_gives_its_position(tmp_path, capsys, name):
+    curves = [dict(c) for c in BASE_CONFIG["curves"]]
+    if name == "missing":
+        del curves[2]["name"]
+    else:
+        curves[2]["name"] = name
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, curves=curves)))
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: curves[2]: every curve needs a name\n"
 
 
 @pytest.mark.parametrize("value,got", [(True, "boolean"), (7, "number")])

@@ -2,6 +2,9 @@
 validated values ``ZetaData``, ``GroupSpec`` and ``TVData``, and a plain
 subclass that checks the base class alone."""
 
+import copy
+import pickle
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -9,15 +12,13 @@ import pytest
 from bunzeta.arith import Record
 from bunzeta.asymptotics import TVData
 from bunzeta.groups import GroupSpec
-from bunzeta.zeta import ZetaData
+from bunzeta.zeta import InconsistentCountsError, ZetaData
 
 
-class PlainRecord(Record):
-    """A Record with no __post_init__: the contract of the base class alone."""
+class PlainRecord(Record, namedtuple("PlainRecord", "q g B")):
+    """A Record with no __new__: the contract of the base class alone."""
 
-    q: int
-    g: int
-    B: tuple[int, ...]
+    __slots__ = ()
 
 
 def _tv():
@@ -71,10 +72,37 @@ def test_frozen(cls):
 
 @pytest.mark.parametrize("a, b", [
     (ZetaData(2, 1, (1, 2, 2)), PlainRecord(2, 1, (1, 2, 2))),
+    (ZetaData(2, 1, (1, 2, 2)), (2, 1, (1, 2, 2))),
     (GroupSpec("Gm", 1, (1,)), ("Gm", 1, (1,), Fraction(1))),
-], ids=["ZetaData-PlainRecord", "GroupSpec-tuple"])
+    (_tv(), (4, ((1, Fraction(1)), (2, Fraction(1, 3))), None)),
+], ids=["ZetaData-PlainRecord", "ZetaData-tuple", "GroupSpec-tuple",
+        "TVData-tuple"])
 def test_equal_only_within_a_class(a, b):
     assert a != b and b != a and not a == b
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_pickle_and_copy_round_trips(cls):
+    x = CASES[cls][1]()
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is cls and y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("x, change, error, message", [
+    (ZetaData(2, 1, (1, 2, 2)), {"a": (1, 2, 3)}, InconsistentCountsError,
+     "functional equation fails at i = 0"),
+    (GroupSpec("GL2", 4, (1, 2)), {"dim": 0}, ValueError,
+     "dim must be positive"),
+    (_tv(), {"groups": ((-1, 1, 1),)}, ValueError,
+     r"groups\[0\]\.deg: must be >= 1"),
+], ids=["ZetaData", "GroupSpec", "TVData"])
+def test_replace_runs_the_checks(x, change, error, message):
+    with pytest.raises(error, match=message):
+        x._replace(**change)
+    if hasattr(copy, "replace"):  # Python 3.13
+        with pytest.raises(error, match=message):
+            copy.replace(x, **change)
+    assert x._replace(**{k: getattr(x, k) for k in change}) == x
 
 
 def test_arguments_checked():
@@ -96,7 +124,7 @@ def test_defaults_and_validation():
 
 
 def test_normalization_before_hashing():
-    # __post_init__ normalizes, and equality and hash see the normal form
+    # __new__ normalizes, and equality and hash see the normal form
     spec = GroupSpec("GL2", 4, (2, 1))
     assert spec.degrees == (1, 2)
     assert spec == GroupSpec("GL2", 4, (1, 2))

@@ -153,9 +153,12 @@ def test_every_record_subclass_validates():
                     for b in node.bases):
                 methods = {n.name for n in node.body
                            if isinstance(n, ast.FunctionDef)}
-                found.append((node.name, "__post_init__" in methods))
-    assert sorted(found) == [("GroupSpec", True), ("TVData", True),
-                             ("ZetaData", True)]
+                # without empty slots a value takes new attributes
+                slots = any(ast.unparse(n) == "__slots__ = ()"
+                            for n in node.body)
+                found.append((node.name, "__new__" in methods, slots))
+    assert sorted(found) == [("GroupSpec", True, True), ("TVData", True, True),
+                             ("ZetaData", True, True)]
 
 
 def test_config_values_read_once():
