@@ -23,10 +23,10 @@ extension element is decoded to its digit polynomial over the base field,
 and addition, negation and multiplication (reduced modulo the defining
 polynomial) run on the ``_pc_*`` helpers.
 
-A power without tables is a left-to-right square-and-multiply chain,
-with ``e.bit_length() - 1`` squarings and ``e.bit_count() - 1`` products,
-in ``FiniteField.pow_c`` and in ``_pc_powmod``, which serves Ben-Or's
-test and the root counts of the plane kernel.  The count kernels use the
+A power without tables is ``pow`` on a prime field, else the one
+square-and-multiply chain ``_pc_powmod``, which also serves
+``_pc_distinct_degree`` (Ben-Or's test and the plane certificate) and the
+root counts of the plane kernel.  The count kernels use the
 tables on logs directly: a polynomial over the base field at x = g^k is
 a Zech sum of the terms g^(log c_i + ik), and the quadratic character of
 g^a is (-1)^a, the parity of its log
@@ -162,6 +162,15 @@ def is_prime_power(n: int) -> bool:
     return n == 1
 
 
+def power_sums(a, M: int) -> list[int]:
+    """Power sums s_1..s_M of the inverse roots of P = sum a_k T^k, a_0 = 1:
+    ``s_m = -(m a_m + a_1 s_(m-1) + ... + a_(m-1) s_1)``, a_m = 0 past deg P."""
+    a, s = list(a) + [0] * M, []
+    for m in range(1, M + 1):
+        s.append(-m * a[m] - sum(a[j] * s[m - j - 1] for j in range(1, m)))
+    return s
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over element *codes* of a base field
 # ---------------------------------------------------------------------------
@@ -280,23 +289,31 @@ def _pc_gcd(B, a, b):
     return a
 
 
+def _pc_distinct_degree(B, S, upto: int):
+    """Distinct-degree factorization of S != 0 over B (Q = |B|): for
+    k = 1..upto, while S is not constant, yield (M, k) for each part
+    M = gcd(S, x^(Q^k) - x) that is not constant, squarefree with factors
+    of degrees dividing k, and divide it out of S."""
+    x = power = [0, 1]
+    for k in range(1, upto + 1):
+        if len(S) <= 1:
+            return
+        power = _pc_powmod(B, power, B.order, S)
+        M = _pc_gcd(B, S, _pc_sub(B, power, x))
+        if len(M) > 1:
+            yield M, k
+            S = _pc_quo(B, S, M)
+
+
 def _pc_is_irreducible(B, f) -> bool:
     """Irreducibility of a monic polynomial over the field B.
 
-    Ben-Or's test (FOCS 1981): gcd(x^(Q^k) - x, f) = 1 for every
-    k <= m/2 (Q = |B|, m = deg f).  A reducible f fails at the degree of
-    its smallest irreducible factor.
+    Ben-Or's test (FOCS 1981): no distinct-degree part gcd(x^(Q^k) - x, f)
+    for k <= m/2 (Q = |B|, m = deg f).  A reducible f fails at the degree
+    of its smallest irreducible factor.
     """
     m = len(f) - 1
-    if m <= 0:
-        return False
-    x = [0, 1]
-    power = x
-    for _ in range(m // 2):
-        power = _pc_powmod(B, power, B.order, f)
-        if len(_pc_gcd(B, _pc_sub(B, power, x), f)) > 1:
-            return False
-    return True
+    return m > 0 and next(_pc_distinct_degree(B, f, m // 2), None) is None
 
 
 def _lex_smallest_irreducible_codes(B, m: int):
@@ -468,8 +485,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
-        if self.base is None:
-            return pow(a, self.order - 2, self.order)
         return self.pow_c(a, self.order - 2)
 
     def pow_c(self, a: int, e: int) -> int:
@@ -478,14 +493,10 @@ class FiniteField:
             return 1 if e == 0 else 0
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % (self.order - 1)]
-        if not e:
-            return 1
-        result = a  # left to right, as in _pc_powmod
-        for bit in bin(e)[3:]:
-            result = self.mul_c(result, result)
-            if bit == "1":
-                result = self.mul_c(result, a)
-        return result
+        if self.base is None:
+            return pow(a, e, self.order)
+        return self.encode(_pc_powmod(self.base, self.decode(a), e,
+                                      self.modulus))
 
     # -- tables ---------------------------------------------------------------
 
@@ -604,14 +615,6 @@ class FiniteField:
                 f"GF({self.order}): trace of {a} is {acc}, not in the prime field")
         return acc
 
-    def is_square_c(self, a: int) -> bool:
-        """Euler criterion; odd characteristic only."""
-        if self.char == 2:
-            return True  # Frobenius is bijective
-        if a == 0:
-            return True
-        return self.pow_c(a, (self.order - 1) // 2) == 1
-
     def quadratic_root_count(self, a: int, c: int) -> int:
         """Number of y in the field with y^2 + a*y = c (codes in, count out)."""
         if self.char == 2:
@@ -619,9 +622,10 @@ class FiniteField:
                 return 1  # squaring is a bijection
             t = self.mul_c(c, self.pow_c(self.inv_c(a), 2))
             return 2 if self.trace_to_prime_c(t) == 0 else 0
-        # odd characteristic: discriminant of y^2 + a y - c
+        # odd characteristic: the discriminant of y^2 + a y - c, a nonzero
+        # square iff disc^((Q - 1)/2) = 1 (Euler's criterion)
         disc = self.add_c(self.mul_c(a, a),
                           self.mul_c(self.embed_int(4), c))
         if disc == 0:
             return 1
-        return 2 if self.is_square_c(disc) else 0
+        return 2 if self.pow_c(disc, (self.order - 1) // 2) == 1 else 0

@@ -74,11 +74,18 @@ def _typed(value, kind: type, where: str):
     return value
 
 
+def _json_text(value) -> str:
+    """A scalar as its JSON text (``true``, ``"6"``), else its JSON type."""
+    if type(value) in (dict, list):
+        return _JSON_TYPES[type(value)]
+    return json.dumps(value)
+
+
 def _integer(value, where: str) -> int:
     """``value`` if it is a JSON integer (not a bool, float or string),
     else a ConfigError naming ``where``."""
     if type(value) is not int:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {_json_text(value)}")
     return value
 
 
@@ -87,14 +94,15 @@ def _rational(value, where: str) -> Fraction:
     ``"p/q"`` string, else a ConfigError naming ``where``."""
     if type(value) is int:
         return Fraction(value)
-    if type(value) is not str:
-        raise ConfigError(f"{where}: cannot parse rational from {value!r}")
-    try:
-        return Fraction(value.strip())
-    except ZeroDivisionError:
-        raise ConfigError(f"{where}: zero denominator in {value!r}") from None
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
+    problem = "cannot parse rational from"
+    if type(value) is str:
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            problem = "zero denominator in"
+        except ValueError:
+            pass
+    raise ConfigError(f"{where}: {problem} {_json_text(value)}")
 
 
 def load_config(path: str) -> dict:
@@ -109,7 +117,7 @@ def load_config(path: str) -> dict:
     schema = cfg.get("schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ConfigError(
-            f"config {path}: schema must be {SCHEMA_VERSION}, got {schema!r}")
+            f"config {path}: schema must be {SCHEMA_VERSION}, got {_json_text(schema)}")
     return cfg
 
 

@@ -39,7 +39,8 @@ eliminant R is the gcd of these polynomials for the pairs (F_x, F_y),
   H = 0 on z = 1 is singular, and there are infinitely many.  Otherwise
   F_y and F_x share distinct components of F, which meet (Bezout) in a
   singular point, on z = 1 since z = 0 passed.
-* Otherwise R is split by its distinct-degree factorization, and the
+* Otherwise R is split by its distinct-degree factorization
+  (``arith._pc_distinct_degree``, which Ben-Or's test runs too), and the
   slices of F, F_y, F_x and F_z are tested at the roots of each part at
   once (``PlaneCurve._singular_above``): over x0 they have a common
   zero iff their gcd is 0 or not constant.
@@ -81,9 +82,9 @@ evaluates f alone and computes no inverse.
 A scan of F_(q^m) is charged its q^m elements against the budget, and a
 scan on tables also against the 2^20 table limit; the bit-sliced count is
 charged against the budget alone.  Each stage has one gate:
-``CurveModel.counts(k)`` checks F_(q^k) before N_1, and a witness search
-each field before it scans it; a certificate that passes is charged
-nothing.
+``CurveModel.counts(k)`` checks F_(q^k) before N_1, and the root walk
+``CurveModel._roots`` of the three witness searches checks each field
+before it scans it; a certificate that passes is charged nothing.
 ``CurveModel.zeta`` is the one zeta entry point of a model: it asks
 ``counts`` for N_1..N_g, and for the guard N_(g+1) when asked to, so the
 guard's field is gated before N_1, and ``zeta_from_counts`` checks the
@@ -103,6 +104,7 @@ from .arith import (
     FiniteField,
     _pc_add,
     _pc_deriv,
+    _pc_distinct_degree,
     _pc_eval,
     _pc_gcd,
     _pc_mod,
@@ -111,6 +113,7 @@ from .arith import (
     _pc_quo,
     _pc_sub,
     _pc_trim,
+    power_sums,
 )
 from .zeta import ZetaData, checked_counts, zeta_from_counts
 
@@ -287,14 +290,9 @@ class _SlicedField:
             r <<= 1
             if r >> m & 1:
                 r ^= P
-        # s_i = Tr(t^i) by Newton's identities over F_2: s_0 = m and
-        # s_k = e_1 s_(k-1) + ... + e_(k-1) s_1 + k e_k, where e_j is the
-        # coefficient of t^(m-j) in P
-        s = [m & 1]
-        for k in range(1, m):
-            s.append((sum(modulus[m - j] & s[k - j] for j in range(1, k))
-                      + k * modulus[m - k]) & 1)
-        self._trace = [i for i in range(m) if s[i]]
+        # Tr(t^i) = s_i mod 2, s_i the power sums of the roots of P
+        s = [m] + power_sums(modulus[::-1], m - 1)
+        self._trace = [i for i in range(m) if s[i] & 1]
 
     def _fold(self, out):
         """The element of a product's coordinates, degree < 2m - 1."""
@@ -441,14 +439,15 @@ class CurveModel:
         E.build_tables()
         return E
 
-    def _first_root(self, G, budget: int) -> tuple[int, int]:
-        """(m, x): the first root x of G in code order over the smallest
-        F_(q^m) that has one (m <= deg G; every x is a root of G = 0)."""
-        for m in range(1, max(len(G) - 1, 1) + 1):
+    def _roots(self, G, budget: int):
+        """(m, E, x) for each root x of G in E = F_(q^m) (every x for G = 0),
+        in code order, for m = 1, 2, ...: the walk of the witness searches,
+        with each field gated by ``scan_field`` before it is scanned."""
+        for m in itertools.count(1):
             E = self.scan_field(m, budget, "smoothness certificate")
-            x = _first_root_in(E, G)
-            if x is not None:
-                return m, x
+            for x in range(E.order):
+                if _pc_eval(E, G, x) == 0:
+                    yield m, E, x
 
     # subclass hooks -------------------------------------------------------
 
@@ -588,8 +587,7 @@ class HyperellipticCurve(CurveModel):
 
     def _affine_witness(self, G, budget: int):
         """The first root (m, x) of G, with its singular y."""
-        m, x = self._first_root(G, budget)
-        E = self.scan_field(m, budget, "smoothness certificate")
+        m, E, x = next(self._roots(G, budget))
         return (m, x, self._singular_y(E, _pc_eval(E, self.h, x),
                                        _pc_eval(E, self.f, x)))
 
@@ -746,8 +744,8 @@ class PlaneCurve(CurveModel):
         the witness search."""
         G = _common_factor(self.base, self._line)
         if len(G) != 1:  # G = 0: every point of z = 0 is singular
-            raise SingularModelError(self.name,
-                                     self._first_root(G, budget) + (1, 0))
+            m, _, x = next(self._roots(G, budget))
+            raise SingularModelError(self.name, (m, x, 1, 0))
         if not any(self._corner):
             raise SingularModelError(self.name, (1, 1, 0, 0))
         B = self.base
@@ -761,24 +759,17 @@ class PlaneCurve(CurveModel):
     def _singular_above(self, R) -> bool:
         """Whether a root of R carries a singular point of z = 1.
 
-        Distinct-degree factorization splits R: S starts at R, and for
-        k = 1, 2, ... the part M = gcd(S, x^(q^k) - x), squarefree with
-        factors of degrees dividing k, is divided out of S.  Over B[x]/(M)
-        the slices have coefficients in a product of fields, one per
-        factor, and a Euclidean gcd whose leading coefficients are units
-        runs in every field at once, with the same degrees.  A lead that is
+        Distinct-degree factorization splits R into parts (M, k), M
+        squarefree with factors of degrees dividing k; a factor P^e of R
+        has left it by k = e deg P <= deg R.  Over B[x]/(M) the slices
+        have coefficients in a product of fields, one per factor, and a
+        Euclidean gcd whose leading coefficients are units runs in every
+        field at once, with the same degrees.  A lead that is
         a zero divisor splits M into the factors where it is 0 and those
         where it is not, and each part is tried again.
         """
-        B, parts = self.base, []
-        S, h, k = R, [0, 1], 0
-        while len(S) > 1:
-            k += 1
-            h = _pc_powmod(B, h, self.q, S)
-            M = _pc_gcd(B, S, _pc_sub(B, h, [0, 1]))
-            if len(M) > 1:
-                parts.append((M, k))
-                S = _pc_quo(B, S, M)
+        B = self.base
+        parts = list(_pc_distinct_degree(B, R, len(R)))
         while parts:
             M, k = parts.pop()
             A = _RootAlgebra(B, M, k)
@@ -798,15 +789,11 @@ class PlaneCurve(CurveModel):
         """The first singular (m, x, y, 1) in code order over the smallest
         F_(q^m) that has one; x runs over the roots of R (every x for
         R = 0), and each field is gated before it is scanned."""
-        for m in itertools.count(1):
-            E = self.scan_field(m, budget, "smoothness certificate")
-            for x in range(E.order):
-                if R and _pc_eval(E, R, x):
-                    continue
-                G = _common_factor(E, (self._slice(E, columns, x)
-                                       for columns in self._columns))
-                if len(G) != 1 and (y := _first_root_in(E, G)) is not None:
-                    return m, x, y, 1
+        for m, E, x in self._roots(R, budget):
+            G = _common_factor(E, (self._slice(E, columns, x)
+                                   for columns in self._columns))
+            if len(G) != 1 and (y := _first_root_in(E, G)) is not None:
+                return m, x, y, 1
 
     def _count(self, m: int, E: FiniteField) -> int:
         """Roots of F(x, Y, 1) for every x, roots of F(X, 1, 0), and the

@@ -4,11 +4,11 @@ The zeta function of a curve of genus g over F_q is
 ``Z(T) = P(T) / ((1 - T)(1 - qT))`` with ``P`` of degree 2g,
 ``P(0) = 1`` and the functional equation ``a_(2g-i) = q^(g-i) a_i``.
 ``P`` is reconstructed from the minimal data N_1..N_g by Newton's
-identities on integers; ``power_sums`` runs them forward for the counts
-``P`` determines, and ``regenerate_counts`` keeps an exact ``Fraction``
-series for runs past 2g + 4.  The guard N_(g+1) that may follow N_1..N_g is
-a cross-check.  Inconsistent inputs fail loudly with the first violated
-identity; there are no repair heuristics.
+identities on integers; ``arith.power_sums`` runs them forward for the
+counts ``P`` determines, and ``regenerate_counts`` keeps an exact
+``Fraction`` series for runs past 2g + 4.  The guard N_(g+1) that may
+follow N_1..N_g is a cross-check.  Inconsistent inputs fail loudly with
+the first violated identity; there are no repair heuristics.
 
 ``checked_counts`` is the one admissibility rule for point counts: every
 N_m, given, enumerated by a model or regenerated from ``P``, is
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import Record, divisors, is_prime_power, moebius
+from .arith import Record, divisors, is_prime_power, moebius, power_sums
 
 
 class InconsistentCountsError(ValueError):
@@ -40,15 +40,6 @@ def checked_counts(q: int, g: int, counts, what: str = "N") -> list[int]:
                 f"{what}_{m} = {n_m} violates the Weil bound "
                 f"|N - q^m - 1| <= 2g q^(m/2) for q={q}, g={g}")
     return counts
-
-
-def power_sums(a, M: int) -> list[int]:
-    """Power sums s_1..s_M of the inverse roots of P = sum a_k T^k, a_0 = 1:
-    ``s_m = -(m a_m + a_1 s_(m-1) + ... + a_(m-1) s_1)``, a_m = 0 past deg P."""
-    a, s = list(a) + [0] * M, []
-    for m in range(1, M + 1):
-        s.append(-m * a[m] - sum(a[j] * s[m - j - 1] for j in range(1, m)))
-    return s
 
 
 # -- exact power-series helpers (coefficient lists of Fractions) -------------

@@ -13,10 +13,14 @@ from bunzeta.arith import (
     _lex_smallest_irreducible_codes,
     _pc_add,
     _pc_deriv,
+    _pc_distinct_degree,
     _pc_eval,
+    _pc_gcd,
     _pc_is_irreducible,
+    _pc_mod,
     _pc_mul,
     _pc_powmod,
+    _pc_quo,
     _pc_sub,
     _pc_trim,
     divisors,
@@ -120,6 +124,46 @@ def test_modulus_search_matches_plain_ben_or(p):
         if p ** m <= 1 << 16:
             assert _lex_smallest_irreducible_codes(B, m) == \
                 plain_ben_or_search(B, m), (p, m)
+
+
+def inline_distinct_degree_parts(B, S):
+    """Oracle: the distinct-degree loop as the plane certificate ran it
+    inline before ``_pc_distinct_degree`` existed."""
+    parts = []
+    h, k = [0, 1], 0
+    while len(S) > 1:
+        k += 1
+        h = _pc_powmod(B, h, B.order, S)
+        M = _pc_gcd(B, S, _pc_sub(B, h, [0, 1]))
+        if len(M) > 1:
+            parts.append((M, k))
+            S = _pc_quo(B, S, M)
+    return parts
+
+
+@pytest.mark.parametrize("base", [(2, 1), (3, 1), (2, 2)],
+                         ids=["F2", "F3", "F4"])
+def test_distinct_degree_parts(base):
+    # products of random monic factors with multiplicities 1-3
+    B = FiniteField.of_order(*base)
+    rng = random.Random(2035 + B.order)
+    for _ in range(150):
+        S = [1]
+        for _ in range(rng.randint(1, 3)):
+            factor = [rng.randrange(B.order)
+                      for _ in range(rng.randint(1, 4))] + [1]
+            for _ in range(rng.randint(1, 3)):
+                S = _pc_mul(B, S, factor)
+        parts = list(_pc_distinct_degree(B, S, len(S)))
+        assert parts == inline_distinct_degree_parts(B, S), (B, S)
+        product = [1]
+        for M, k in parts:
+            # M divides x^(Q^k) - x: x^(Q^k) = x modulo M
+            assert _pc_powmod(B, [0, 1], B.order ** k, M) == \
+                _pc_mod(B, [0, 1], M), (B, S, M, k)
+            product = _pc_mul(B, product, M)
+        # equal up to a unit, as each part is a gcd
+        assert _pc_mul(B, [B.inv_c(product[-1])], product) == S, (B, S)
 
 
 def test_find_irreducible_rejects_degree_zero():
@@ -330,6 +374,16 @@ def chain_cost(e):
     return e.bit_length() - 1, e.bit_count() - 1
 
 
+def right_to_left_power(F, x, e):
+    """Oracle: x^e in F, right to left, one ``mul_c`` per bit and set bit."""
+    power = 1
+    for k in range(e.bit_length()):
+        if e >> k & 1:
+            power = F.mul_c(power, x)
+        x = F.mul_c(x, x)
+    return power
+
+
 def test_pc_powmod_chain_cost_and_value(monkeypatch):
     calls = []
     mulmod = arith._pc_mulmod
@@ -350,9 +404,10 @@ def test_pc_powmod_chain_cost_and_value(monkeypatch):
         assert _pc_powmod(B, a, e, [p - c, 1]) == \
             _pc_trim([pow(_pc_eval(B, a, c), e, p)])
         assert (calls.count(True), calls.count(False)) == chain_cost(e)
-        # modulo the modulus of F_(3^13), the digits of pow_c's power
+        # modulo the modulus of F_(3^13), the digits of a right-to-left
+        # power by mul_c
         x = rng.randrange(3, F3_13.order)
-        power = _pc_trim(list(F3_13.decode(F3_13.pow_c(x, e))))
+        power = _pc_trim(list(F3_13.decode(right_to_left_power(F3_13, x, e))))
         calls.clear()
         assert _pc_powmod(F3, list(F3_13.decode(x)), e, F3_13.modulus) == \
             power
@@ -361,34 +416,30 @@ def test_pc_powmod_chain_cost_and_value(monkeypatch):
 
 
 def test_table_less_pow_c_chain_cost_and_value(monkeypatch):
+    # a prime field takes builtin pow, an extension the one chain of
+    # _pc_powmod on its digits
     big = FiniteField.prime(1000003)  # above the table limit
     E = FiniteField.of_order(3, 13)
     assert big._exp is None and E._exp is None
     calls = []
-    mul_c = FiniteField.mul_c
+    mulmod = arith._pc_mulmod
 
-    def counted(self, a, b):
-        if self is E or self is big:
-            calls.append(a == b)
-        return mul_c(self, a, b)
+    def counted(B, a, b, mod):
+        if mod is E.modulus:
+            calls.append(a is b)
+        return mulmod(B, a, b, mod)
 
-    monkeypatch.setattr(FiniteField, "mul_c", counted)
     rng = random.Random(2034)
     for e in CHAIN_EXPONENTS:
         a = rng.randrange(2, big.order)
-        calls.clear()
         assert big.pow_c(a, e) == pow(a, e, big.order)
-        assert (calls.count(True), calls.count(False)) == chain_cost(e)
         x = rng.randrange(3, E.order)
-        calls.clear()
-        power = E.pow_c(x, e)
+        with monkeypatch.context() as patch:
+            patch.setattr(arith, "_pc_mulmod", counted)
+            calls.clear()
+            power = E.pow_c(x, e)
         assert (calls.count(True), calls.count(False)) == chain_cost(e)
-        expected = 1  # right to left, one bit at a time
-        for k in range(e.bit_length()):
-            if e >> k & 1:
-                expected = mul_c(E, expected, x)
-            x = mul_c(E, x, x)
-        assert power == expected
+        assert power == right_to_left_power(E, x, e)
     assert E.pow_c(5, 0) == big.pow_c(5, 0) == 1
 
 

@@ -145,14 +145,18 @@ def test_bad_schema_rejected(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("schema", [True, 1.0])
-def test_schema_must_be_json_integer(tmp_path, capsys, schema):
-    # True == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+@pytest.mark.parametrize("schema,got", [
+    (True, "true"), (1.0, "1.0"), (None, "null"), ("1", '"1"'),
+    ([1], "array"), ({"v": 1}, "object"),
+], ids=["True", "1.0", "null", "string", "array", "object"])
+def test_schema_must_be_json_integer(tmp_path, capsys, schema, got):
+    # True == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1;
+    # a scalar is named by its JSON text, an object or array by its type
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, schema=schema)))
     assert run_cli(["zeta", "--config", str(path)]) == 1
     assert capsys.readouterr().err == \
-        f"error: config {path}: schema must be 1, got {schema!r}\n"
+        f"error: config {path}: schema must be 1, got {got}\n"
 
 
 def test_missing_config(capsys):
@@ -284,17 +288,25 @@ NOT_DIGITS = "expected decimal digits"
 
 
 @pytest.mark.parametrize("groups,tv,where,message", [
-    ([{"family": "GL", "n": 2.5}], None, "groups[0].n", NOT_AN_INTEGER),
+    ([{"family": "GL", "n": 2.5}], None, "groups[0].n",
+     f"{NOT_AN_INTEGER}, got 2.5\n"),
     ([{"family": "Gm", "n": 1}, {"family": "GL", "n": True}], None,
-     "groups[1].n", NOT_AN_INTEGER),
+     "groups[1].n", f"{NOT_AN_INTEGER}, got true\n"),
+    ([{"family": "GL", "n": None}], None, "groups[0].n",
+     f"{NOT_AN_INTEGER}, got null\n"),
+    ([{"family": "GL", "n": "6"}], None, "groups[0].n",
+     f'{NOT_AN_INTEGER}, got "6"\n'),
+    ([{"family": "GL", "n": [2]}], None, "groups[0].n",
+     f"{NOT_AN_INTEGER}, got array\n"),
     ([{"name": "G2", "dim": 14.0, "degrees": [2, 6]}], None, "groups[0].dim",
      NOT_AN_INTEGER),
     ([{"name": "G2", "dim": 14, "degrees": [2, "6"]}], None,
-     "groups[0].degrees[1]", NOT_AN_INTEGER),
+     "groups[0].degrees[1]", f'{NOT_AN_INTEGER}, got "6"\n'),
     ([{"name": "G2", "dim": 14, "degrees": 2}], None, "groups[0].degrees",
      "expected a JSON array, got number"),
     (None, dict(TV_GENERAL, q=4.7), "tv.q", NOT_AN_INTEGER),
-    (None, dict(TV_GENERAL, q="4"), "tv.q", NOT_AN_INTEGER),
+    (None, dict(TV_GENERAL, q="4"), "tv.q",
+     f'{NOT_AN_INTEGER}, got "4"\n'),
     (None, dict(TV_GENERAL, groups=[{"deg": 1.5, "gamma": "1", "L": "3/4"}]),
      "tv.groups[0].deg", NOT_AN_INTEGER),
     (None, dict(TV_GENERAL, d_bound=1.9), "tv.d_bound", NOT_AN_INTEGER),
@@ -305,24 +317,35 @@ NOT_DIGITS = "expected decimal digits"
       {"name": "G2", "dim": 14, "degrees": [2, 6], "tamagawa": True}], None,
      "groups[1].tamagawa", NOT_A_RATIONAL),
     ([{"family": "GL", "n": 2, "tamagawa": "1/0"}], None,
-     "groups[0].tamagawa", "zero denominator in '1/0'"),
-    (None, dict(TV_GENERAL, beta={"1": True}), "tv.beta.1", NOT_A_RATIONAL),
+     "groups[0].tamagawa", 'zero denominator in "1/0"\n'),
+    (None, dict(TV_GENERAL, beta={"1": True}), "tv.beta.1",
+     f"{NOT_A_RATIONAL} true\n"),
+    (None, dict(TV_GENERAL, beta={"1": "x"}), "tv.beta.1",
+     f'{NOT_A_RATIONAL} "x"\n'),
+    (None, dict(TV_GENERAL, beta={"1": 0.5}), "tv.beta.1",
+     f"{NOT_A_RATIONAL} 0.5\n"),
+    (None, dict(TV_GENERAL, beta={"1": None}), "tv.beta.1",
+     f"{NOT_A_RATIONAL} null\n"),
+    (None, dict(TV_GENERAL, beta={"1": {"p": 1}}), "tv.beta.1",
+     f"{NOT_A_RATIONAL} object\n"),
     (None, dict(TV_GENERAL, groups=[{"deg": 1, "gamma": True, "L": "3/4"}]),
      "tv.groups[0].gamma", NOT_A_RATIONAL),
     (None, dict(TV_GENERAL, groups=[TV_ROW, {"deg": 2, "gamma": "1",
                                              "L": False}]),
      "tv.groups[1].L", NOT_A_RATIONAL),
     (None, dict(TV_GENERAL, beta={"2": "1/0"}), "tv.beta.2",
-     "zero denominator in '1/0'"),
+     'zero denominator in "1/0"\n'),
     (None, dict(TV_GENERAL, beta={"1_0": "1"}), "tv.beta: key '1_0'",
      NOT_DIGITS),
     (None, dict(TV_GENERAL, beta={" 1": "1"}), "tv.beta: key ' 1'",
      NOT_DIGITS),
     (None, dict(TV_GENERAL, beta={"1.0": "1"}), "tv.beta: key '1.0'",
      NOT_DIGITS),
-], ids=["float-n", "bool-n", "float-dim", "string-degree", "number-degrees",
+], ids=["float-n", "bool-n", "null-n", "string-n", "array-n", "float-dim",
+        "string-degree", "number-degrees",
         "float-q", "string-q", "float-deg", "float-d_bound", "bool-tamagawa",
         "bool-raw-tamagawa", "zero-denominator-tamagawa", "bool-beta",
+        "string-beta", "float-beta", "null-beta", "object-beta",
         "bool-gamma", "bool-L",
         "zero-denominator-beta", "underscore-key", "space-key",
         "decimal-point-key"])

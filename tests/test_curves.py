@@ -558,6 +558,15 @@ def test_sliced_blocks_match_orbit_oracle(monkeypatch):
         assert_sliced_matches_orbit_oracle(model, 2 * model.genus() + 2)
 
 
+def test_sliced_trace_bits_match_frobenius_trace():
+    # Tr(t^i) from Newton's power sums against the Frobenius sum
+    # t^i + t^(2i) + ... of FiniteField.trace_to_prime_c
+    for m in range(1, 21):
+        E = FiniteField.of_order(2, m)
+        assert curves._SlicedField(E.modulus)._trace == \
+            [i for i in range(m) if E.trace_to_prime_c(1 << i)], m
+
+
 def test_f2_counts_build_no_tables(monkeypatch):
     model, = random_dense_f2_models(2029, [2])
     model.validate()
