@@ -357,18 +357,17 @@ class FiniteField:
 
     _prime_cache: dict[int, "FiniteField"] = {}
 
-    def __init__(self, *, _char, _order, _degree, _base, _rel_degree, _modulus):
-        self.char = _char
-        self.order = _order
-        self.degree = _degree
-        self.base = _base
-        self.rel_degree = _rel_degree
-        self.modulus = _modulus
+    def __init__(self, base: "FiniteField | None", modulus, p: int = 0):
+        """F_p when ``base`` is None, else ``base[x]/(modulus)``."""
+        self.base, self.modulus = base, modulus
+        self.rel_degree = n = len(modulus) - 1
+        self.char = p if base is None else base.char
+        self.order = (p if base is None else base.order) ** n
+        self.degree = (1 if base is None else base.degree) * n
         self._extensions: dict[int, "FiniteField"] = {}
         self._exp = None  # generator powers, doubled, for table multiplication
         self._log = None
         self._zech = None  # Zech logarithms, for table addition in odd char
-        self._tables_impossible = _order > _TABLE_MAX_ORDER
 
     # -- construction -------------------------------------------------------
 
@@ -378,8 +377,7 @@ class FiniteField:
         if f is None:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            f = cls(_char=p, _order=p, _degree=1, _base=None, _rel_degree=1,
-                    _modulus=(0, 1))
+            f = cls(None, (0, 1), p)
             cls._prime_cache[p] = f
         return f
 
@@ -394,9 +392,7 @@ class FiniteField:
         cached = base._extensions.get(m)
         if cached is not None:
             return cached
-        f = cls(_char=base.char, _order=base.order ** m,
-                _degree=base.degree * m, _base=base, _rel_degree=m,
-                _modulus=_lex_smallest_irreducible_codes(base, m))
+        f = cls(base, _lex_smallest_irreducible_codes(base, m))
         base._extensions[m] = f
         return f
 
@@ -508,7 +504,7 @@ class FiniteField:
         ``_times``; the only field products are the ``degree`` products
         that build its tables.
         """
-        if self._exp is not None or self._tables_impossible:
+        if self._exp is not None or self.order > _TABLE_MAX_ORDER:
             return
         n = self.order - 1
         g = self._find_generator()

@@ -100,7 +100,8 @@ class TVData(Record, namedtuple("TVData", "q beta groups")):
     """Per-degree limit densities of closed points along a family.
 
     ``beta`` maps a degree m to the nonnegative rational density beta_m
-    (finitely supported).  ``groups`` optionally lists
+    (finitely supported); a zero density is dropped, as if its degree
+    were not given.  ``groups`` optionally lists
     (degree, weight, local value at the edge) triples for the general
     evaluator, with degrees >= 1 and local values > 0.  Feasibility with
     respect to the square-root bound is a flag, not a hard error.
@@ -113,6 +114,7 @@ class TVData(Record, namedtuple("TVData", "q beta groups")):
                 | None = None):
         # an error starts with the path of its value in the JSON ``tv``
         # section: q, beta.m, groups[i].deg, groups[i].L
+        beta = [(m, b) for m, b in beta if b]
         if not is_prime_power(q):
             raise ValueError(f"q: must be a prime power, got {q}")
         seen = set()
@@ -154,8 +156,6 @@ def tv_bound(tv: TVData) -> Fraction:
     """
     total = Fraction(0)
     for m, b in tv.beta:
-        if not b:
-            continue
         root_lower = _sqrt_lower(tv.q ** m)
         if root_lower <= 1:
             raise ArithmeticError("q^(m/2) enclosure degenerate")
@@ -203,7 +203,7 @@ def tv_sum_term(tv: TVData, trunc: int) -> float:
     bit-exactly."""
     q = tv.q
     pairs = [(b, Fraction(q ** m - 1, q ** m))
-             for m, b in tv.beta if b and m <= trunc]
+             for m, b in tv.beta if m <= trunc]
     return math.fsum(_neglog_q_terms(q, pairs))
 
 
@@ -222,7 +222,7 @@ def rhs_group(tv: TVData, spec: GroupSpec, trunc: int) -> RhsResult:
     code path.
     """
     q = tv.q
-    pairs = [(b, mass_ratio(spec, q, r)) for r, b in tv.beta if b and r <= trunc]
+    pairs = [(b, mass_ratio(spec, q, r)) for r, b in tv.beta if r <= trunc]
     value = float(spec.dim) + math.fsum(_neglog_q_terms(q, pairs))
     tail = float(_finite_tail(tv, trunc, spec.degrees))
     return RhsResult(value, tail)
@@ -330,7 +330,7 @@ def convergence_report(family: Sequence[ZetaData], spec: GroupSpec,
     pairs = [(degree_spectrum(regenerate_counts(z, trunc)), z.g)
              for z in zetas]
     quotients = beta_quotients(pairs, trunc)
-    tv = TVData(q, tuple((m, b) for m, b in quotients[-1].items() if b))
+    tv = TVData(q, tuple(quotients[-1].items()))
     bound = tv_bound(tv)
     rhs = rhs_group(tv, spec, trunc)
     gl_rank = spec.is_gl()

@@ -81,6 +81,13 @@ def _json_text(value) -> str:
     return json.dumps(value)
 
 
+def _key(entry: dict, key: str, where: str):
+    """``entry[key]``, else a ConfigError naming ``where`` and the key."""
+    if key not in entry:
+        raise ConfigError(f"{where}: missing key {key!r}")
+    return entry[key]
+
+
 def _integer(value, where: str) -> int:
     """``value`` if it is a JSON integer (not a bool, float or string),
     else a ConfigError naming ``where``."""
@@ -111,10 +118,10 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSON error, or an integer over the digit limit
         raise ConfigError(f"config {path}: invalid JSON ({e})") from e
     _typed(cfg, dict, f"config {path}: top level")
-    schema = cfg.get("schema")
+    schema = _key(cfg, "schema", f"config {path}")
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ConfigError(
             f"config {path}: schema must be {SCHEMA_VERSION}, got {_json_text(schema)}")
@@ -124,37 +131,42 @@ def load_config(path: str) -> dict:
 def build_curve(entry: dict) -> CurveModel:
     """The model of a ``curves`` entry; ``build_curves`` checks its name."""
     name = entry["name"]
+    where = f"curves[{name}]"
 
     def integer(key, value):
-        return _integer(value, f"curves[{name}].{key}")
+        return _integer(value, f"{where}.{key}")
 
     def integers(key, value):
-        return [integer(key, c)
-                for c in _typed(value, list, f"curves[{name}].{key}")]
+        return [integer(key, c) for c in _typed(value, list, f"{where}.{key}")]
 
-    try:
-        kind = entry["kind"]
-        p = integer("p", entry["p"])
-        e = integer("e", entry.get("e", 1))
-        base = FiniteField.of_order(p, e)
-        if kind == "projective-line":
-            return ProjectiveLine(base, name=name)
-        if kind == "hyperelliptic":
-            h = integers("h", entry.get("h", []))
-            f = integers("f", entry["f"])
-            return HyperellipticCurve.from_ints(base, h, f, name=name)
-        if kind == "plane":
-            monomials = [integers("monomials", mono) for mono in _typed(
-                entry["monomials"], list, f"curves[{name}].monomials")]
-            degree = integer("degree", entry["degree"])
-            return PlaneCurve.from_list(base, monomials, degree, name=name)
-        raise ConfigError(f"curves[{name}]: unknown kind {kind!r}")
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError(f"curves[{name}]: missing key {e}") from e
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"curves[{name}]: {e}") from e
+    kind = _key(entry, "kind", where)
+    p = integer("p", _key(entry, "p", where))
+    e = integer("e", entry.get("e", 1))
+    if kind == "projective-line":
+        make, args = ProjectiveLine, ()
+    elif kind == "hyperelliptic":
+        make, args = HyperellipticCurve.from_ints, (
+            integers("h", entry.get("h", [])),
+            integers("f", _key(entry, "f", where)))
+    elif kind == "plane":
+        monomials = [integers("monomials", mono) for mono in _typed(
+            _key(entry, "monomials", where), list, f"{where}.monomials")]
+        seen = {}
+        for i, mono in enumerate(monomials):
+            if len(mono) != 4:
+                raise ConfigError(f"{where}.monomials[{i}]: expected 4 "
+                                  f"integers [i, j, k, c], got {len(mono)}")
+            if (first := seen.setdefault(tuple(mono[:3]), i)) != i:
+                raise ConfigError(f"{where}.monomials[{i}]: repeats the "
+                                  f"exponents {mono[:3]} of monomials[{first}]")
+        make, args = PlaneCurve.from_list, (
+            monomials, integer("degree", _key(entry, "degree", where)))
+    else:
+        raise ConfigError(f"{where}: unknown kind {_json_text(kind)}")
+    try:  # every key is read: an error now is about the model as a whole
+        return make(FiniteField.of_order(p, e), *args, name=name)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def _entries(entries, where: str):
@@ -187,24 +199,22 @@ def build_groups(cfg: dict) -> list[GroupSpec]:
     raw ``name``, ``dim`` and ``degrees``, either with a ``tamagawa``."""
     out = []
     for where, entry in _entries(cfg.get("groups"), "groups"):
-        try:
-            if "family" in entry:
-                n = _integer(entry["n"], f"{where}.n")
-            else:
-                degrees = _typed(entry["degrees"], list, f"{where}.degrees")
-                name = _typed(entry["name"], str, f"{where}.name")
-                dim = _integer(entry["dim"], f"{where}.dim")
-                degrees = tuple(_integer(d, f"{where}.degrees[{k}]")
-                                for k, d in enumerate(degrees))
-            tamagawa = _rational(entry.get("tamagawa", 1), f"{where}.tamagawa")
-            out.append(builtin_group(entry["family"], n, tamagawa)
+        if "family" in entry:
+            family = _typed(entry["family"], str, f"{where}.family")
+            n = _integer(_key(entry, "n", where), f"{where}.n")
+        else:
+            degrees = _typed(_key(entry, "degrees", where), list,
+                             f"{where}.degrees")
+            name = _typed(_key(entry, "name", where), str, f"{where}.name")
+            dim = _integer(_key(entry, "dim", where), f"{where}.dim")
+            degrees = tuple(_integer(d, f"{where}.degrees[{k}]")
+                            for k, d in enumerate(degrees))
+        tamagawa = _rational(entry.get("tamagawa", 1), f"{where}.tamagawa")
+        try:  # about the group as a whole
+            out.append(builtin_group(family, n, tamagawa)
                        if "family" in entry else
                        GroupSpec(name, dim, degrees, tamagawa))
-        except ConfigError:
-            raise
-        except KeyError as e:
-            raise ConfigError(f"{where}: missing key {e}") from e
-        except ValueError as e:  # about the group as a whole
+        except ValueError as e:
             raise ConfigError(f"{where}: {e}") from e
     return out
 
@@ -215,27 +225,23 @@ def build_tv(cfg: dict) -> tuple[TVData, int] | None:
     entry = cfg.get("tv")
     if entry is None:
         return None
-    if "q" not in _typed(entry, dict, "tv"):
-        raise ConfigError("tv: missing key 'q'")
-    q = _integer(entry["q"], "tv.q")
+    q = _integer(_key(_typed(entry, dict, "tv"), "q", "tv"), "tv.q")
     beta = _typed(entry.get("beta", {}), dict, "tv.beta")
     if (d_bound := _integer(entry.get("d_bound", 1), "tv.d_bound")) < 1:
         raise ConfigError("tv.d_bound: must be >= 1")
     for m in beta:  # a degree is plain digits: int() reads "1_0" as 10
         if not (m.isascii() and m.isdigit()):
-            raise ConfigError(f"tv.beta: key {m!r}: expected decimal digits")
-    # a zero density is left out, as if its degree were not given
-    beta = tuple((int(m), b) for m, v in beta.items()
-                 if (b := _rational(v, f"tv.beta.{m}")))
+            raise ConfigError(
+                f"tv.beta: key {_json_text(m)}: expected decimal digits")
+    beta = tuple((int(m), _rational(v, f"tv.beta.{m}"))
+                 for m, v in beta.items())
     groups = entry.get("groups")
     rows = None if groups is None else []
     for where, row in _entries(groups, "tv.groups"):
-        for key in ("deg", "gamma", "L"):
-            if key not in row:
-                raise ConfigError(f"{where}: missing key {key!r}")
-        rows.append((_integer(row["deg"], f"{where}.deg"),
-                     _rational(row["gamma"], f"{where}.gamma"),
-                     _rational(row["L"], f"{where}.L")))
+        deg, gamma, L = (_key(row, key, where) for key in ("deg", "gamma", "L"))
+        rows.append((_integer(deg, f"{where}.deg"),
+                     _rational(gamma, f"{where}.gamma"),
+                     _rational(L, f"{where}.L")))
     try:  # TVData's messages start with the path inside the section
         return TVData(q, beta, rows), d_bound
     except ValueError as e:
@@ -261,7 +267,7 @@ def _run_config(cfg: dict, opts: dict) -> dict:
             if (value := _integer(value, name)) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
         elif value not in ("csv", "json"):
-            raise ConfigError(f"{name}: unknown format {value!r}")
+            raise ConfigError(f"{name}: unknown format {_json_text(value)}")
         run[key] = value
     return run
 
@@ -563,14 +569,22 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         sys.stderr.write(f"{USAGE}error: {e}\n")
         return 2
+    # the config is parsed under the caller's limit on the digits of an int
+    # (Python 3.10.7 on), and exact values are then printed at any length
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         cfg = load_config(opts["config"])
+        if limit:
+            sys.set_int_max_str_digits(0)
         run = _run_config(cfg, opts)
         report = _COMMANDS[command](cfg, run)
         emit(report, run)
     except Exception as e:  # config and library errors keep their message
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

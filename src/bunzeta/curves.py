@@ -253,10 +253,7 @@ class _RootAlgebra(FiniteField):
     """
 
     def __init__(self, B: FiniteField, M, k: int):
-        n = len(M) - 1
-        super().__init__(_char=B.char, _order=B.order ** n,
-                         _degree=B.degree * n, _base=B, _rel_degree=n,
-                         _modulus=tuple(M))
+        super().__init__(B, tuple(M))
         self._unit_order = B.order ** k - 1
 
     def inv_c(self, a: int) -> int:

@@ -92,7 +92,8 @@ def builtin_group(family: str, n: int, tamagawa=None) -> GroupSpec:
             raise ValueError("SO-even needs n >= 2")
         return GroupSpec(f"SO{2 * n}", 2 * n * n - n,
                          tuple(range(2, 2 * n - 1, 2)) + (n,), tau)
-    raise ValueError(f"unsupported family {family!r}; known: {FAMILIES}")
+    raise ValueError(f'unsupported family "{family}"; '
+                     f"known: {', '.join(FAMILIES)}")
 
 
 def mass_ratio(spec: GroupSpec, q: int, r: int = 1) -> Fraction:

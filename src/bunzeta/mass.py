@@ -96,8 +96,6 @@ def mass_gl_component(n: int, z: ZetaData) -> Fraction:
     Independent of the component's degree: twisting by a line bundle of
     degree 1 identifies the components.
     """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
     return mass_bun(builtin_group("GL", n), z)
 
 

@@ -248,9 +248,7 @@ def digit_walk_copy(F):
     extension-field arithmetic runs on digit polynomials over the base
     field (the ``_pc_*`` helpers), and prime-field arithmetic on integers."""
     base = None if F.base is None else digit_walk_copy(F.base)
-    return FiniteField(_char=F.char, _order=F.order, _degree=F.degree,
-                       _base=base, _rel_degree=F.rel_degree,
-                       _modulus=F.modulus)
+    return FiniteField(base, F.modulus, F.char)
 
 
 def raise_digit_walk(monkeypatch, F):

@@ -79,6 +79,15 @@ def test_infeasible_is_flag_not_error():
     assert tv_bound(tv) > 1  # bound ~ 2.41
 
 
+def test_tvdata_drops_zero_densities():
+    # TVData alone drops them: the evaluators and the report see the same
+    # value whether a zero density is given or its degree left out
+    assert TVData(4, ((1, Fraction(1)), (2, Fraction(0)))) == \
+        TVData(4, ((1, Fraction(1)),))
+    # before the other checks: a zero density at degree 0 or twice is no error
+    assert TVData(4, ((0, 0), (1, 1), (1, 0))).beta == ((1, 1),)
+
+
 def test_tvdata_validation():
     with pytest.raises(ValueError):
         TVData(q=6, beta=())  # not a prime power

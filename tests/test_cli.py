@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -159,6 +160,15 @@ def test_schema_must_be_json_integer(tmp_path, capsys, schema, got):
         f"error: config {path}: schema must be 1, got {got}\n"
 
 
+def test_missing_schema_named_as_missing_key(tmp_path, capsys):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items()
+                                if k != "schema"}))
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config {path}: missing key 'schema'\n"
+
+
 def test_missing_config(capsys):
     assert run_cli(["zeta", "--config", "/nonexistent/cfg.json"]) == 1
     assert "config" in capsys.readouterr().err
@@ -250,6 +260,34 @@ def test_non_integer_curve_field_names_curve(key, entry):
         build_curve({"name": "bad-int", **entry})
 
 
+@pytest.mark.parametrize("kind,got", [(True, "true"), (None, "null"),
+                                      ("elliptic", '"elliptic"'),
+                                      ([1], "array")],
+                         ids=["true", "null", "string", "array"])
+def test_unknown_kind_shown_as_json(kind, got):
+    with pytest.raises(ConfigError,
+                       match=rf"^curves\[X\]: unknown kind {got}$"):
+        build_curve({"name": "X", "kind": kind, "p": 2})
+
+
+@pytest.mark.parametrize("monomials,message", [
+    ([[3, 1, 0]], r"monomials\[0\]: expected 4 integers \[i, j, k, c\], got 3"),
+    ([[3, 1, 0, 1], [0, 3, 1, 1, 0]],
+     r"monomials\[1\]: expected 4 integers \[i, j, k, c\], got 5"),
+    (KLEIN_MONOMIALS + [[0, 0, 4, 1], [0, 0, 4, 1]],
+     r"monomials\[4\]: repeats the exponents \[0, 0, 4\] of monomials\[3\]"),
+    ([[3, 1, 0, 1], [0, 3, 1, 1], [3, 1, 0, 2]],
+     r"monomials\[2\]: repeats the exponents \[3, 1, 0\] of monomials\[0\]"),
+], ids=["short", "long", "repeat", "repeat-other-coefficient"])
+def test_bad_monomial_entry_named(monomials, message):
+    # over F_2 the repeated z^4 terms would sum to 0, the Klein quartic;
+    # reading the list as a dict kept one of them, a singular curve
+    entry = {"name": "X", "kind": "plane", "p": 2, "degree": 4,
+             "monomials": monomials}
+    with pytest.raises(ConfigError, match=rf"^curves\[X\]\.{message}$"):
+        build_curve(entry)
+
+
 @pytest.mark.parametrize("key,entry,got", [
     ("h", {"kind": "hyperelliptic", "p": 2, "h": 1, "f": [0, 0, 0, 1]},
      "number"),
@@ -335,11 +373,11 @@ NOT_DIGITS = "expected decimal digits"
      "tv.groups[1].L", NOT_A_RATIONAL),
     (None, dict(TV_GENERAL, beta={"2": "1/0"}), "tv.beta.2",
      'zero denominator in "1/0"\n'),
-    (None, dict(TV_GENERAL, beta={"1_0": "1"}), "tv.beta: key '1_0'",
+    (None, dict(TV_GENERAL, beta={"1_0": "1"}), 'tv.beta: key "1_0"',
      NOT_DIGITS),
-    (None, dict(TV_GENERAL, beta={" 1": "1"}), "tv.beta: key ' 1'",
+    (None, dict(TV_GENERAL, beta={" 1": "1"}), 'tv.beta: key " 1"',
      NOT_DIGITS),
-    (None, dict(TV_GENERAL, beta={"1.0": "1"}), "tv.beta: key '1.0'",
+    (None, dict(TV_GENERAL, beta={"1.0": "1"}), 'tv.beta: key "1.0"',
      NOT_DIGITS),
 ], ids=["float-n", "bool-n", "null-n", "string-n", "array-n", "float-dim",
         "string-degree", "number-degrees",
@@ -415,10 +453,15 @@ def test_tv_value_out_of_range_named(tmp_path, capsys, tv, message):
 @pytest.mark.parametrize("groups,message", [
     ([{"family": "GL", "n": 0}], "groups[0]: rank parameter must be positive"),
     ([{"family": "Gm", "n": 1}, {"family": "E8", "n": 8}],
-     "groups[1]: unsupported family 'E8'"),
+     'groups[1]: unsupported family "E8"; known: GL, SL, Sp, SO-odd, '
+     "SO-even, Gm"),
     ([{"name": "G2", "dim": 0, "degrees": [2, 6]}],
      "groups[0]: G2: dim must be positive"),
-], ids=["n-zero", "family", "dim-zero"])
+    ([{"family": 7, "n": 1}],
+     "groups[0].family: expected a JSON string, got number"),
+    ([{"family": None, "n": 1}],
+     "groups[0].family: expected a JSON string, got null"),
+], ids=["n-zero", "family", "dim-zero", "numeric-family", "null-family"])
 def test_group_value_out_of_range_named(tmp_path, capsys, groups, message):
     # an error about the group as a whole names the entry, not a key
     path = tmp_path / "run.json"
@@ -705,7 +748,7 @@ def test_unknown_format_rejected_before_counting(config_path, tmp_path,
     monkeypatch.setattr(CurveModel, "validate",
                         lambda model, budget=0: touched.append(model.name))
     assert run_cli([command, "--config", str(path)]) == 1
-    assert "output.format: unknown format 'xml'" in capsys.readouterr().err
+    assert 'output.format: unknown format "xml"' in capsys.readouterr().err
     assert touched == []
 
 def test_asymptote_reports_general_local_values(tmp_path):
@@ -836,13 +879,14 @@ P1_ONLY = {"schema": 1,
     ([], {"trunc": 0}, "trunc: must be >= 1"),
     (["--budget", "0"], {"budget": 1024}, "--budget: must be >= 1"),
     ([], {"budget": 0}, "budget: must be >= 1"),
-    (["--format", "xml"], {}, "--format: unknown format 'xml'"),
+    (["--format", "xml"], {}, '--format: unknown format "xml"'),
     (["--format=xml"], {"output": {"format": "csv"}},
-     "--format: unknown format 'xml'"),
-    ([], {"output": {"format": "xml"}}, "output.format: unknown format 'xml'"),
+     '--format: unknown format "xml"'),
+    ([], {"output": {"format": "xml"}}, 'output.format: unknown format "xml"'),
+    ([], {"output": {"format": None}}, "output.format: unknown format null"),
 ], ids=["trunc-flag", "trunc-flag-over-config", "trunc-config", "budget-flag",
         "budget-config", "format-flag", "format-flag-over-config",
-        "format-config"])
+        "format-config", "null-format-config"])
 def test_bad_setting_names_its_source(tmp_path, monkeypatch, capsys, flag,
                                       config, message):
     # a bad value from a flag is named by the flag, one from the config by
@@ -943,3 +987,59 @@ def test_output_path_must_be_json_string(tmp_path, value, got):
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", f"error: output.path: expected a JSON string, got {got}\n")
+
+
+def test_library_key_error_is_not_a_missing_config_key(config_path,
+                                                       monkeypatch, capsys):
+    # a KeyError raised inside the library is a failure of the library:
+    # only the config reader words a missing key
+    def broken(self):
+        raise KeyError("modulus")
+
+    monkeypatch.setattr(HyperellipticCurve, "genus", broken)
+    assert run_cli(["zeta", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing key" not in err
+
+
+@pytest.fixture
+def int_digit_limit():
+    """A setter of Python's limit on the digits of an int <-> str
+    conversion (3.10.7 on), restored after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python limits int <-> str from 3.10.7 on")
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+def test_exact_values_print_at_any_length(tmp_path, int_digit_limit):
+    # a mass with more digits than the default int -> str limit (4300)
+    from bunzeta.groups import GroupSpec
+    from bunzeta.mass import mass_bun
+
+    quintic = {"name": "g2-quintic", "kind": "hyperelliptic", "p": 2,
+               "h": [1], "f": [0, 0, 0, 0, 0, 1]}
+    cfg = {"schema": 1, "curves": [quintic],
+           "groups": [{"name": "Big", "dim": 20000, "degrees": [2]}]}
+    path, out = tmp_path / "big.json", tmp_path / "big_out.json"
+    path.write_text(json.dumps(cfg))
+    int_digit_limit(4300)
+    assert run_cli(["mass", "--config", str(path), "--out", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == 4300  # restored on return
+    printed = json.loads(out.read_text())["masses"][0]["mass"]
+    exact = mass_bun(GroupSpec("Big", 20000, (2,)),
+                     build_curve(quintic).zeta(1 << 26))
+    int_digit_limit(0)
+    assert len(printed) > 4300 and Fraction(printed) == exact
+
+
+def test_over_long_integer_literal_names_the_config(tmp_path, capsys,
+                                                    int_digit_limit):
+    path = tmp_path / "long.json"
+    path.write_text('{"schema": 1, "trunc": ' + "7" * 5000 + "}")
+    int_digit_limit(4300)
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path}: invalid JSON (Exceeds the "
+                          "limit (4300 digits)"), err

@@ -176,3 +176,27 @@ def test_config_values_read_once():
                for node in ast.parse(path.read_text()).body
                if isinstance(node, ast.FunctionDef) and node.name in readers]
     assert sorted(defined) == [("cli.py", name) for name in sorted(readers)]
+
+
+def test_missing_config_key_worded_once():
+    # cli._key is the one reader of a required key: no other function words
+    # a missing key, and cli.py catches no KeyError or TypeError, which the
+    # library may raise for its own reasons
+    src = pathlib.Path(bunzeta.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        funcs = [n for n in ast.walk(ast.parse(text))
+                 if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "missing key" in line:
+                owners = [f for f in funcs
+                          if f.lineno <= lineno <= f.end_lineno]
+                inner = max(owners, key=lambda f: f.lineno, default=None)
+                hits.append((path.name, inner and inner.name))
+    assert hits and set(hits) == {("cli.py", "_key")}
+    tree = ast.parse((src / "cli.py").read_text())
+    caught = [ast.unparse(h.type) for h in ast.walk(tree)
+              if isinstance(h, ast.ExceptHandler) and h.type is not None]
+    assert not any(name in c for c in caught
+                   for name in ("KeyError", "TypeError")), caught
