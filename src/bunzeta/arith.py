@@ -9,9 +9,9 @@ identically across runs.  Elements are encoded as integers in
 enumeration order canonical and the counting kernels fast.  Fields of up
 to 2^20 elements additionally build discrete-log tables, stored as
 ``array`` objects: with a generator g, ``exp[k] = g^k`` and
-``log[g^k] = k`` make multiplication a table lookup, and in
-odd-characteristic extension fields the Zech logarithm
-``g^k + 1 = g^zech[k]`` (``-1`` where ``g^k = -1``) makes addition one too:
+``log[g^k] = k`` make multiplication a table lookup, and in odd
+characteristic the Zech logarithm ``g^k + 1 = g^zech[k]`` (``-1`` where
+``g^k = -1``) makes addition one too:
 ``g^i + g^j = g^i (1 + g^(j-i)) = g^(i + zech[j-i])`` (K. Huber, IEEE
 Trans. IT 36, 1990).  ``exp`` is walked with a table-driven step
 c -> c*g that uses the F_p-linearity of multiplication by g, not a
@@ -30,7 +30,7 @@ root counts of the plane kernel.  The count kernels use the
 tables on logs directly: a polynomial over the base field at x = g^k is
 a Zech sum of the terms g^(log c_i + ik), and the quadratic character of
 g^a is (-1)^a, the parity of its log
-(``curves.HyperellipticCurve._log_affine_count``).
+(``curves.HyperellipticCurve._log_count``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 DEFAULT_ENUM_BUDGET = 1 << 26
 
 # Fields up to this order get exp/log tables for multiplication, and a Zech
-# table for addition in odd-characteristic extensions: three or four 4-byte
+# table for addition in odd characteristic: three or four 4-byte
 # array entries per element, 12 MiB for F_(2^20), built in about 1 s on a
 # 2-core Intel Xeon.  Beyond it fields fall back to the ``_pc_*`` helpers on
 # digit polynomials over the base field, about 250 times slower per element
@@ -497,8 +497,8 @@ class FiniteField:
     # -- tables ---------------------------------------------------------------
 
     def build_tables(self) -> None:
-        """Build exp/log tables, and Zech tables in odd-characteristic
-        extensions (only for orders <= 2^20); idempotent.
+        """Build exp/log tables, and Zech tables in odd characteristic
+        (only for orders <= 2^20); idempotent.
 
         ``exp`` is walked with the table-driven step c -> c*g of
         ``_times``; the only field products are the ``degree`` products
@@ -520,7 +520,7 @@ class FiniteField:
         if c != 1:
             raise ArithmeticError(
                 f"GF({self.order}): generator {g} does not have order {n}")
-        if self.char != 2 and self.base is not None:
+        if self.char != 2:
             # the lowest base-p digit of a code is its prime-field component
             # at every level of a tower, so c + 1 only changes that digit
             p = self.char
@@ -612,16 +612,13 @@ class FiniteField:
         return acc
 
     def quadratic_root_count(self, a: int, c: int) -> int:
-        """Number of y in the field with y^2 + a*y = c (codes in, count out)."""
-        if self.char == 2:
-            if a == 0:
-                return 1  # squaring is a bijection
-            t = self.mul_c(c, self.pow_c(self.inv_c(a), 2))
-            return 2 if self.trace_to_prime_c(t) == 0 else 0
-        # odd characteristic: the discriminant of y^2 + a y - c, a nonzero
-        # square iff disc^((Q - 1)/2) = 1 (Euler's criterion)
-        disc = self.add_c(self.mul_c(a, a),
-                          self.mul_c(self.embed_int(4), c))
-        if disc == 0:
-            return 1
-        return 2 if self.pow_c(disc, (self.order - 1) // 2) == 1 else 0
+        """Number of y in the field with y^2 + a*y = c (codes in, count
+        out), in characteristic 2; odd characteristic reads the parity of
+        a discriminant's log instead (``HyperellipticCurve._log_count``)."""
+        if self.char != 2:
+            raise ValueError(f"{self}: quadratic_root_count is for "
+                             "characteristic 2")
+        if a == 0:
+            return 1  # squaring is a bijection
+        t = self.mul_c(c, self.pow_c(self.inv_c(a), 2))
+        return 2 if self.trace_to_prime_c(t) == 0 else 0

@@ -2,17 +2,18 @@
 certified truncation tails, finite-genus left-hand sides, and reports.
 
 The per-degree limit densities beta_m (one nonnegative rational per
-degree, finitely supported) feed three right-hand-side evaluators:
+degree, finitely supported) feed two right-hand-side evaluators:
 
-* :func:`rhs_pic`   -- ``1 - sum_m beta_m log_q((q^m - 1)/q^m)``
-* :func:`rhs_group` -- ``dim G - sum_r beta_r log_q(|G(F_(q^r))|/q^(r dim G))``
+* :func:`rhs_group` -- ``dim G - sum_r beta_r log_q(|G(F_(q^r))|/q^(r dim G))``;
+  the Picard form ``1 - sum_m beta_m log_q((q^m - 1)/q^m)`` is its case
+  G = Gm.
 * :func:`rhs_general` -- ``-sum_r gamma_r log_q L(r)`` for user-supplied
   local values.
 
 All binary64 values are computed with ``math.fsum`` over terms listed in
 increasing degree order, so specializations that produce identical exact
-term lists (the rank-1 torus versus the Picard form, the constant-sheaf
-instance of the general form) are bit-identical.  Reported tails are
+term lists (the constant-sheaf instance of the general form and the
+summed part of the Picard form) are bit-identical.  Reported tails are
 certified upper bounds on the discarded part of the sum, derived in
 exact rational arithmetic (see docs/tail_bounds.md) and only then
 rounded outward to binary64.
@@ -181,7 +182,7 @@ def _neglog_upper(q: int, x: Fraction, lnq_lower: Fraction) -> Fraction:
 
 def _finite_tail(tv: TVData, M: int, spec_degrees: Sequence[int]) -> Fraction:
     """Certified rational bound on the discarded terms (degrees > M) of the
-    group sum with the given invariant degrees ((1,) for the Picard form):
+    group sum with the given invariant degrees ((1,) for Gm):
     each discarded term bounded by -log_q(1 - x) <= x/((1 - x) ln q), see
     docs/tail_bounds.md.  Zero when nothing was discarded."""
     q = tv.q
@@ -196,31 +197,9 @@ def _finite_tail(tv: TVData, M: int, spec_degrees: Sequence[int]) -> Fraction:
 RhsResult = namedtuple("RhsResult", "value tail")
 
 
-def tv_sum_term(tv: TVData, trunc: int) -> float:
-    """The summed part ``-sum_(m<=trunc) beta_m log_q((q^m - 1)/q^m)``,
-    binary64, of rhs_pic.  rhs_general on the constant-sheaf local values
-    ``L(m) = (q^m - 1)/q^m`` lists the same exact terms and reproduces it
-    bit-exactly."""
-    q = tv.q
-    pairs = [(b, Fraction(q ** m - 1, q ** m))
-             for m, b in tv.beta if m <= trunc]
-    return math.fsum(_neglog_q_terms(q, pairs))
-
-
-def rhs_pic(tv: TVData, trunc: int) -> RhsResult:
-    """``1 - sum_(m<=trunc) beta_m log_q((q^m - 1)/q^m)`` with certified tail."""
-    value = 1.0 + tv_sum_term(tv, trunc)
-    tail = float(_finite_tail(tv, trunc, (1,)))
-    return RhsResult(value, tail)
-
-
 def rhs_group(tv: TVData, spec: GroupSpec, trunc: int) -> RhsResult:
-    """``dim G - sum_(r<=trunc) beta_r log_q(mass_ratio(G, q, r))`` with tail.
-
-    For the one-dimensional torus this reproduces rhs_pic bit-exactly:
-    the term lists coincide as exact rationals and are summed by the same
-    code path.
-    """
+    """``dim G - sum_(r<=trunc) beta_r log_q(mass_ratio(G, q, r))`` with
+    tail; for G = Gm the ratio is (q^r - 1)/q^r, the Picard form."""
     q = tv.q
     pairs = [(b, mass_ratio(spec, q, r)) for r, b in tv.beta if r <= trunc]
     value = float(spec.dim) + math.fsum(_neglog_q_terms(q, pairs))

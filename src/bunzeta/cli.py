@@ -96,13 +96,27 @@ def _integer(value, where: str) -> int:
     return value
 
 
+# Python's limit on the digits of an int <-> str conversion (3.10.7 on):
+# ``main`` lifts it so that exact values print at any length, and holds the
+# config's string rationals to the caller's limit, which it keeps here
+_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_held_digits = 0
+
+
 def _rational(value, where: str) -> Fraction:
     """``value`` as a Fraction if it is a JSON integer or a ``"p"`` or
-    ``"p/q"`` string, else a ConfigError naming ``where``."""
+    ``"p/q"`` string, else a ConfigError naming ``where``; a string with
+    more digits above or below the bar than the digit limit is one too."""
     if type(value) is int:
         return Fraction(value)
     problem = "cannot parse rational from"
     if type(value) is str:
+        limit = _held_digits or _int_digits()
+        if limit and len(value) > limit and any(
+                sum(map(str.isdigit, part)) > limit
+                for part in value.split("/")):
+            raise ConfigError(f"{where}: a numerator or denominator has "
+                              f"more than {limit} digits, the digit limit")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
@@ -569,12 +583,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         sys.stderr.write(f"{USAGE}error: {e}\n")
         return 2
-    # the config is parsed under the caller's limit on the digits of an int
-    # (Python 3.10.7 on), and exact values are then printed at any length
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # the config is parsed under the caller's limit on the digits of an int,
+    # and exact values are then printed at any length
+    global _held_digits
+    limit = _int_digits()
     try:
         cfg = load_config(opts["config"])
         if limit:
+            _held_digits = limit
             sys.set_int_max_str_digits(0)
         run = _run_config(cfg, opts)
         report = _COMMANDS[command](cfg, run)
@@ -584,6 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     finally:
         if limit:
+            _held_digits = 0
             sys.set_int_max_str_digits(limit)
     return 0
 

@@ -59,12 +59,13 @@ cosets of k mod q^m - 1, whose least members are generated directly
 (``_cyclotomic_cosets``), with no field power per element.
 
 In odd characteristic y^2 + h(x) y = f(x) has 1 + chi(F(x)) roots y,
-with F = h^2 + 4f and chi the quadratic character, so the affine count is
-q^m + sum_x chi(F(x)), and it is computed on logs
-(``HyperellipticCurve._log_affine_count``): the term c_i x^i of F at
-x = g^k is g^(log c_i + ik), the terms are summed by Zech logarithms (by
-codes mod p over a prime field), and chi(g^a) = (-1)^a, the parity of the
-log.  No code of F(x) is formed, and no Euler power is taken.
+with F = h^2 + 4f and chi the quadratic character, and the fiber at
+infinity has 1 + chi(F_(2g+2)), so N_m = Q + 1 + sum chi(F(x)) over the
+x of P^1(F_Q), Q = q^m, with F(infinity) = F_(2g+2).  It is computed on
+logs (``HyperellipticCurve._log_count``): the term c_i x^i of F at
+x = g^k is g^(log c_i + ik), the terms are summed by Zech logarithms, in
+a prime field as in an extension, and chi(g^a) = (-1)^a, the parity of
+the log.  No code of F(x) is formed, and no Euler power is taken.
 
 Hyperelliptic models over the prime field F_2 are counted without tables,
 on every x at once.  Over x with h(x) = c != 0, y = c z turns
@@ -596,18 +597,19 @@ class HyperellipticCurve(CurveModel):
         return E.neg_c(E.mul_c(hx, E.inv_c(E.embed_int(2))))
 
     def _count(self, m: int, E: FiniteField | None) -> int:
-        """Affine solutions, plus the roots of z^2 + h_(g+1) z = f_(2g+2)
-        at infinity (f_(2g+2) = 0 when deg f is odd)."""
+        """N_m, on logs in odd characteristic; in characteristic 2 the
+        affine solutions plus the roots of z^2 + h_(g+1) z = f_(2g+2) at
+        infinity (f_(2g+2) = 0 when deg f is odd)."""
         if E is None:
             # untabled: its modulus, and the two roots at infinity below
             E = FiniteField.extension(self.base, m)
             n = self._sliced_affine_count(E.modulus)
-        elif E.char == 2:
+        elif E.char != 2:
+            return self._log_count(E, m)
+        else:
             n = sum(size * E.quadratic_root_count(_pc_eval(E, self.h, x),
                                                   _pc_eval(E, self.f, x))
                     for x, size in _orbit_reps(E, self.q, m))
-        else:
-            n = self._log_affine_count(E, m)
         g = self.genus()
         return n + E.quadratic_root_count(_coeff(self.h, g + 1),
                                           _coeff(self.f, 2 * g + 2))
@@ -618,36 +620,32 @@ class HyperellipticCurve(CurveModel):
         return _pc_add(B, _pc_mul(B, h, h),
                        _pc_mul(B, [B.embed_int(4)], self.f))
 
-    def _log_affine_count(self, E: FiniteField, m: int) -> int:
-        """The affine count on a tabled E of odd characteristic,
-        Q + sum_x chi(F(x)), on discrete logs.
+    def _log_count(self, E: FiniteField, m: int) -> int:
+        """N_m on a tabled E = F_Q of odd characteristic,
+        Q + 1 + sum_(x in P^1(F_Q)) chi(F(x)), on discrete logs.
 
         With F = sum c_i x^i, the term c_i x^i at x = g^k has the log
-        log c_i + ik, and the terms are summed on logs: g^a + g^b is
-        g^(a + zech[b - a]) in an extension, and the sum of the codes mod p
-        in a prime field.  chi(g^a) is (-1)^a, since the squares are the even
-        powers of g.  The sum runs over one k per cyclotomic coset, and x = 0
-        apart.
+        log c_i + ik, and the terms are summed by Zech logarithms:
+        g^a + g^b is g^(a + zech[b - a]).  chi(g^a) is (-1)^a, since the
+        squares are the even powers of g.  The sum runs over one k per
+        cyclotomic coset, and x = 0 and x = infinity apart: F_(2g+2) is
+        h_(g+1)^2 + 4 f_(2g+2), the discriminant of the fiber at infinity.
         """
         F = self._discriminant()
-        n, p = E.order - 1, E.char
-        exp, log, zech = E._exp, E._log, E._zech
+        n, log, zech = E.order - 1, E._log, E._zech
+        ends = (F[0], _coeff(F, 2 * self.genus() + 2))  # x = 0 and infinity
+        total = E.order + 1 + sum(1 - 2 * (log[c] & 1) for c in ends if c)
         terms = [(i, log[c]) for i, c in enumerate(F) if c]
-        total = E.order + (1 - 2 * (log[F[0]] & 1) if F[0] else 0)
         for k, size in _cyclotomic_cosets(self.q, m):
-            if zech is None:
-                s = sum(exp[lc + i * k % n] for i, lc in terms) % p
-                a = log[s] if s else -1
-            else:
-                a = -1  # the log of the partial sum, -1 while it is 0
-                for i, lc in terms:
-                    t = (lc + i * k) % n
-                    if a < 0:
-                        a = t
-                    elif (z := zech[t - a]) < 0:
-                        a = -1
-                    else:
-                        a = (a + z) % n
+            a = -1  # the log of the partial sum, -1 while it is 0
+            for i, lc in terms:
+                t = (lc + i * k) % n
+                if a < 0:
+                    a = t
+                elif (z := zech[t - a]) < 0:
+                    a = -1
+                else:
+                    a = (a + z) % n
             if a >= 0:
                 total += -size if a & 1 else size
         return total

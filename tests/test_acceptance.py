@@ -21,14 +21,13 @@ from bunzeta.asymptotics import (
     dominance_check,
     rhs_general,
     rhs_group,
-    rhs_pic,
     tv_bound,
-    tv_sum_term,
 )
 from bunzeta.groups import builtin_group
 from bunzeta.mass import hn_ss_mass, mass_bun, zagier_ss_mass
 from bunzeta.zeta import regenerate_counts, zeta_from_counts
 
+from test_asymptotics import rhs_pic, tv_sum_term
 from test_groups import (
     brute_force_gl_order,
     brute_force_sl_order,

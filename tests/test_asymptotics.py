@@ -6,7 +6,10 @@ import pytest
 
 from bunzeta.asymptotics import (
     DOMINANCE_MAX_RANK,
+    RhsResult,
     TVData,
+    _finite_tail,
+    _neglog_q_terms,
     beta_quotients,
     convergence_report,
     dominance_check,
@@ -15,13 +18,32 @@ from bunzeta.asymptotics import (
     log_q_fraction,
     rhs_general,
     rhs_group,
-    rhs_pic,
     sqrt_enclosure,
     tv_bound,
-    tv_sum_term,
 )
 from bunzeta.groups import builtin_group
 from bunzeta.zeta import zeta_from_counts
+
+
+def tv_sum_term(tv: TVData, trunc: int) -> float:
+    """Oracle: the summed part ``-sum_(m<=trunc) beta_m log_q((q^m - 1)/q^m)``,
+    binary64, of rhs_pic.  rhs_general on the constant-sheaf local values
+    ``L(m) = (q^m - 1)/q^m`` lists the same exact terms and reproduces it
+    bit-exactly."""
+    q = tv.q
+    pairs = [(b, Fraction(q ** m - 1, q ** m))
+             for m, b in tv.beta if m <= trunc]
+    return math.fsum(_neglog_q_terms(q, pairs))
+
+
+def rhs_pic(tv: TVData, trunc: int) -> RhsResult:
+    """Oracle: the Picard form ``1 - sum_(m<=trunc) beta_m
+    log_q((q^m - 1)/q^m)`` with certified tail, written out for the
+    one-dimensional torus; ``rhs_group`` on Gm reproduces it bit-exactly,
+    as the term lists coincide as exact rationals."""
+    value = 1.0 + tv_sum_term(tv, trunc)
+    tail = float(_finite_tail(tv, trunc, (1,)))
+    return RhsResult(value, tail)
 
 
 def random_feasible_tv(rng, qs=(2, 3, 4, 5, 9), max_degree=25):

@@ -1043,3 +1043,52 @@ def test_over_long_integer_literal_names_the_config(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {path}: invalid JSON (Exceeds the "
                           "limit (4300 digits)"), err
+
+
+@pytest.mark.parametrize("groups,beta,where", [
+    ([{"family": "Gm", "n": 1}], {"1": "1" + "0" * 4999 + "/1" + "0" * 5000},
+     "tv.beta.1"),
+    ([{"family": "GL", "n": 2, "tamagawa": "1" + "0" * 5000}], {"1": "1"},
+     "groups[0].tamagawa"),
+    ([{"family": "GL", "n": 2, "tamagawa": "3/1" + "0" * 4300}], {"1": "1"},
+     "groups[0].tamagawa"),
+], ids=["beta", "tamagawa", "tamagawa-denominator"])
+def test_over_long_string_rational_names_its_path(tmp_path, capsys, groups,
+                                                  beta, where,
+                                                  int_digit_limit):
+    # a string rational is held to the caller's digit limit, as a JSON
+    # integer literal is, though main lifts the limit to print reports
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"schema": 1, "groups": groups,
+                                "tv": {"q": 4, "beta": beta}}))
+    int_digit_limit(4300)
+    assert run_cli(["asymptote", "--config", str(path)]) == 1
+    assert sys.get_int_max_str_digits() == 4300  # restored on return
+    err = capsys.readouterr().err
+    assert err == (f"error: {where}: a numerator or denominator has more "
+                   "than 4300 digits, the digit limit\n")
+
+
+def test_string_rational_at_the_digit_limit_parses(tmp_path, int_digit_limit):
+    big = "1" + "0" * 4299  # 4300 digits
+    cfg = {"schema": 1, "groups": [{"family": "Gm", "n": 1,
+                                    "tamagawa": f"{big}/3"}],
+           "tv": {"q": 4, "beta": {"1": f"1/{big}"}}}
+    path, out = tmp_path / "at.json", tmp_path / "at_out.json"
+    path.write_text(json.dumps(cfg))
+    int_digit_limit(4300)
+    assert run_cli(["asymptote", "--config", str(path),
+                    "--out", str(out)]) == 0
+    int_digit_limit(0)
+    assert json.loads(out.read_text())["tv"]["beta"] == {"1": f"1/{big}"}
+
+
+def test_f9_tower_counts_pinned(tmp_path):
+    # y^2 + (x^2 + 2x + 1) y = f over F_9, g = 5 and deg f = 12: h_(g+1)
+    # and f_(2g+2) are both nonzero, so chi at infinity enters every N_m
+    config = Path(__file__).resolve().parents[1] / "configs" / "f9-g5.json"
+    out = tmp_path / "f9.json"
+    assert run_cli(["zeta", "--config", str(config), "--out", str(out)]) == 0
+    curve, = json.loads(out.read_text())["curves"]
+    assert (curve["q"], curve["g"]) == (9, 5)
+    assert curve["counts"] == [17, 105, 761, 6513, 59697, 528105]

@@ -1,19 +1,23 @@
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bunzeta import mass
+from bunzeta.cli import build_curves
 from bunzeta.groups import FAMILIES, builtin_group
 from bunzeta.mass import (
     compositions,
     hn_ss_mass,
     mass_bun,
     mass_gl_component,
+    semistable_mass,
     zagier_ss_mass,
 )
 from bunzeta.zeta import class_number, quasi_residue, zeta_from_counts
@@ -151,6 +155,37 @@ def test_semistable_matches_split_bundle_oracle(zeta_catalog):
         z = zeta_catalog[key]
         for d in (0, 1):
             assert zagier_ss_mass(2, d, z) == p1_rank2_semistable_mass(q, d)
+
+
+def rank2_deficit(z, d):
+    """Oracle: M(2) - M^ss(2, d) = (h/(q-1))^2 q^(g-1+r)/(q^2-1) with
+    r = d mod 2, the mass of the unstable rank-2 bundles of degree d.  The
+    HN stratum of the extensions of L' by L with deg L - deg L' = k has
+    mass (h/(q-1))^2 q^(g-1-k), and k runs over 2 - r, 4 - r, ..."""
+    q, r = z.q, d % 2
+    return Fraction(class_number(z), q - 1) ** 2 \
+        * Fraction(q) ** (z.g - 1 + r) / (q ** 2 - 1)
+
+
+def test_rank2_semistable_deficit(zeta_catalog, catalog_zeta):
+    # the catalog, E1 among it, and the curves of the config files that
+    # count in about a second: odd characteristic, and a nonzero
+    # character at infinity (f9-g5), included
+    root = Path(__file__).resolve().parents[1]
+    paths = [root / "configs" / f"{name}.json"
+             for name in ("demo", "f2-g22", "f9-g5")] + \
+        [root / "bench" / "workloads" / f"{name}.json"
+         for name in ("family", "zeta-heavy")]
+    zetas = [*zeta_catalog.values(),
+             *(catalog_zeta(name) for name in ("C3", "klein", "E3"))]
+    zetas += [model.zeta() for path in paths
+              for model in build_curves(json.loads(path.read_text()))]
+    assert len(zetas) == 24 and {z.q for z in zetas} == {2, 3, 9}
+    for z in zetas:
+        total = mass_gl_component(2, z)
+        for d in range(4):
+            assert total - semistable_mass(2, d, z) == rank2_deficit(z, d), \
+                (z, d)
 
 
 def _zagier_per_d(n, d, z):

@@ -200,3 +200,26 @@ def test_missing_config_key_worded_once():
               if isinstance(h, ast.ExceptHandler) and h.type is not None]
     assert not any(name in c for c in caught
                    for name in ("KeyError", "TypeError")), caught
+
+
+def test_every_function_is_called_in_the_package():
+    # a function or method that nothing in the package refers to, outside
+    # its own body, is dead code or a test oracle, and oracles live in
+    # tests/.  Dunder methods are called by Python, and Record._make by
+    # namedtuple._replace
+    src = pathlib.Path(bunzeta.__file__).parent
+    defined, refs = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.name, node))
+            elif isinstance(node, ast.Name):
+                refs.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.name, node.lineno, node.attr))
+    unused = [f"{name}:{f.name}" for name, f in defined
+              if not f.name.endswith("__") and f.name != "_make"
+              and not any(ref == f.name and not (
+                  where == name and f.lineno <= line <= f.end_lineno)
+                  for where, line, ref in refs)]
+    assert unused == []
