@@ -30,7 +30,7 @@ root counts of the plane kernel.  The count kernels use the
 tables on logs directly: a polynomial over the base field at x = g^k is
 a Zech sum of the terms g^(log c_i + ik), and the quadratic character of
 g^a is (-1)^a, the parity of its log
-(``curves.HyperellipticCurve._log_count``).
+(``curves.HyperellipticCurve._count``).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ DEFAULT_ENUM_BUDGET = 1 << 26
 # digit polynomials over the base field, about 250 times slower per element
 # scanned, so no scan on tables runs there (``CurveModel._check_scan``
 # refuses it); the fallback serves moduli, table builds and the gcd
-# certificates.  The bit-sliced count of hyperelliptic models over F_2
-# builds no tables, and only the budget binds it.
+# certificates.  The bit-sliced count of hyperelliptic models in
+# characteristic 2 builds no tables, and only the budget binds it.
 _TABLE_MAX_ORDER = 1 << 20
 
 
@@ -595,30 +595,3 @@ class FiniteField:
             if all(self.pow_c(cand, n // p) != 1 for p in ps):
                 return cand
         raise ArithmeticError("no generator found (impossible)")
-
-    # -- derived operations -----------------------------------------------------
-
-    def trace_to_prime_c(self, a: int) -> int:
-        """Absolute trace down to F_p, returned as an integer in [0, p)."""
-        p = self.char
-        acc = a
-        t = a
-        for _ in range(self.degree - 1):
-            t = self.pow_c(t, p)
-            acc = self.add_c(acc, t)
-        if acc >= p:
-            raise ArithmeticError(
-                f"GF({self.order}): trace of {a} is {acc}, not in the prime field")
-        return acc
-
-    def quadratic_root_count(self, a: int, c: int) -> int:
-        """Number of y in the field with y^2 + a*y = c (codes in, count
-        out), in characteristic 2; odd characteristic reads the parity of
-        a discriminant's log instead (``HyperellipticCurve._log_count``)."""
-        if self.char != 2:
-            raise ValueError(f"{self}: quadratic_root_count is for "
-                             "characteristic 2")
-        if a == 0:
-            return 1  # squaring is a bijection
-        t = self.mul_c(c, self.pow_c(self.inv_c(a), 2))
-        return 2 if self.trace_to_prime_c(t) == 0 else 0

@@ -9,6 +9,7 @@ precision loss and are byte-identical across runs.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -101,28 +102,26 @@ def _integer(value, where: str) -> int:
 # config's string rationals to the caller's limit, which it keeps here
 _int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _held_digits = 0
+_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
 
 
 def _rational(value, where: str) -> Fraction:
     """``value`` as a Fraction if it is a JSON integer or a ``"p"`` or
-    ``"p/q"`` string, else a ConfigError naming ``where``; a string with
-    more digits above or below the bar than the digit limit is one too."""
+    ``"p/q"`` string (an optional sign, ASCII digits, and optional
+    ``/digits``), else a ConfigError naming ``where``; a string with more
+    digits above or below the bar than the digit limit is one too."""
     if type(value) is int:
         return Fraction(value)
     problem = "cannot parse rational from"
-    if type(value) is str:
+    if type(value) is str and (match := _RATIONAL.fullmatch(value)):
         limit = _held_digits or _int_digits()
-        if limit and len(value) > limit and any(
-                sum(map(str.isdigit, part)) > limit
-                for part in value.split("/")):
+        if limit and any(len(part) > limit for part in match.groups("")):
             raise ConfigError(f"{where}: a numerator or denominator has "
                               f"more than {limit} digits, the digit limit")
         try:
-            return Fraction(value.strip())
+            return Fraction(value)
         except ZeroDivisionError:
             problem = "zero denominator in"
-        except ValueError:
-            pass
     raise ConfigError(f"{where}: {problem} {_json_text(value)}")
 
 

@@ -48,9 +48,9 @@ eliminant R is the gcd of these polynomials for the pairs (F_x, F_y),
 Only a singular model is scanned, for its witness: the first (m, x, y) in
 code order over the smallest F_(q^m) that holds one, with x a root of R.
 
-Every per-x kernel on a tabled field (the hyperelliptic count and the
-plane count) visits one x per orbit of the Frobenius x -> x^q on F_(q^m)
-and weights it by the orbit size.  This is exact: h, f and the plane
+Every per-x kernel on a tabled field (the hyperelliptic count in odd
+characteristic and the plane count) visits one x per orbit of the
+Frobenius x -> x^q on F_(q^m) and weights it by the orbit size.  This is exact: h, f and the plane
 columns have coefficients in F_q, so the data at x^q is the Frobenius
 image of the data at x, and Frobenius, an automorphism of F_(q^m),
 preserves root counts.  The orbits are read off the discrete logs: x = 0
@@ -62,22 +62,25 @@ In odd characteristic y^2 + h(x) y = f(x) has 1 + chi(F(x)) roots y,
 with F = h^2 + 4f and chi the quadratic character, and the fiber at
 infinity has 1 + chi(F_(2g+2)), so N_m = Q + 1 + sum chi(F(x)) over the
 x of P^1(F_Q), Q = q^m, with F(infinity) = F_(2g+2).  It is computed on
-logs (``HyperellipticCurve._log_count``): the term c_i x^i of F at
+logs (``HyperellipticCurve._count``): the term c_i x^i of F at
 x = g^k is g^(log c_i + ik), the terms are summed by Zech logarithms, in
 a prime field as in an extension, and chi(g^a) = (-1)^a, the parity of
 the log.  No code of F(x) is formed, and no Euler power is taken.
 
-Hyperelliptic models over the prime field F_2 are counted without tables,
-on every x at once.  Over x with h(x) = c != 0, y = c z turns
+Hyperelliptic models in characteristic 2 are counted without tables, on
+every x at once.  Over x with h(x) = c != 0, y = c z turns
 y^2 + c y = f(x) into z^2 + z = f(x)/c^2; z^2 + z is F_2-linear with
 kernel F_2, and its image is the kernel of the trace Tr to F_2 (it lies
 in that kernel, since Tr(z^2) = Tr(z), and both have index 2).  So x has
 1 + (-1)^Tr(f(x)/h(x)^2) points.  Over x with h(x) = 0, y^2 = f(x) has
-one root, as squaring is a bijection.  With the codes of F_(2^m) as bit
-vectors over F_2, every F_2-coordinate of h(x), f(x) and their quotient is
-one Python int with one bit per x (``_SlicedField``), and the affine count
-is 2^m + #{h(x) != 0} - 2 #{Tr(f(x)/h(x)^2) = 1}.  For h = 1, the
-Artin-Schreier form, that is 2 (2^m - #{Tr f(x) = 1}), and the count
+one root, as squaring is a bijection.  The fiber at infinity is the same
+rule at (h_(g+1), f_(2g+2)), so N_m is one trace sum over P^1(F_Q).  With
+the codes of K = F_Q = F_2[t]/(P) as bit vectors over F_2, every
+F_2-coordinate of h(x), f(x) and their quotient is one Python int with
+one bit per x (``_SlicedField``); a base field F_(2^e) = F_2[a]/(mu) is
+mapped into K by sending a to the least root of mu there.  The affine
+count is Q + #{h(x) != 0} - 2 #{Tr(f(x)/h(x)^2) = 1}.  For h = 1, the
+Artin-Schreier form, that is 2 (Q - #{Tr f(x) = 1}), and the count
 evaluates f alone and computes no inverse.
 
 A scan of F_(q^m) is charged its q^m elements against the budget, and a
@@ -264,22 +267,23 @@ class _RootAlgebra(FiniteField):
         return inv
 
 
-# The bit-sliced count runs x through F_(2^m) in blocks of 2^_BLOCK_BITS
-# codes: a slice then holds 128 KiB, whatever m, and m > 20 takes 2^(m-20)
+# The bit-sliced count runs x through F_(2^n) in blocks of 2^_BLOCK_BITS
+# codes: a slice then holds 128 KiB, whatever n, and n > 20 takes 2^(n-20)
 # blocks.
 _BLOCK_BITS = 20
 
 
 class _SlicedField:
-    """F_(2^m) = F_2[t]/(P) on bit slices, for the count over F_2.
+    """K = F_2[t]/(P) on bit slices, for the counts in characteristic 2.
 
-    An element is a list of m ints, one per coordinate: bit j of int i is
-    the coefficient of t^i of the element at the j-th x of a block.  Sums
-    are XORs, products are schoolbook ANDs and XORs reduced by the bits of
-    t^k mod P, and squaring, which is F_2-linear, needs no AND.
+    An element is a list of n = deg P ints, one per coordinate: bit j of
+    int i is the coefficient of t^i of the element at the j-th x of a
+    block.  Sums are XORs, products are schoolbook ANDs and XORs reduced by
+    the bits of t^k mod P, and squaring, which is F_2-linear, needs no AND.
     """
 
-    def __init__(self, modulus):
+    def __init__(self, field: FiniteField):
+        self.field, modulus = field, field.modulus
         self.m = m = len(modulus) - 1
         P = sum(c << i for i, c in enumerate(modulus))
         self._reduce, r = [], 1  # the bits of t^k mod P, k < 2m - 1
@@ -336,6 +340,10 @@ class _SlicedField:
             t ^= a[i]
         return t
 
+    def constant(self, c: int, ones: int):
+        """The element with the value c, a code of K, at every x of a block."""
+        return [ones if c >> i & 1 else 0 for i in range(self.m)]
+
     def blocks(self):
         """(x, ones) for each block of 2^min(m, _BLOCK_BITS) codes: x is the
         element whose value at the j-th code of the block is that code, and
@@ -357,22 +365,21 @@ class _SlicedField:
                          for i in range(m - width)], ones
 
     def evaluate(self, polys, x, ones):
-        """The values at x of polynomials over F_2 (0/1 coefficients).
+        """The values at x of polynomials whose coefficients are codes of K.
 
         A term x^k is (x^j)^(2^s) with j odd, so the products go to the odd
         j, and the squarings to the rest.  Each x^j is a product of the
         x^(2^i), or x^j' x^(j - j') from the previous odd j' when j - j'
         has fewer bits than j: one product per odd j for a dense
-        polynomial.
+        polynomial, and one more per coefficient other than 0 and 1.
         """
-        terms = {}  # odd j -> (s, index of the polynomial) for each term
+        terms = {}  # odd j -> (s, index of the polynomial, c) for each term
         for n, cs in enumerate(polys):
             for k in range(1, len(cs)):
                 if cs[k]:
                     s = (k & -k).bit_length() - 1
-                    terms.setdefault(k >> s, []).append((s, n))
-        values = [[ones if cs and cs[0] else 0] + [0] * (self.m - 1)
-                  for cs in polys]
+                    terms.setdefault(k >> s, []).append((s, n, cs[k]))
+        values = [self.constant(cs[0] if cs else 0, ones) for cs in polys]
         squares, prev_j, prev = [x], 0, None  # squares[i] = x^(2^i)
         for j in sorted(terms):
             if (j - prev_j).bit_count() >= j.bit_count():
@@ -385,12 +392,37 @@ class _SlicedField:
                     prev = squares[i] if prev is None else \
                         self.mul(prev, squares[i])
             prev_j, power, done = j, prev, 0
-            for s, n in sorted(terms[j]):
+            for s, n, c in sorted(terms[j]):
                 for _ in range(s - done):
                     power = self.square(power)
                 done = s
-                values[n] = [u ^ v for u, v in zip(values[n], power)]
+                term = power if c == 1 else \
+                    self.mul(self.constant(c, ones), power)
+                values[n] = [u ^ v for u, v in zip(values[n], term)]
         return values
+
+    def embedding(self, B: FiniteField):
+        """A map from the codes of B, a subfield of K, to codes of K.
+
+        A code of B = B'[a]/(mu) is a polynomial in a over B' (F_2 for B
+        over the prime field), and a is sent to the least root r of mu in
+        K, found by ``evaluate``.  Any root would do for a count: two
+        embeddings differ by a power of Frobenius, which maps the points of
+        a curve one to one.
+        """
+        if B.base is None:
+            return int  # the codes 0 and 1 of F_2
+        low = self.embedding(B.base)
+        mu = [low(c) for c in B.modulus]
+        for top, (x, ones) in enumerate(self.blocks()):
+            roots = ones
+            for v in self.evaluate((mu,), x, ones)[0]:
+                roots &= ~v
+            if roots:
+                r = top << min(self.m, _BLOCK_BITS) | \
+                    (roots & -roots).bit_length() - 1
+                return lambda c: _pc_eval(
+                    self.field, [low(d) for d in B.decode(c)], r)
 
 
 class CurveModel:
@@ -540,7 +572,7 @@ class HyperellipticCurve(CurveModel):
             raise SingularModelError(
                 self.name, None,
                 f"{self.name}: h = 0 in characteristic 2 is inseparable, never smooth")
-        self.tabled = base.order != 2  # over F_2 the bit-sliced kernel counts
+        self.tabled = base.char != 2  # characteristic 2 counts on bit slices
 
     @classmethod
     def from_ints(cls, base: FiniteField, h_coeffs, f_coeffs,
@@ -596,33 +628,15 @@ class HyperellipticCurve(CurveModel):
             return E.pow_c(fx, E.order // 2)  # y^2 = f(x) where h(x) = 0
         return E.neg_c(E.mul_c(hx, E.inv_c(E.embed_int(2))))
 
-    def _count(self, m: int, E: FiniteField | None) -> int:
-        """N_m, on logs in odd characteristic; in characteristic 2 the
-        affine solutions plus the roots of z^2 + h_(g+1) z = f_(2g+2) at
-        infinity (f_(2g+2) = 0 when deg f is odd)."""
-        if E is None:
-            # untabled: its modulus, and the two roots at infinity below
-            E = FiniteField.extension(self.base, m)
-            n = self._sliced_affine_count(E.modulus)
-        elif E.char != 2:
-            return self._log_count(E, m)
-        else:
-            n = sum(size * E.quadratic_root_count(_pc_eval(E, self.h, x),
-                                                  _pc_eval(E, self.f, x))
-                    for x, size in _orbit_reps(E, self.q, m))
-        g = self.genus()
-        return n + E.quadratic_root_count(_coeff(self.h, g + 1),
-                                          _coeff(self.f, 2 * g + 2))
-
     def _discriminant(self):
         """F = h^2 + 4f, in odd characteristic."""
         B, h = self.base, self.h
         return _pc_add(B, _pc_mul(B, h, h),
                        _pc_mul(B, [B.embed_int(4)], self.f))
 
-    def _log_count(self, E: FiniteField, m: int) -> int:
-        """N_m on a tabled E = F_Q of odd characteristic,
-        Q + 1 + sum_(x in P^1(F_Q)) chi(F(x)), on discrete logs.
+    def _count(self, m: int, E: FiniteField | None) -> int:
+        """N_m, on bit slices in characteristic 2 (E is None), else on a
+        tabled E = F_Q, Q + 1 + sum_(x in P^1(F_Q)) chi(F(x)), on logs.
 
         With F = sum c_i x^i, the term c_i x^i at x = g^k has the log
         log c_i + ik, and the terms are summed by Zech logarithms:
@@ -631,6 +645,8 @@ class HyperellipticCurve(CurveModel):
         cyclotomic coset, and x = 0 and x = infinity apart: F_(2g+2) is
         h_(g+1)^2 + 4 f_(2g+2), the discriminant of the fiber at infinity.
         """
+        if E is None:
+            return self._sliced_count(m)
         F = self._discriminant()
         n, log, zech = E.order - 1, E._log, E._zech
         ends = (F[0], _coeff(F, 2 * self.genus() + 2))  # x = 0 and infinity
@@ -650,25 +666,36 @@ class HyperellipticCurve(CurveModel):
                 total += -size if a & 1 else size
         return total
 
-    def _sliced_affine_count(self, modulus) -> int:
-        """The affine count over F_2, on every x of a block at once: an x
-        with h(x) = 0 has one point, any other 1 + (-1)^Tr(f(x)/h(x)^2)."""
-        K = _SlicedField(modulus)
-        count = 0
+    def _sliced_count(self, m: int) -> int:
+        """N_m in characteristic 2, on bit slices of K = F_Q: every x of a
+        block at once, and the fiber at infinity on width-1 slices, or one
+        point when h_(g+1) = 0."""
+        K = _SlicedField(FiniteField.of_order(2, self.base.degree * m))
+        image = K.embedding(self.base)
+        h, f = (tuple(map(image, cs)) for cs in (self.h, self.f))
+        g = self.genus()
+        h_top = _coeff(h, g + 1)
+        count = _sliced_points(K, (h_top,), (_coeff(f, 2 * g + 2),), None, 1) \
+            if h_top else 1
         for x, ones in K.blocks():
-            if self.h == (1,):  # Tr(f/h^2) = Tr(f): no inversion
-                f, = K.evaluate((self.f,), x, ones)
-                nonzero, t = ones, K.trace(f)
-            else:
-                h, f = K.evaluate((self.h, self.f), x, ones)
-                nonzero = 0
-                for v in h:
-                    nonzero |= v
-                # Tr(f/h^2) is 0 where h = 0, since there 1/h = 0
-                t = K.trace(K.mul(f, K.square(K.inverse(h))))
-            codes = ones.bit_length()
-            count += codes + nonzero.bit_count() - 2 * t.bit_count()
+            count += _sliced_points(K, h, f, x, ones)
         return count
+
+
+def _sliced_points(K: _SlicedField, h, f, x, ones) -> int:
+    """The points of y^2 + h(x) y = f(x) over the x of a block: an x with
+    h(x) = 0 has one, any other 1 + (-1)^Tr(f(x)/h(x)^2)."""
+    if h == (1,):  # Tr(f/h^2) = Tr(f): no inversion
+        f, = K.evaluate((f,), x, ones)
+        nonzero, t = ones, K.trace(f)
+    else:
+        h, f = K.evaluate((h, f), x, ones)
+        nonzero = 0
+        for v in h:
+            nonzero |= v
+        # Tr(f/h^2) is 0 where h = 0, since there 1/h = 0
+        t = K.trace(K.mul(f, K.square(K.inverse(h))))
+    return ones.bit_length() + nonzero.bit_count() - 2 * t.bit_count()
 
 
 class PlaneCurve(CurveModel):

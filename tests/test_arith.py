@@ -441,25 +441,6 @@ def test_table_less_pow_c_chain_cost_and_value(monkeypatch):
     assert E.pow_c(5, 0) == big.pow_c(5, 0) == 1
 
 
-def test_quadratic_root_counts_match_enumeration():
-    # characteristic 2 only: odd counts read the parity of a log instead
-    for pm in [(2, 1), (2, 2), (2, 3)]:
-        F = FiniteField.of_order(*pm)
-        F.build_tables()
-        for a in range(F.order):
-            for c in range(F.order):
-                brute = sum(
-                    1 for y in range(F.order)
-                    if F.add_c(F.mul_c(y, y), F.mul_c(a, y)) == c)
-                assert F.quadratic_root_count(a, c) == brute, (pm, a, c)
-
-
-def test_quadratic_root_count_refuses_odd_fields():
-    for pm in [(3, 1), (3, 2), (5, 1)]:
-        with pytest.raises(ValueError, match="characteristic 2"):
-            FiniteField.of_order(*pm).quadratic_root_count(1, 1)
-
-
 # ---------------------------------------------------------------------------
 # exact rationals
 # ---------------------------------------------------------------------------

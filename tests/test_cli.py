@@ -364,6 +364,16 @@ NOT_DIGITS = "expected decimal digits"
      f"{NOT_A_RATIONAL} 0.5\n"),
     (None, dict(TV_GENERAL, beta={"1": None}), "tv.beta.1",
      f"{NOT_A_RATIONAL} null\n"),
+    # only a sign, ASCII digits and "/digits": Fraction also reads these,
+    # and "1e-5000" has a 5001-digit denominator
+    (None, dict(TV_GENERAL, beta={"1": "1e-5000"}), "tv.beta.1",
+     f'{NOT_A_RATIONAL} "1e-5000"\n'),
+    (None, dict(TV_GENERAL, beta={"1": "0.5"}), "tv.beta.1",
+     f'{NOT_A_RATIONAL} "0.5"\n'),
+    (None, dict(TV_GENERAL, beta={"1": "1_000"}), "tv.beta.1",
+     f'{NOT_A_RATIONAL} "1_000"\n'),
+    (None, dict(TV_GENERAL, beta={"1": "\u0661"}), "tv.beta.1",
+     f'{NOT_A_RATIONAL} "\\u0661"\n'),
     (None, dict(TV_GENERAL, beta={"1": {"p": 1}}), "tv.beta.1",
      f"{NOT_A_RATIONAL} object\n"),
     (None, dict(TV_GENERAL, groups=[{"deg": 1, "gamma": True, "L": "3/4"}]),
@@ -383,7 +393,8 @@ NOT_DIGITS = "expected decimal digits"
         "string-degree", "number-degrees",
         "float-q", "string-q", "float-deg", "float-d_bound", "bool-tamagawa",
         "bool-raw-tamagawa", "zero-denominator-tamagawa", "bool-beta",
-        "string-beta", "float-beta", "null-beta", "object-beta",
+        "string-beta", "float-beta", "null-beta", "exponent-beta",
+        "decimal-beta", "underscore-beta", "non-ascii-digit-beta", "object-beta",
         "bool-gamma", "bool-L",
         "zero-denominator-beta", "underscore-key", "space-key",
         "decimal-point-key"])

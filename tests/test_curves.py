@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bunzeta import curves
+from bunzeta import arith, curves
 from bunzeta.arith import BudgetExceededError, FiniteField, _pc_eval
 from bunzeta.cli import build_curve
 from bunzeta.curves import (
@@ -38,13 +38,29 @@ def _frobenius_orbits(E, q):
         yield x, size
 
 
+def frobenius_trace(E, a):
+    """Oracle: the absolute trace a + a^p + ... + a^(p^(D-1)) of a code of
+    E, D = E.degree, a code of the prime field."""
+    acc = t = a
+    for _ in range(E.degree - 1):
+        t = E.pow_c(t, E.char)
+        acc = E.add_c(acc, t)
+    assert acc < E.char, (E, a, acc)
+    return acc
+
+
 def quadratic_root_count(E, a, c):
     """Oracle: the number of y in E with y^2 + a*y = c.  In odd
     characteristic the discriminant a^2 + 4c of y^2 + a y - c is a nonzero
-    square iff disc^((Q - 1)/2) = 1 (Euler's criterion); characteristic 2
-    is ``E.quadratic_root_count``."""
+    square iff disc^((Q - 1)/2) = 1 (Euler's criterion).  In
+    characteristic 2, a = 0 gives one root, as squaring is a bijection,
+    and otherwise y = a z gives z^2 + z = c/a^2, which has two roots iff
+    Tr(c/a^2) = 0."""
     if E.char == 2:
-        return E.quadratic_root_count(a, c)
+        if a == 0:
+            return 1
+        t = E.mul_c(c, E.pow_c(E.inv_c(a), 2))
+        return 2 if frobenius_trace(E, t) == 0 else 0
     disc = E.add_c(E.mul_c(a, a), E.mul_c(E.embed_int(4), c))
     if disc == 0:
         return 1
@@ -62,13 +78,31 @@ def test_euler_oracle_matches_enumeration():
                 assert quadratic_root_count(E, a, c) == brute, (pm, a, c)
 
 
-def orbit_affine_count(model, E):
-    """Oracle (the former production kernel): the affine count of a
-    hyperelliptic model over E, with h and f evaluated at one x per
-    Frobenius orbit and the roots in y counted by ``quadratic_root_count``."""
-    return sum(size * quadratic_root_count(E, _pc_eval(E, model.h, x),
-                                           _pc_eval(E, model.f, x))
-               for x, size in _frobenius_orbits(E, model.q))
+def test_quadratic_root_counts_match_enumeration():
+    # the characteristic-2 branch of the oracle, by its Frobenius-sum trace
+    for pm in [(2, 1), (2, 2), (2, 3)]:
+        F = FiniteField.of_order(*pm)
+        F.build_tables()
+        for a in range(F.order):
+            for c in range(F.order):
+                brute = sum(
+                    1 for y in range(F.order)
+                    if F.add_c(F.mul_c(y, y), F.mul_c(a, y)) == c)
+                assert quadratic_root_count(F, a, c) == brute, (pm, a, c)
+
+
+def orbit_count(model, m):
+    """Oracle (the former production kernel): N_m of a hyperelliptic model
+    on a tabled F_(q^m), with h and f evaluated by Horner at one x per
+    Frobenius orbit, weighted by the orbit size, and the roots in y, at
+    every x and of z^2 + h_(g+1) z = f_(2g+2) at infinity, counted by
+    ``quadratic_root_count``."""
+    E, g = tabled_field(model.base, m), model.genus()
+    affine = sum(size * quadratic_root_count(E, _pc_eval(E, model.h, x),
+                                             _pc_eval(E, model.f, x))
+                 for x, size in _frobenius_orbits(E, model.q))
+    return affine + quadratic_root_count(E, curves._coeff(model.h, g + 1),
+                                         curves._coeff(model.f, 2 * g + 2))
 
 
 def _ev(E, cs, x):
@@ -501,24 +535,22 @@ def random_smooth_models(base, seed, h_degrees, genus=2):
 
 
 @pytest.mark.parametrize("p,e,top", [(3, 1, 6), (5, 1, 6), (7, 1, 6),
-                                     (3, 2, 5), (2, 2, 6)],
-                         ids=["F3", "F5", "F7", "F9", "F4"])
+                                     (3, 2, 5), (2, 2, 6), (2, 3, 5),
+                                     (2, 4, 4)],
+                         ids=["F3", "F5", "F7", "F9", "F4", "F8", "F16"])
 def test_log_kernel_matches_orbit_oracle(p, e, top):
-    # odd characteristic counts on logs, and F_4 on the cosets, against the
-    # per-x kernel; h = 0, a constant h and h of degree 2, and deg f odd
-    # and even
+    # odd characteristic counts on logs, and F_4, F_8 and F_16 on bit
+    # slices, against the per-x kernel; h = 0, a constant h and h of degree
+    # 2, and deg f odd and even
     base = FiniteField.of_order(p, e)
     models = random_smooth_models(base, 2031 + base.order,
                                   (0, 2) if p == 2 else (-1, 0, 2))
+    if e > 1:  # coefficients outside the prime field
+        assert all(max(model.h + model.f) >= p for model in models)
     for model in models:
-        g = model.genus()
         for m in range(1, top + 1):
-            E = tabled_field(base, m)
-            at_infinity = quadratic_root_count(
-                E, curves._coeff(model.h, g + 1),
-                curves._coeff(model.f, 2 * g + 2))
-            assert model.count_points(m) == \
-                orbit_affine_count(model, E) + at_infinity, (model.name, m)
+            assert model.count_points(m) == orbit_count(model, m), \
+                (model.name, m)
 
 
 def f2_config_curves():
@@ -552,11 +584,10 @@ def random_dense_f2_models(seed, genera):
 
 
 def assert_sliced_matches_orbit_oracle(model, top):
-    """The bit-sliced count (no field handed in) equals the orbit kernel on
-    a tabled F_(2^m), for m = 1..top."""
+    """The bit-sliced count equals the orbit kernel on a tabled F_(q^m),
+    for m = 1..top."""
     for m in range(1, top + 1):
-        assert model._count(m, None) == \
-            model._count(m, tabled_field(model.base, m)), (model.name, m)
+        assert model.count_points(m) == orbit_count(model, m), (model.name, m)
 
 
 def test_sliced_counts_match_orbit_oracle_on_catalog_and_configs(
@@ -577,32 +608,72 @@ def test_sliced_counts_match_orbit_oracle_on_random_dense_curves():
 
 
 def test_sliced_blocks_match_orbit_oracle(monkeypatch):
-    # blocks of 4 codes: every m > 2 runs the multi-block path
+    # blocks of 4 codes: every F_(2^n), n > 2, runs the multi-block path,
+    # and over F_4 the root search for the embedding runs it too
     monkeypatch.setattr(curves, "_BLOCK_BITS", 2)
     for model in random_dense_f2_models(2028, [1, 2, 3]):
         assert_sliced_matches_orbit_oracle(model, 2 * model.genus() + 2)
+    for model in random_smooth_models(FiniteField.of_order(2, 2), 2028,
+                                      (0, 2)):
+        assert_sliced_matches_orbit_oracle(model, 5)
+
+
+@pytest.mark.parametrize("block_bits", [20, 2])
+def test_embedding_sends_a_to_the_least_root(monkeypatch, block_bits):
+    # the image of a, the class of x in B = B'[x]/(mu), is the least root of
+    # mu's image in K = F_(2^n), and the map respects sums and products;
+    # F16/F4 is a tower, whose codes are digits over F_4
+    monkeypatch.setattr(curves, "_BLOCK_BITS", block_bits)
+    rng = random.Random(2032)
+    F4 = FiniteField.of_order(2, 2)
+    for B, n in [(F4, 2), (F4, 4), (F4, 6), (FiniteField.of_order(2, 3), 6),
+                 (FiniteField.of_order(2, 4), 8), (FiniteField.of_order(2, 3), 9),
+                 (FiniteField.extension(F4, 2), 8)]:
+        E = FiniteField.of_order(2, n)
+        E.build_tables()
+        image = curves._SlicedField(E).embedding(B)
+        mu = [image(c) for c in B.modulus]
+        assert image(B.encode((0, 1))) == next(
+            r for r in range(E.order) if _pc_eval(E, mu, r) == 0), (B, n)
+        for _ in range(20):
+            a, b = rng.randrange(B.order), rng.randrange(B.order)
+            assert image(a ^ b) == image(a) ^ image(b)
+            assert image(B.mul_c(a, b)) == E.mul_c(image(a), image(b))
 
 
 def test_sliced_trace_bits_match_frobenius_trace():
     # Tr(t^i) from Newton's power sums against the Frobenius sum
-    # t^i + t^(2i) + ... of FiniteField.trace_to_prime_c
+    # t^i + t^(2i) + ... of the oracle
     for m in range(1, 21):
         E = FiniteField.of_order(2, m)
-        assert curves._SlicedField(E.modulus)._trace == \
-            [i for i in range(m) if E.trace_to_prime_c(1 << i)], m
+        assert curves._SlicedField(E)._trace == \
+            [i for i in range(m) if frobenius_trace(E, 1 << i)], m
 
 
 def test_f2_counts_build_no_tables(monkeypatch):
-    model, = random_dense_f2_models(2029, [2])
-    model.validate()
-    oracle = [model._count(m, tabled_field(model.base, m))
-              for m in range(1, 7)]
+    # over F_2, F_4 and F_8, up to F_(2^12)
+    models = random_dense_f2_models(2029, [2]) + [
+        random_smooth_models(FiniteField.of_order(2, e), 2029, (2,))[0]
+        for e in (2, 3)]
+    oracle = [[orbit_count(model, m) for m in range(1, 12 // model.base.degree + 1)]
+              for model in models]
 
     def no_tables(self):
-        raise AssertionError("a count over F_2 built field tables")
+        raise AssertionError("a count in characteristic 2 built field tables")
 
     monkeypatch.setattr(FiniteField, "build_tables", no_tables)
-    assert model.counts(6) == oracle
+    for model, counts in zip(models, oracle):
+        assert model.counts(len(counts)) == counts, model.name
+
+
+def test_f4_count_beyond_the_table_limit():
+    # F_(4^11) has 2^22 elements, over the 2^20 table limit: it passes the
+    # count gate, and N_11 equals the count P(T) regenerates
+    root = pathlib.Path(__file__).resolve().parents[1]
+    entry, = json.loads((root / "configs/f4-g9.json").read_text())["curves"]
+    model = build_curve(entry)
+    assert model.q ** 11 > arith._TABLE_MAX_ORDER
+    assert model.count_points(11) == regenerate_counts(model.zeta(), 11)[10]
 
 
 def test_klein_quartic_counts(curve_catalog):
