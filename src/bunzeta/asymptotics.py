@@ -23,14 +23,15 @@ rational enclosures, never floating point, so the feasibility bound
 ``sum_m m beta_m / (q^(m/2) - 1) <= 1`` is exact at perfect squares and
 certified from above otherwise.
 
-:func:`dominance_check` and :func:`convergence_report` return their
-sections of the ``asymptote`` report as JSON-ready dicts, with binary64
-values as 17-digit strings (``arith.format_float``).
+:func:`tv_report` and :func:`convergence_report` build the ``asymptote``
+report's sections as JSON-ready dicts by the same two helpers, with
+binary64 values as 17-digit strings (``arith.format_float``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -54,8 +55,7 @@ _LN_TOL = Fraction(1, 1 << 60)
 # noise on the value itself.
 _TAIL_SLACK = Fraction(1_000_000_001, 1_000_000_000)
 _TAIL_FLOOR = Fraction(1, 1 << 40)
-# largest GL rank with a dominance table (2^(n-1) compositions); both the
-# tv and the family sections leave the table out above it
+# largest GL rank with a dominance table (2^(n-1) compositions)
 DOMINANCE_MAX_RANK = 6
 
 
@@ -238,43 +238,33 @@ def log_q_fraction(x: Fraction, q: int) -> float:
     return (math.log(x.numerator) - math.log(x.denominator)) / math.log(q)
 
 
-def lhs_sequence(family: Sequence[ZetaData], spec: GroupSpec):
-    """[(g_i, log_q mass / g_i)] for each member; exact mass, binary64 log."""
-    out = []
-    for z in family:
-        if z.g < 1:
-            raise ValueError("genus-0 member: the normalized log is undefined")
-        mass = mass_bun(spec, z)
-        out.append((z.g, log_q_fraction(mass, z.q) / z.g))
-    return out
-
-
-def beta_quotients(family: Sequence[tuple[Sequence[int], int]], M: int):
-    """Per-member {m: B_m/g} maps from (B_1..B_M', g) pairs; the last one's
-    nonzero entries are the finite-index estimate of the limit densities."""
-    out = []
-    for spectrum, g in family:
-        if g < 1:
-            raise ValueError("genus-0 member: density quotients are undefined")
-        out.append({m: Fraction(spectrum[m - 1], g)
-                    for m in range(1, min(M, len(spectrum)) + 1)})
-    return out
-
-
-def dominance_check(tv: TVData, n: int, trunc: int) -> dict:
-    """The report's dominance table: the growth exponent of each
-    composition term of the rank-n semistable sum,
-    ``sum_(i<j) n_i n_j + sum_j rhs_group(GL_(n_j))``, and ``dominant``.
-
-    ``dominant`` is True iff the one-part composition (n) attains the
-    strict maximum ((n) having the largest exponent is what makes the
-    semistable and total masses grow at the same rate).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > DOMINANCE_MAX_RANK:
+def check_family(family: Sequence[ZetaData], labels: Sequence[str]) -> None:
+    """A family is one or more members over one base field in nondecreasing
+    genus, the first (so all) of positive genus; errors name ``labels``."""
+    if not family:
+        raise ValueError("empty family")
+    for (a, y), (b, z) in itertools.pairwise(zip(labels, family)):
+        if z.q != y.q:
+            raise ValueError("family members live over different base "
+                             f"fields: {a} (q = {y.q}) and {b} (q = {z.q})")
+        if z.g < y.g:
+            raise ValueError(f"family must be sorted by genus: {a} "
+                             f"(g = {y.g}) comes before {b} (g = {z.g})")
+    if family[0].g < 1:
         raise ValueError(
-            f"composition table limited to n <= {DOMINANCE_MAX_RANK}")
+            f"{labels[0]} has genus 0: log_q(mass)/g is undefined")
+
+
+def dominance_check(tv: TVData, spec: GroupSpec, trunc: int) -> dict | None:
+    """The report's dominance table of ``spec``, None unless it is GL_n with
+    n <= DOMINANCE_MAX_RANK: the growth exponent of each composition term
+    of the rank-n semistable sum, ``sum_(i<j) n_i n_j + sum_j
+    rhs_group(GL_(n_j))``, and ``dominant``, True iff the one-part
+    composition (n) attains the strict maximum (which makes the semistable
+    and total masses grow at the same rate)."""
+    n = spec.is_gl()
+    if n is None or n > DOMINANCE_MAX_RANK:
+        return None
     values = {m: rhs_group(tv, builtin_group("GL", m), trunc).value
               for m in range(1, n + 1)}
     exponents = {}
@@ -289,54 +279,70 @@ def dominance_check(tv: TVData, n: int, trunc: int) -> dict:
                             if comp != (n,))}
 
 
+def _tv_entries(tv: TVData) -> dict:
+    """A section's densities, ``tv_bound`` and ``tv_feasible``."""
+    bound = tv_bound(tv)
+    return {"tv": tv.to_json_dict(), "tv_bound": format_rational(bound),
+            "tv_feasible": bound <= 1}
+
+
+def _rhs_entries(tv: TVData, spec: GroupSpec, trunc: int):
+    """The rhs value of ``spec`` on ``tv``, its ``rhs`` and ``dominance``."""
+    rhs = rhs_group(tv, spec, trunc)
+    return rhs.value, {"rhs": {"value": format_float(rhs.value),
+                               "tail": format_float(rhs.tail)},
+                       "dominance": dominance_check(tv, spec, trunc)}
+
+
+def tv_report(tv: TVData, d_bound: int, groups: Sequence[GroupSpec],
+              trunc: int) -> dict:
+    """The report's tv section: densities, one ``groups`` entry per group
+    (no ``dominance`` key without a table), and the ``general`` sum."""
+    report = _tv_entries(tv)
+    report["groups"] = [{"group": spec.name, **{
+        key: value for key, value in _rhs_entries(tv, spec, trunc)[1].items()
+        if value is not None}} for spec in groups]
+    if tv.groups:
+        general = rhs_general(tv.groups, tv.q, d_bound)
+        report["general"] = {"value": format_float(general.value),
+                             "weight_envelope_ok": general.envelope_ok,
+                             "d_bound": d_bound}
+    return report
+
+
 def convergence_report(family: Sequence[ZetaData], spec: GroupSpec,
                        trunc: int) -> dict:
-    """The report's family section: zeta data -> spectra -> empirical
-    densities -> rhs with tail from the last member's densities, per-member
-    lhs log_q(mass)/g and gaps, plus, for GL_n, the degree-0 semistable
-    mass per member and the dominance table (None for
-    n > DOMINANCE_MAX_RANK).  Finite gaps at finite genus are data, not a
-    verification of the genus-to-infinity limit."""
-    zetas = list(family)
-    if not zetas:
-        raise ValueError("empty family")
-    q = zetas[0].q
-    if any(z.q != q for z in zetas):
-        raise ValueError("family members live over different base fields")
-    genera = [z.g for z in zetas]
-    if genera != sorted(genera):
-        raise ValueError("family must be sorted by genus")
-    pairs = [(degree_spectrum(regenerate_counts(z, trunc)), z.g)
-             for z in zetas]
-    quotients = beta_quotients(pairs, trunc)
-    tv = TVData(q, tuple(quotients[-1].items()))
-    bound = tv_bound(tv)
-    rhs = rhs_group(tv, spec, trunc)
+    """The report's family section for one group, reading each member once:
+    its quotients B_m/g (the last member's are the empirical densities of
+    the rhs), then its row: lhs log_q(mass)/g, the gap to the rhs and, for
+    GL_n, the degree-0 semistable lhs and its gap to the lhs.  Finite gaps
+    at finite genus are data, not a verification of the limit."""
+    check_family(family, [f"family member {i}" for i in range(len(family))])
+    q = family[0].q
+    quotients = [[(m, Fraction(b, z.g)) for m, b in enumerate(
+        degree_spectrum(regenerate_counts(z, trunc)), 1)] for z in family]
+    tv = TVData(q, quotients[-1])
+    rhs, report = _rhs_entries(tv, spec, trunc)
     gl_rank = spec.is_gl()
     rows = []
-    for i, (z, (g, lhs)) in enumerate(zip(zetas, lhs_sequence(zetas, spec))):
-        row = {"index": i, "genus": g, "lhs": format_float(lhs),
-               "gap": format_float(abs(lhs - rhs.value))}
+    for i, z in enumerate(family):
+        lhs = log_q_fraction(mass_bun(spec, z), q) / z.g
+        row = {"index": i, "genus": z.g, "lhs": format_float(lhs),
+               "gap": format_float(abs(lhs - rhs))}
         if gl_rank is not None:
             try:
                 ss = semistable_mass(gl_rank, 0, z)
             except RouteMismatchError as e:
                 raise RouteMismatchError(
-                    f"family member {i} (g = {g}): {e}") from e
+                    f"family member {i} (g = {z.g}): {e}") from e
             if ss > 0:
-                ss_lhs = log_q_fraction(ss, q) / g
+                ss_lhs = log_q_fraction(ss, q) / z.g
                 row["ss_lhs"] = format_float(ss_lhs)
                 row["ss_gap"] = format_float(abs(ss_lhs - lhs))
         rows.append(row)
-    dom = None
-    if gl_rank is not None and gl_rank <= DOMINANCE_MAX_RANK:
-        dom = dominance_check(tv, gl_rank, trunc)
-    return {"q": q, "group": spec.to_json_dict(), "rows": rows,
-            "rhs": {"value": format_float(rhs.value),
-                    "tail": format_float(rhs.tail)},
-            "tv": tv.to_json_dict(), "tv_bound": format_rational(bound),
-            "tv_feasible": bound <= 1, "dominance": dom,
-            "member_quotients": [{str(m): format_rational(b)
-                                  for m, b in quo.items()} for quo in quotients],
-            "note": "finite-genus data only; the genus-to-infinity limit is "
-                    "not verifiable at this scale"}
+    report.update(_tv_entries(tv), q=q, group=spec.to_json_dict(), rows=rows,
+                  member_quotients=[{str(m): format_rational(b)
+                                     for m, b in quo} for quo in quotients],
+                  note="finite-genus data only; the genus-to-infinity limit "
+                       "is not verifiable at this scale")
+    return report

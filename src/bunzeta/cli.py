@@ -1,9 +1,10 @@
 """Config-driven command line: ``zeta``, ``mass`` and ``asymptote`` reports.
 
 One JSON config file drives all subcommands; each subcommand reads the
-sections it needs.  Exact rationals are serialized as ``"p/q"`` strings
-and binary64 logs with 17 significant digits, so reports re-parse without
-precision loss and are byte-identical across runs.
+sections it needs (``asymptotics`` builds the ``asymptote`` report).
+Exact rationals are serialized as ``"p/q"`` strings and binary64 logs with
+17 significant digits, so reports re-parse without precision loss and are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ from .arith import (
     format_rational,
 )
 from .asymptotics import (
-    DOMINANCE_MAX_RANK,
     TVData,
+    check_family,
     convergence_report,
-    dominance_check,
     log_q_fraction,
-    rhs_general,
-    rhs_group,
-    tv_bound,
+    tv_report,
 )
 from .curves import (
     CurveModel,
@@ -393,44 +391,29 @@ def cmd_asymptote(cfg: dict, run: dict) -> dict:
     if not groups:
         raise ConfigError("groups: the asymptote command needs at least one group")
     trunc = run["trunc"]
-    # the family path only concerns positive-genus members; genus-0 curves
-    # in a shared config are simply not part of this section
-    family = [z for z in (curve_zeta(c, run["budget"])
-                          for c in build_curves(cfg)) if z.g >= 1]
+    # genus-0 curves in a shared config are not part of the family
+    zetas = {c.name: curve_zeta(c, run["budget"]) for c in build_curves(cfg)}
+    family = [z for z in zetas.values() if z.g >= 1]
     if tv is None and not family:
         raise ConfigError("tv/curves: the asymptote command needs tv data "
                           "or a curve family of positive genus")
+    if family:
+        try:
+            check_family(family, [f"curves[{name}]" for name, z in
+                                  zetas.items() if z.g >= 1])
+        except ValueError as e:
+            raise ConfigError(f"curves: {e}") from e
     report: dict = {"schema": SCHEMA_VERSION, "command": "asymptote",
                     "trunc": trunc}
     if tv is not None:
-        bound = tv_bound(tv)
-        entries = []
-        for spec in groups:
-            r = rhs_group(tv, spec, trunc)
-            entry = {"group": spec.name,
-                     "rhs": {"value": format_float(r.value),
-                             "tail": format_float(r.tail)}}
-            n = spec.is_gl()
-            if n is not None and n <= DOMINANCE_MAX_RANK:
-                entry["dominance"] = dominance_check(tv, n, trunc)
-            entries.append(entry)
-        report["tv"] = tv.to_json_dict()
-        report["tv_bound"] = format_rational(bound)
-        report["tv_feasible"] = bound <= 1
-        report["groups"] = entries
-        if tv.groups:
-            general = rhs_general(tv.groups, tv.q, d_bound)
-            report["general"] = {"value": format_float(general.value),
-                                 "weight_envelope_ok": general.envelope_ok,
-                                 "d_bound": d_bound}
+        report.update(tv_report(tv, d_bound, groups, trunc))
     if family:
-        fam_reports = []
+        report["family"] = reports = []
         for spec in groups:
             try:
-                fam_reports.append(convergence_report(family, spec, trunc))
+                reports.append(convergence_report(family, spec, trunc))
             except Exception as e:
                 raise ConfigError(f"family x groups[{spec.name}]: {e}") from e
-        report["family"] = fam_reports
     return report
 
 

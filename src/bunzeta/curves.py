@@ -99,6 +99,7 @@ N_m is nonnegative and lies in its Weil interval.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .arith import (
@@ -281,6 +282,12 @@ class _SlicedField:
     block.  Sums are XORs, products are schoolbook ANDs and XORs reduced by
     the bits of t^k mod P, and squaring, which is F_2-linear, needs no AND.
     """
+
+    @classmethod
+    @functools.cache
+    def of_degree(cls, n: int) -> "_SlicedField":
+        """The sliced field of F_(2^n), built once per n."""
+        return cls(FiniteField.of_order(2, n))
 
     def __init__(self, field: FiniteField):
         self.field, modulus = field, field.modulus
@@ -670,9 +677,11 @@ class HyperellipticCurve(CurveModel):
         """N_m in characteristic 2, on bit slices of K = F_Q: every x of a
         block at once, and the fiber at infinity on width-1 slices, or one
         point when h_(g+1) = 0."""
-        K = _SlicedField(FiniteField.of_order(2, self.base.degree * m))
-        image = K.embedding(self.base)
-        h, f = (tuple(map(image, cs)) for cs in (self.h, self.f))
+        K = _SlicedField.of_degree(self.base.degree * m)
+        h, f = self.h, self.f
+        if self.base.base is not None:  # codes of F_2 are codes of K
+            image = K.embedding(self.base)
+            h, f = (tuple(map(image, cs)) for cs in (h, f))
         g = self.genus()
         h_top = _coeff(h, g + 1)
         count = _sliced_points(K, (h_top,), (_coeff(f, 2 * g + 2),), None, 1) \

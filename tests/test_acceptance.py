@@ -202,7 +202,7 @@ def test_criterion_8_dominance_at_boundary():
         tv = TVData(q=q, beta=((1, beta1),))
         assert tv_bound(tv) <= 1, q
         for n in range(1, 5):
-            res = dominance_check(tv, n, 25)
+            res = dominance_check(tv, builtin_group("GL", n), 25)
             assert res["dominant"], (q, n, res)
     _report("8 dominance", True,
             "strict maximum at the one-part composition, q in {2,3,4,9}, "

@@ -10,10 +10,8 @@ from bunzeta.asymptotics import (
     TVData,
     _finite_tail,
     _neglog_q_terms,
-    beta_quotients,
     convergence_report,
     dominance_check,
-    lhs_sequence,
     ln_lower,
     log_q_fraction,
     rhs_general,
@@ -280,58 +278,70 @@ def test_tail_soundness_for_infeasible_densities():
 # ---------------------------------------------------------------------------
 
 
-def test_lhs_sequence_pinned(zeta_catalog):
-    gm = builtin_group("Gm", 1)
-    rows = lhs_sequence([zeta_catalog["E1"]], gm)
-    assert rows == [(1, math.log(3) / math.log(2))]
-    assert abs(rows[0][1] - 1.5849625007211563) < 1e-15
-    gl1 = builtin_group("GL", 1)
-    assert lhs_sequence([zeta_catalog["E1"]], gl1) == rows
+def test_family_rows_lhs_pinned(zeta_catalog):
+    rows = convergence_report([zeta_catalog["E1"]], builtin_group("Gm", 1),
+                              4)["rows"]
+    assert [(r["genus"], float(r["lhs"])) for r in rows] == \
+        [(1, math.log(3) / math.log(2))]
+    assert abs(float(rows[0]["lhs"]) - 1.5849625007211563) < 1e-15
+    gl1 = convergence_report([zeta_catalog["E1"]], builtin_group("GL", 1), 4)
+    assert [r["lhs"] for r in gl1["rows"]] == [r["lhs"] for r in rows]
 
 
-def test_lhs_sequence_rejects_genus_zero(zeta_catalog):
-    with pytest.raises(ValueError):
-        lhs_sequence([zeta_catalog["P1/F2"]], builtin_group("Gm", 1))
+def test_family_rejects_genus_zero(zeta_catalog):
+    with pytest.raises(ValueError, match="family member 0 has genus 0"):
+        convergence_report([zeta_catalog["P1/F2"]], builtin_group("Gm", 1), 4)
 
 
-def _density_estimate(q, fam, M):
-    # the estimate convergence_report builds from its last member
-    beta = beta_quotients(fam, M)[-1]
-    return TVData(q, tuple((m, b) for m, b in beta.items() if b))
+def _density_estimate(monkeypatch, fam, trunc):
+    """The densities and member quotients of a Gm family report whose
+    members have the (spectrum B_1..B_trunc, genus g) pairs of ``fam``: the
+    member of genus g is y^2 + y = x^(2g+1) over F_2, its spectrum
+    replaced by the given one."""
+    from bunzeta import asymptotics
+    from bunzeta.arith import FiniteField
+    from bunzeta.curves import HyperellipticCurve
+
+    spectra = iter([list(spectrum) for spectrum, _ in fam])
+    monkeypatch.setattr(asymptotics, "degree_spectrum",
+                        lambda counts: next(spectra))
+    F2 = FiniteField.prime(2)
+    zetas = [HyperellipticCurve.from_ints(F2, [1], [0] * (2 * g + 1) + [1])
+             .zeta() if g else zeta_from_counts(2, 0, []) for _, g in fam]
+    rep = convergence_report(zetas, builtin_group("Gm", 1), trunc)
+    return rep["tv"]["beta"], rep["member_quotients"]
 
 
-def test_empirical_tv_synthetic():
+def test_empirical_tv_synthetic(monkeypatch):
     # family with B_1 = g gives the density estimate beta_1 = 1
     fam = [([g], g) for g in (2, 4, 8)]
-    tv = _density_estimate(2, fam, 1)
-    assert tv.beta == ((1, Fraction(1)),)
+    beta, quotients = _density_estimate(monkeypatch, fam, 1)
+    assert beta == {"1": "1"}
+    assert quotients == [{"1": "1"}] * 3
 
 
-def test_empirical_tv_single_member():
-    fam = [([3, 1], 1)]
-    tv = _density_estimate(2, fam, 2)
-    assert tv.beta == ((1, Fraction(3)), (2, Fraction(1)))
+def test_empirical_tv_single_member(monkeypatch):
+    beta, _ = _density_estimate(monkeypatch, [([3, 1], 1)], 2)
+    assert beta == {"1": "3", "2": "1"}
 
 
-def test_empirical_tv_two_members_keeps_sequences():
+def test_empirical_tv_two_members_keeps_sequences(monkeypatch):
     fam = [([3, 1], 1), ([2, 4], 2)]
-    tv = _density_estimate(2, fam, 2)
-    assert tv.beta == ((1, Fraction(1)), (2, Fraction(2)))
-    quots = beta_quotients(fam, 2)
-    assert quots[0] == {1: Fraction(3), 2: Fraction(1)}
-    assert quots[1] == {1: Fraction(1), 2: Fraction(2)}
+    beta, quotients = _density_estimate(monkeypatch, fam, 2)
+    assert beta == {"1": "1", "2": "2"}
+    assert quotients == [{"1": "3", "2": "1"}, {"1": "1", "2": "2"}]
 
 
-def test_empirical_tv_rejects_genus_zero():
-    with pytest.raises(ValueError):
-        _density_estimate(2, [([3], 0)], 1)
+def test_empirical_tv_rejects_genus_zero(monkeypatch):
+    with pytest.raises(ValueError, match="family member 0 has genus 0"):
+        _density_estimate(monkeypatch, [([3], 0)], 1)
     with pytest.raises(ValueError, match="empty family"):
         convergence_report([], builtin_group("Gm", 1), 1)
 
 
 def test_dominance_pinned_zero_beta():
     tv0 = TVData(q=4, beta=())
-    res = dominance_check(tv0, 2, 5)
+    res = dominance_check(tv0, builtin_group("GL", 2), 5)
     table = {tuple(r["composition"]): r["exponent"] for r in res["rows"]}
     assert table == {(2,): "4", (1, 1): "3"}
     assert res["dominant"] is True
@@ -339,7 +349,7 @@ def test_dominance_pinned_zero_beta():
 
 def test_dominance_pinned_boundary():
     tv4 = TVData(q=4, beta=((1, Fraction(1)),))
-    res = dominance_check(tv4, 2, 10)
+    res = dominance_check(tv4, builtin_group("GL", 2), 10)
     table = {tuple(r["composition"]): float(r["exponent"])
              for r in res["rows"]}
     assert abs(table[(2,)] - 4.254073451835162) < 1e-12
@@ -348,13 +358,21 @@ def test_dominance_pinned_boundary():
 
 
 def test_dominance_trivial_rank_one():
-    res = dominance_check(TVData(q=4, beta=((1, Fraction(1)),)), 1, 5)
+    res = dominance_check(TVData(q=4, beta=((1, Fraction(1)),)),
+                          builtin_group("GL", 1), 5)
     assert res["dominant"] and len(res["rows"]) == 1
 
 
-def test_dominance_rejects_large_rank():
-    with pytest.raises(ValueError):
-        dominance_check(TVData(q=4, beta=()), 7, 5)
+def test_dominance_table_only_for_small_gl():
+    # the rank rule: a table for GL_n with n <= DOMINANCE_MAX_RANK alone;
+    # Gm is GL_1 (degrees {1}, dim 1), and has GL_1's table
+    tv = TVData(q=4, beta=((1, Fraction(1)),))
+    assert DOMINANCE_MAX_RANK == 6
+    assert len(dominance_check(tv, builtin_group("GL", 6), 5)["rows"]) == 32
+    for family, n in [("GL", 7), ("SL", 3), ("Sp", 2)]:
+        assert dominance_check(tv, builtin_group(family, n), 5) is None
+    assert dominance_check(tv, builtin_group("Gm", 1), 5) == \
+        dominance_check(tv, builtin_group("GL", 1), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +408,11 @@ def test_convergence_report_errors(catalog_zeta):
         convergence_report([], gl2, 5)
     with pytest.raises(ValueError):
         convergence_report([catalog_zeta("P1/F2")], gl2, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sorted by genus: family member 0 "
+                       r"\(g = 2\) comes before family member 1 \(g = 1\)"):
         convergence_report([catalog_zeta("C2"), catalog_zeta("E1")], gl2, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"different base fields: family "
+                       r"member 0 \(q = 2\) and family member 1 \(q = 3\)"):
         convergence_report([catalog_zeta("E1"), catalog_zeta("E3")], gl2, 5)
 
 

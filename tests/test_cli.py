@@ -674,6 +674,44 @@ def test_asymptote_family_leaves_out_large_dominance_table(tmp_path):
     assert all("ss_lhs" in r for r in fam["rows"])
 
 
+E3_CURVE = {"name": "E3", "kind": "hyperelliptic", "p": 3, "f": [0, 1, 0, 1]}
+
+
+@pytest.mark.parametrize("curves,message", [
+    ([BASE_CONFIG["curves"][2], BASE_CONFIG["curves"][1]],
+     "curves: family must be sorted by genus: curves[C2] (g = 2) comes "
+     "before curves[E1] (g = 1)"),
+    ([BASE_CONFIG["curves"][1], E3_CURVE],
+     "curves: family members live over different base fields: curves[E1] "
+     "(q = 2) and curves[E3] (q = 3)"),
+], ids=["genus-order", "base-field"])
+def test_asymptote_family_rules_name_the_curves(tmp_path, capsys, curves,
+                                                message):
+    # the family's rules are checked once, before any group; the genus-0
+    # P1/F2 first in the config is left out of the family
+    cfg = dict(BASE_CONFIG, curves=[BASE_CONFIG["curves"][0]] + curves)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["asymptote", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_asymptote_route_mismatch_names_group_and_member(monkeypatch):
+    from bunzeta import cli, mass
+
+    hn = mass.hn_ss_mass
+
+    def skewed(n, d, z):
+        return hn(n, d, z) + (n == 2 and z.g == 2)
+
+    monkeypatch.setattr(mass, "hn_ss_mass", skewed)
+    run = {"trunc": 4, "budget": 1 << 20, "format": "json", "out": None}
+    with pytest.raises(ConfigError,
+                       match=r"^family x groups\[GL2\]: family member 1 "
+                             r"\(g = 2\): M\^ss\(2, 0\) is "):
+        cli.cmd_asymptote(BASE_CONFIG, run)
+
+
 def test_budget_error_names_curve(config_path, tmp_path, capsys):
     # E1's guard count N_2 enumerates F_4, over a budget of 3
     assert run_cli(["zeta", "--config", config_path, "--budget", "3"]) == 1

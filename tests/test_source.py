@@ -223,3 +223,29 @@ def test_every_function_is_called_in_the_package():
                   where == name and f.lineno <= line <= f.end_lineno)
                   for where, line, ref in refs)]
     assert unused == []
+
+
+def test_dominance_rank_rule_read_once():
+    # dominance_check alone decides which groups have a dominance table:
+    # no other function reads DOMINANCE_MAX_RANK, and cli.py, which reads
+    # the config, leaves the rhs, the bound and the table to asymptotics
+    src = pathlib.Path(bunzeta.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "DOMINANCE_MAX_RANK" \
+                    and isinstance(node.ctx, ast.Load):
+                owners = [f for f in funcs
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                inner = max(owners, key=lambda f: f.lineno, default=None)
+                readers.append((path.name, inner and inner.name))
+    assert readers == [("asymptotics.py", "dominance_check")]
+    tree = ast.parse((src / "cli.py").read_text())
+    used = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            for a in n.names}
+    used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert used.isdisjoint({"dominance_check", "rhs_group", "rhs_general",
+                            "tv_bound", "DOMINANCE_MAX_RANK"})
