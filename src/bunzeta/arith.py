@@ -4,9 +4,12 @@ Everything here is exact.  Rational values are ``fractions.Fraction``
 (always in lowest terms, positive denominator).  Finite fields are built
 as towers over their prime field with a deterministic, lexicographically
 smallest irreducible modulus, so the same field is reconstructed
-identically across runs.  Elements are encoded as integers in
-``[0, order)`` (little-endian digits over the base field), which keeps
-enumeration order canonical and the counting kernels fast.  Fields of up
+identically across runs, and built once per process: ``prime`` and
+``extension`` are cached constructors, and ``build_tables`` returns its
+field, so a kernel takes ``FiniteField.extension(base, m).build_tables()``.
+Elements are encoded as integers in ``[0, order)`` (little-endian digits
+over the base field), which keeps enumeration order canonical and the
+counting kernels fast.  Fields of up
 to 2^20 elements additionally build discrete-log tables, stored as
 ``array`` objects: with a generator g, ``exp[k] = g^k`` and
 ``log[g^k] = k`` make multiplication a table lookup, and in odd
@@ -35,6 +38,7 @@ g^a is (-1)^a, the parity of its log
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 from fractions import Fraction
@@ -106,60 +110,59 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def moebius(n: int) -> int:
-    """Mobius function of a positive integer."""
-    if n < 1:
-        raise ValueError("moebius is defined for positive integers")
-    ps = _prime_factors(n)
-    return (-1) ** len(ps) if all(n % (p * p) for p in ps) else 0
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _least_factor(n: int, d: int = 2) -> int:
-    """The least prime factor of n >= 2, for n with no prime factor below d:
-    the one trial division behind the prime helpers."""
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1 in increasing order."""
-    out = []
-    p = 2
+    """The distinct prime factors of n >= 1 in increasing order, by trial
+    division."""
+    out, p = [], 2
     while n > 1:
-        p = _least_factor(n, p)
-        out.append(p)
-        while n % p == 0:
-            n //= p
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
     return out
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality below
+# _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and _least_factor(n) == n
+    """Primality by Miller-Rabin to the bases ``_PRIME_BASES``; a ValueError
+    that names ``_PRIME_LIMIT`` for an n above it with no factor in them."""
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only "
+                         f"below {_PRIME_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    for a in _PRIME_BASES:
+        # a^(2^(s-1) d), ..., a^(2d), a^d: a^d = 1, or n - 1 among them
+        chain = [pow(a, (n - 1) >> i, n) for i in range(1, s + 1)]
+        if chain[-1] != 1 and n - 1 not in chain:
+            return False
+    return True
 
 
 def is_prime_power(n: int) -> bool:
+    """Whether n = p^e, e >= 1: the integer k-th root of n for the largest
+    k that has one is prime."""
     if n < 2:
         return False
-    p = _least_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    k = next(k for k in range(n.bit_length(), 0, -1) if _iroot(n, k) ** k == n)
+    return is_prime(_iroot(n, k))
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def power_sums(a, M: int) -> list[int]:
@@ -355,8 +358,6 @@ class FiniteField:
     a tower, so base-field codes are literally extension-field codes.
     """
 
-    _prime_cache: dict[int, "FiniteField"] = {}
-
     def __init__(self, base: "FiniteField | None", modulus, p: int = 0):
         """F_p when ``base`` is None, else ``base[x]/(modulus)``."""
         self.base, self.modulus = base, modulus
@@ -364,7 +365,6 @@ class FiniteField:
         self.char = p if base is None else base.char
         self.order = (p if base is None else base.order) ** n
         self.degree = (1 if base is None else base.degree) * n
-        self._extensions: dict[int, "FiniteField"] = {}
         self._exp = None  # generator powers, doubled, for table multiplication
         self._log = None
         self._zech = None  # Zech logarithms, for table addition in odd char
@@ -372,35 +372,27 @@ class FiniteField:
     # -- construction -------------------------------------------------------
 
     @classmethod
+    @functools.cache
     def prime(cls, p: int) -> "FiniteField":
-        f = cls._prime_cache.get(p)
-        if f is None:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            f = cls(None, (0, 1), p)
-            cls._prime_cache[p] = f
-        return f
+        """F_p, built once per p."""
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return cls(None, (0, 1), p)
 
     @classmethod
+    @functools.cache
     def extension(cls, base: "FiniteField", m: int) -> "FiniteField":
         """Degree-m extension of ``base`` by the lexicographically smallest
-        monic irreducible."""
+        monic irreducible, built once per (base, m)."""
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if m == 1:
-            return base
-        cached = base._extensions.get(m)
-        if cached is not None:
-            return cached
-        f = cls(base, _lex_smallest_irreducible_codes(base, m))
-        base._extensions[m] = f
-        return f
+        return base if m == 1 else \
+            cls(base, _lex_smallest_irreducible_codes(base, m))
 
     @classmethod
     def of_order(cls, p: int, m: int) -> "FiniteField":
         """F_(p^m) over the prime field with the canonical modulus."""
-        base = cls.prime(p)
-        return base if m == 1 else cls.extension(base, m)
+        return cls.extension(cls.prime(p), m)
 
     # -- element codes ------------------------------------------------------
 
@@ -496,16 +488,16 @@ class FiniteField:
 
     # -- tables ---------------------------------------------------------------
 
-    def build_tables(self) -> None:
+    def build_tables(self) -> "FiniteField":
         """Build exp/log tables, and Zech tables in odd characteristic
-        (only for orders <= 2^20); idempotent.
+        (only for orders <= 2^20); idempotent.  Returns the field.
 
         ``exp`` is walked with the table-driven step c -> c*g of
         ``_times``; the only field products are the ``degree`` products
         that build its tables.
         """
         if self._exp is not None or self.order > _TABLE_MAX_ORDER:
-            return
+            return self
         n = self.order - 1
         g = self._find_generator()
         times_g = self._times(g)
@@ -533,6 +525,7 @@ class FiniteField:
             self._zech = zech
         self._exp = exp
         self._log = log
+        return self
 
     def _times(self, a: int):
         """The map c -> c*a on codes, by table lookups.

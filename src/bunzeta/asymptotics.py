@@ -78,23 +78,24 @@ def _sqrt_lower(n: int) -> Fraction:
 
 @functools.lru_cache(maxsize=None)
 def ln_lower(q: int) -> Fraction:
-    """Rational lower bound of ln(q) via the atanh series (all terms > 0),
-    summed until the next term drops below ``_LN_TOL``."""
+    """Rational lower bound of ln(q): with q = 2^k r, 1 <= r < 2,
+    ln q = k ln 2 + ln r, and ln x = 2 atanh(u) = 2 sum u^(2j+1)/(2j+1),
+    u = (x - 1)/(x + 1), is summed at u = 1/3 (x = 2) and u < 1/3 (x = r),
+    each series (all terms >= 0) to its first term below ``_LN_TOL``."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    u = Fraction(q - 1, q + 1)
-    acc = Fraction(0)
-    power = u
-    u2 = u * u
-    j = 0
-    while True:
-        term = power / (2 * j + 1)
-        acc += term
-        if term < _LN_TOL or j > 4000:
-            break
-        power *= u2
-        j += 1
-    return 2 * acc
+    k = q.bit_length() - 1
+    r = Fraction(q, 1 << k)
+    out = Fraction(0)
+    for weight, u in ((k, Fraction(1, 3)), (1, (r - 1) / (r + 1))):
+        power, j = u, 0
+        while True:
+            term = power / (2 * j + 1)
+            out += 2 * weight * term
+            if term < _LN_TOL:
+                break
+            power, j = power * u * u, j + 1
+    return out
 
 
 class TVData(Record, namedtuple("TVData", "q beta groups")):
@@ -116,8 +117,11 @@ class TVData(Record, namedtuple("TVData", "q beta groups")):
         # an error starts with the path of its value in the JSON ``tv``
         # section: q, beta.m, groups[i].deg, groups[i].L
         beta = [(m, b) for m, b in beta if b]
-        if not is_prime_power(q):
-            raise ValueError(f"q: must be a prime power, got {q}")
+        try:
+            if not is_prime_power(q):
+                raise ValueError(f"must be a prime power, got {q}")
+        except ValueError as e:  # also a q past the primality limit
+            raise ValueError(f"q: {e}") from None
         seen = set()
         for m, b in beta:
             if m < 1:
@@ -174,7 +178,7 @@ def _neglog_q_terms(q: int, pairs) -> list[float]:
     return out
 
 
-def _neglog_upper(q: int, x: Fraction, lnq_lower: Fraction) -> Fraction:
+def _neglog_upper(x: Fraction, lnq_lower: Fraction) -> Fraction:
     """Rational upper bound of -log_q(1 - x) for 0 < x < 1:
     -ln(1-x) <= x/(1-x), so -log_q(1-x) <= x / ((1-x) ln q)."""
     return x / ((1 - x) * lnq_lower)
@@ -187,7 +191,7 @@ def _finite_tail(tv: TVData, M: int, spec_degrees: Sequence[int]) -> Fraction:
     docs/tail_bounds.md.  Zero when nothing was discarded."""
     q = tv.q
     lnq = ln_lower(q)
-    bound = sum(b * sum(_neglog_upper(q, Fraction(1, q ** (m * dj)), lnq)
+    bound = sum(b * sum(_neglog_upper(Fraction(1, q ** (m * dj)), lnq)
                         for dj in spec_degrees)
                 for m, b in tv.beta if m > M)
     return bound * _TAIL_SLACK + _TAIL_FLOOR if bound else Fraction(0)
@@ -197,9 +201,11 @@ def _finite_tail(tv: TVData, M: int, spec_degrees: Sequence[int]) -> Fraction:
 RhsResult = namedtuple("RhsResult", "value tail")
 
 
+@functools.cache
 def rhs_group(tv: TVData, spec: GroupSpec, trunc: int) -> RhsResult:
     """``dim G - sum_(r<=trunc) beta_r log_q(mass_ratio(G, q, r))`` with
-    tail; for G = Gm the ratio is (q^r - 1)/q^r, the Picard form."""
+    tail; for G = Gm the ratio is (q^r - 1)/q^r, the Picard form.  Cached:
+    dominance tables and family sections ask for the same values again."""
     q = tv.q
     pairs = [(b, mass_ratio(spec, q, r)) for r, b in tv.beta if r <= trunc]
     value = float(spec.dim) + math.fsum(_neglog_q_terms(q, pairs))

@@ -85,10 +85,11 @@ evaluates f alone and computes no inverse.
 
 A scan of F_(q^m) is charged its q^m elements against the budget, and a
 scan on tables also against the 2^20 table limit; the bit-sliced count is
-charged against the budget alone.  Each stage has one gate:
-``CurveModel.counts(k)`` checks F_(q^k) before N_1, and the root walk
-``CurveModel._roots`` of the three witness searches checks each field
-before it scans it; a certificate that passes is charged nothing.
+charged against the budget alone.  ``CurveModel._check_scan`` is the one
+gate: ``counts(k)`` checks F_(q^k) before N_1, ``count_points`` F_(q^m)
+before ``_count(m)``, which takes its own cached, tabled field, and the
+root walk ``_roots`` of the three witness searches each field before it
+scans it; a certificate that passes is charged nothing.
 ``CurveModel.zeta`` is the one zeta entry point of a model: it asks
 ``counts`` for N_1..N_g, and for the guard N_(g+1) when asked to, so the
 guard's field is gated before N_1, and ``zeta_from_counts`` checks the
@@ -465,23 +466,13 @@ class CurveModel:
                 f"{self.base.degree * m})",
                 "budget" if limit == budget else "table limit")
 
-    def scan_field(self, m: int, budget: int, stage: str) -> FiniteField:
-        """F_(q^m) with its tables, for a stage that scans its elements.
-
-        Every scan (a count or a witness search) gets its field here,
-        through the one gate ``_check_scan``.
-        """
-        self._check_scan(m, budget, stage)
-        E = FiniteField.extension(self.base, m)
-        E.build_tables()
-        return E
-
     def _roots(self, G, budget: int):
         """(m, E, x) for each root x of G in E = F_(q^m) (every x for G = 0),
         in code order, for m = 1, 2, ...: the walk of the witness searches,
-        with each field gated by ``scan_field`` before it is scanned."""
+        with each field gated by ``_check_scan`` before it is scanned."""
         for m in itertools.count(1):
-            E = self.scan_field(m, budget, "smoothness certificate")
+            self._check_scan(m, budget, "smoothness certificate")
+            E = FiniteField.extension(self.base, m).build_tables()
             for x in range(E.order):
                 if _pc_eval(E, G, x) == 0:
                     yield m, E, x
@@ -498,9 +489,8 @@ class CurveModel:
         """The per-kind cost check of N_1..N_k: q^k elements scanned."""
         self._check_scan(k, budget, "point count", self.tabled)
 
-    def _count(self, m: int, E: FiniteField | None) -> int:
-        """N_m, with E = F_(q^m) from scan_field if the model's kernel
-        needs tables, and None otherwise."""
+    def _count(self, m: int) -> int:
+        """N_m, once ``_check_count`` has passed m."""
         raise NotImplementedError
 
     # public API -----------------------------------------------------------
@@ -514,10 +504,8 @@ class CurveModel:
     def count_points(self, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
         """N_m = #X(F_(q^m)) of the smooth projective model."""
         self.validate(budget)
-        if self.tabled:
-            return self._count(m, self.scan_field(m, budget, "point count"))
         self._check_count(m, budget)
-        return self._count(m, None)
+        return self._count(m)
 
     def counts(self, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
         """N_1..N_k of the validated model, through ``checked_counts``.
@@ -544,7 +532,6 @@ class CurveModel:
 
 class ProjectiveLine(CurveModel):
     kind = "projective-line"
-    tabled = False
 
     def _check_count(self, k: int, budget: int) -> None:
         pass  # N_m = q^m + 1 scans nothing
@@ -552,7 +539,7 @@ class ProjectiveLine(CurveModel):
     def genus(self) -> int:
         return 0
 
-    def _count(self, m: int, E: None) -> int:
+    def _count(self, m: int) -> int:
         return self.q ** m + 1
 
 
@@ -641,9 +628,9 @@ class HyperellipticCurve(CurveModel):
         return _pc_add(B, _pc_mul(B, h, h),
                        _pc_mul(B, [B.embed_int(4)], self.f))
 
-    def _count(self, m: int, E: FiniteField | None) -> int:
-        """N_m, on bit slices in characteristic 2 (E is None), else on a
-        tabled E = F_Q, Q + 1 + sum_(x in P^1(F_Q)) chi(F(x)), on logs.
+    def _count(self, m: int) -> int:
+        """N_m, on bit slices in characteristic 2, else on the tabled
+        E = F_Q, Q + 1 + sum_(x in P^1(F_Q)) chi(F(x)), on logs.
 
         With F = sum c_i x^i, the term c_i x^i at x = g^k has the log
         log c_i + ik, and the terms are summed by Zech logarithms:
@@ -652,8 +639,9 @@ class HyperellipticCurve(CurveModel):
         cyclotomic coset, and x = 0 and x = infinity apart: F_(2g+2) is
         h_(g+1)^2 + 4 f_(2g+2), the discriminant of the fiber at infinity.
         """
-        if E is None:
+        if not self.tabled:
             return self._sliced_count(m)
+        E = FiniteField.extension(self.base, m).build_tables()
         F = self._discriminant()
         n, log, zech = E.order - 1, E._log, E._zech
         ends = (F[0], _coeff(F, 2 * self.genus() + 2))  # x = 0 and infinity
@@ -826,9 +814,10 @@ class PlaneCurve(CurveModel):
             if len(G) != 1 and (y := _first_root_in(E, G)) is not None:
                 return m, x, y, 1
 
-    def _count(self, m: int, E: FiniteField) -> int:
+    def _count(self, m: int) -> int:
         """Roots of F(x, Y, 1) for every x, roots of F(X, 1, 0), and the
         point (1:0:0) when x^d has coefficient 0."""
+        E = FiniteField.extension(self.base, m).build_tables()
         F = self._columns[0]
         n = sum(size * _root_count(E, self._slice(E, F, x))
                 for x, size in _orbit_reps(E, self.q, m))

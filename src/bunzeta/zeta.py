@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import Record, divisors, is_prime_power, moebius, power_sums
+from .arith import Record, is_prime_power, power_sums
 
 
 class InconsistentCountsError(ValueError):
@@ -192,11 +192,13 @@ def special_value(z: ZetaData, s: int) -> Fraction:
 
 
 def degree_spectrum(counts) -> list[int]:
-    """Closed points by degree from N_1..N_M: B_1..B_M with
-    B_m = (1/m) sum_(d|m) mu(m/d) N_d."""
-    bs = []
-    for m in range(1, len(counts) + 1):
-        s = sum(moebius(m // d) * counts[d - 1] for d in divisors(m))
+    """Closed points by degree B_1..B_M from N_m = sum_(d|m) d B_d, by a
+    sieve: what is left of N_m is m B_m, taken off every multiple of m."""
+    rest, bs = list(counts), []
+    for m in range(1, len(rest) + 1):
+        s = rest[m - 1]
+        for k in range(2 * m, len(rest) + 1, m):
+            rest[k - 1] -= s
         if s % m != 0:
             raise InconsistentCountsError(
                 f"B_{m} = {s}/{m} is not an integer; counts are inconsistent")

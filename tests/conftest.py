@@ -26,11 +26,11 @@ def count_log(monkeypatch):
     log = CountLog()
     count = HyperellipticCurve._count
 
-    def record(model, m, E):
+    def record(model, m):
         log.append(m)
         if not log.real:
             pytest.fail(f"{model.name}: N_{m} was counted, not refused")
-        return count(model, m, E)
+        return count(model, m)
 
     monkeypatch.setattr(HyperellipticCurve, "_count", record)
     return log

@@ -23,10 +23,8 @@ from bunzeta.arith import (
     _pc_quo,
     _pc_sub,
     _pc_trim,
-    divisors,
     is_prime,
     is_prime_power,
-    moebius,
 )
 from bunzeta.curves import HyperellipticCurve
 
@@ -508,31 +506,38 @@ def test_poly_derivative():
     assert _pc_deriv(F2, [1, 0, 1]) == []  # 1 + x^2
 
 
-def test_moebius_small_values():
-    assert [moebius(n) for n in range(1, 13)] == \
-        [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
-
-
 def test_prime_helpers_match_brute_force():
-    # every divisor of every n < 3000 by listing the multiples of each d
-    top = 3000
+    # every divisor of every n < 20000 by listing the multiples of each d
+    top = 20000
     divs = [[] for _ in range(top)]
     for d in range(1, top):
         for multiple in range(d, top, d):
             divs[multiple].append(d)
     primes = [n for n in range(top) if len(divs[n]) == 2]
-    prime_powers = {p ** k for p in primes for k in range(1, 12)
+    prime_powers = {p ** k for p in primes for k in range(1, top.bit_length())
                     if p ** k < top}
     for n in range(top):
         assert is_prime(n) == (len(divs[n]) == 2), n
         assert is_prime_power(n) == (n in prime_powers), n
-    for n in range(1, top):
-        assert divisors(n) == divs[n], n
-        prime_divs = [p for p in divs[n] if len(divs[p]) == 2]
-        squarefree = all(n % (d * d) for d in divs[n][1:])
-        assert moebius(n) == (-1) ** len(prime_divs) * squarefree, n
     # a small least factor settles primality without scanning the cofactor
     big = 2 * (2 ** 61 - 1)
     assert not is_prime(big) and not is_prime_power(big)
-    with pytest.raises(ValueError):
-        moebius(0)
+
+
+def test_large_primes_decided_up_to_the_limit():
+    # Miller-Rabin to the bases up to 41 is exact below _PRIME_LIMIT: the
+    # least strong pseudoprimes to the prime bases up to 23 and up to 37
+    # are composite, as are Carmichael numbers, and Mersenne primes and
+    # their powers pass
+    for n in (561, 41041, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n) and not is_prime_power(n), n
+    m61, m31 = 2 ** 61 - 1, 2 ** 31 - 1
+    assert is_prime(m61) and is_prime(m31) and is_prime_power(m61 ** 2)
+    assert is_prime_power(3 ** 40) and is_prime_power(2 ** 81)
+    assert not is_prime_power(m61 * 257) and not is_prime_power(6 ** 20)
+    # the limit, a strong pseudoprime to every base up to 41, is refused
+    with pytest.raises(ValueError, match=r"decided only below "
+                                         r"3317044064679887385961981$"):
+        is_prime(arith._PRIME_LIMIT)
+    # a factor up to 41 decides a composite of any size
+    assert not is_prime(3 * 2 ** 200) and not is_prime_power(3 * 2 ** 200)

@@ -518,8 +518,8 @@ def test_degenerate_at_infinity_names_curve(tmp_path, capsys, p, h, f):
 def test_enumerated_counts_cross_checked(config_path, monkeypatch, capsys):
     count = HyperellipticCurve._count
 
-    def off_by_one(model, m, budget):
-        n = count(model, m, budget)
+    def off_by_one(model, m):
+        n = count(model, m)
         return n + 1 if model.name == "C2" and m == model.genus() + 1 else n
 
     monkeypatch.setattr(HyperellipticCurve, "_count", off_by_one)
@@ -1141,3 +1141,49 @@ def test_f9_tower_counts_pinned(tmp_path):
     curve, = json.loads(out.read_text())["curves"]
     assert (curve["q"], curve["g"]) == (9, 5)
     assert curve["counts"] == [17, 105, 761, 6513, 59697, 528105]
+
+
+def test_large_q_runs_in_time(tmp_path):
+    # q = 2^61 - 1: ln q is summed on q = 2^k r with 1 <= r < 2, about 20
+    # terms a series, and p is proved prime by Miller-Rabin, not by trial
+    # division up to sqrt(p); each run is a child process, stopped if slow
+    import os
+    import subprocess
+
+    import bunzeta
+
+    p = 2 ** 61 - 1
+    configs = {
+        "asymptote": {"schema": 1, "groups": [{"family": "Gm", "n": 1}],
+                      "tv": {"q": p, "beta": {"1": "1/2", "3": "1"}},
+                      "trunc": 2},
+        "zeta": {"schema": 1, "trunc": 2, "curves": [
+            {"name": "P1", "kind": "projective-line", "p": p}]},
+    }
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(bunzeta.__file__).parent.parent))
+    reports = {}
+    for command, cfg in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        done = subprocess.run([sys.executable, "-m", "bunzeta.cli", command,
+                               "--config", str(path)], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stderr) == (0, ""), command
+        reports[command] = json.loads(done.stdout)
+    assert reports["asymptote"]["tv"]["q"] == p
+    assert reports["zeta"]["curves"][0]["counts"] == [p + 1, p * p + 1]
+
+
+def test_prime_above_the_primality_limit_refused(tmp_path, capsys):
+    limit = 3317044064679887385961981  # a strong pseudoprime to bases <= 41
+    cfg = {"schema": 1, "groups": [{"family": "Gm", "n": 1}],
+           "tv": {"q": limit, "beta": {"1": "1"}},
+           "curves": [{"name": "P1", "kind": "projective-line", "p": limit}]}
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(cfg))
+    text = f"{limit} is too large: primality is decided only below {limit}"
+    assert run_cli(["zeta", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: curves[P1]: {text}\n"
+    assert run_cli(["asymptote", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: tv.q: {text}\n"

@@ -853,7 +853,7 @@ def test_point_counts_weil_enforced(monkeypatch):
     line = ProjectiveLine(FiniteField.prime(2), name="P1/F2")
     assert line.counts(2) == [3, 5]
     monkeypatch.setattr(ProjectiveLine, "_count",
-                        lambda self, m, E: self.q ** m + 1 + (m == 2))
+                        lambda self, m: self.q ** m + 1 + (m == 2))
     with pytest.raises(InconsistentCountsError) as exc:
         line.counts(2)
     assert str(exc.value).startswith("N_2 = 6 violates the Weil bound")
@@ -939,14 +939,20 @@ def test_plane_certificate_above_table_limit_refused_fast():
 def test_plane_certificate_stops_at_its_witness(monkeypatch):
     # x^5 + y^5 + x^2 y^2 z is singular at (0:0:1), a point over F_3 itself,
     # so the certificate needs none of F_(3^2)..F_(3^10)
-    monkeypatch.setattr(FiniteField, "_prime_cache", {})
-    base = FiniteField.prime(3)
+    extension, degrees = FiniteField.extension, []
+
+    def recorded(cls, base, m):
+        degrees.append(m)
+        return extension(base, m)
+
+    monkeypatch.setattr(FiniteField, "extension", classmethod(recorded))
     model = PlaneCurve.from_list(
-        base, [(5, 0, 0, 1), (0, 5, 0, 1), (2, 2, 1, 1)], 5, name="quintic")
+        FiniteField.prime(3), [(5, 0, 0, 1), (0, 5, 0, 1), (2, 2, 1, 1)], 5,
+        name="quintic")
     with pytest.raises(SingularModelError) as exc:
         model.validate()
     assert exc.value.witness == (1, 0, 0, 1)
-    assert base._extensions == {}
+    assert degrees == [1]  # F_3 itself, and no extension
 
 
 def test_counts_deterministic(curve_catalog):

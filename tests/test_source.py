@@ -249,3 +249,33 @@ def test_dominance_rank_rule_read_once():
     used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert used.isdisjoint({"dominance_check", "rhs_group", "rhs_general",
                             "tv_bound", "DOMINANCE_MAX_RANK"})
+
+
+def _is_stub(body) -> bool:
+    """A body that is only a docstring, ``pass`` or
+    ``raise NotImplementedError``: an interface, with nothing to read."""
+    return all(isinstance(n, ast.Pass)
+               or isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
+               or isinstance(n, ast.Raise) and n.exc is not None
+               and ast.unparse(n.exc) == "NotImplementedError"
+               for n in body)
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is a value every caller
+    # computes and passes for nothing; self and cls are bound by Python,
+    # and a stub's parameters are the interface its overrides read
+    src = pathlib.Path(bunzeta.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef) or _is_stub(node.body):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [v for v in (a.vararg, a.kwarg) if v]]
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert unread == []
